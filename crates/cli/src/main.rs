@@ -275,11 +275,14 @@ fn cmd_legalize(args: &Args) -> Result<(), String> {
     let heatmaps_path = args.get("heatmaps");
     let mut profile = (profile_path.is_some() || trace_path.is_some() || heatmaps_path.is_some())
         .then(flow3d_obs::Profile::new);
-    if trace_path.is_some() {
-        profile
-            .as_mut()
-            .expect("trace implies a profile")
-            .enable_tracing();
+    if let Some(p) = profile.as_mut() {
+        if trace_path.is_some() {
+            p.enable_tracing();
+        }
+        // Per-pass grids are captured only when a sidecar will hold them.
+        if heatmaps_path.is_some() {
+            p.enable_heatmaps();
+        }
     }
 
     let start = std::time::Instant::now();

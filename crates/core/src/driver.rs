@@ -208,10 +208,11 @@ pub fn flow_pass_threaded_pooled(
     let threads = threads.max(1);
     let num_bins = state.grid.num_bins();
     let observing = obs.is_some();
+    let heatmaps = obs.as_deref().is_some_and(Profile::heatmaps_enabled);
     // Workers share the coordinator's trace epoch so their spans land on
     // the same timeline; `None` when the coordinator is not tracing.
     let trace_epoch = obs.as_deref().and_then(Profile::tracing_epoch);
-    let mut moves_per_bin: Vec<u64> = if observing {
+    let mut moves_per_bin: Vec<u64> = if heatmaps {
         vec![0; num_bins]
     } else {
         Vec::new()
@@ -403,8 +404,8 @@ pub fn flow_pass_threaded_pooled(
                 }
                 last_applied.insert(e, round);
             }
-            if let Some(p) = obs.as_deref_mut() {
-                p.record(hist_keys::SEARCH_DEPTH, path.depth() as f64);
+            obs.record(hist_keys::SEARCH_DEPTH, path.depth() as f64);
+            if heatmaps {
                 for step in &path.steps {
                     moves_per_bin[step.bin.index()] += 1;
                 }
@@ -483,7 +484,8 @@ pub fn flow_pass_threaded_pooled(
 }
 
 /// Captures one heatmap per die of `value` over the bin grid, named
-/// `flow_pass{pass}/die{d}/{kind}`.
+/// `flow_pass{pass}/die{d}/{kind}`. Returns at once unless the profile
+/// has heatmap capture armed ([`Profile::enable_heatmaps`]).
 ///
 /// Grid rows map to heatmap rows bottom-up (ascending row y), bins
 /// within a row map to columns left-to-right (ascending span start);
@@ -497,6 +499,9 @@ fn capture_bin_heatmaps(
     kind: &str,
     value: &dyn Fn(BinId) -> f64,
 ) {
+    if !profile.heatmaps_enabled() {
+        return;
+    }
     let mut dies: BTreeMap<usize, BTreeMap<i64, Vec<(i64, BinId)>>> = BTreeMap::new();
     for i in 0..state.grid.num_bins() {
         let id = BinId::new(i);

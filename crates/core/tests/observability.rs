@@ -1,7 +1,7 @@
 //! Integration tests for the observability hooks: the instrumented run
 //! must agree with the plain run and with its own always-on counters.
 
-use flow3d_core::{Flow3dConfig, Flow3dLegalizer, Legalizer};
+use flow3d_core::{CellMove, EcoEngine, Flow3dConfig, Flow3dLegalizer, Legalizer};
 use flow3d_db::{CellId, Design, DesignBuilder, DieSpec, LibCellSpec, Placement3d, TechnologySpec};
 use flow3d_geom::FPoint;
 use flow3d_obs::{keys, Profile, RunReport};
@@ -134,4 +134,65 @@ fn no_post_opt_config_omits_post_opt_phase() {
     .unwrap();
     assert!(profile.phase("legalize/post_opt").is_none());
     assert!(profile.phase("legalize/flow_pass").is_some());
+}
+
+/// Heatmap count plus an FNV-1a fold of every grid's name, shape and
+/// cell bit patterns, in capture order.
+fn heatmap_digest(profile: &Profile) -> (usize, u64) {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut fold = |x: u64| h = (h ^ x).wrapping_mul(0x0100_0000_01b3);
+    for m in profile.heatmaps() {
+        for b in m.name.bytes() {
+            fold(b as u64);
+        }
+        fold(m.rows as u64);
+        fold(m.cols as u64);
+        for v in &m.values {
+            fold(v.to_bits());
+        }
+    }
+    (profile.heatmaps().len(), h)
+}
+
+/// Heatmap capture is opt-in: an observed run without
+/// `enable_heatmaps` records none, and an armed run records exactly the
+/// grids heatmaps were always captured with (digests pinned from the
+/// capture-always implementation). Arming changes nothing else.
+#[test]
+fn heatmaps_are_captured_only_when_armed() {
+    let (design, gp) = dense_case(30);
+    let lg = Flow3dLegalizer::default();
+    let mut plain = Profile::new();
+    let unarmed = lg
+        .legalize_observed(&design, &gp, Some(&mut plain))
+        .unwrap();
+    assert!(plain.heatmaps().is_empty());
+    let mut armed = Profile::new();
+    armed.enable_heatmaps();
+    let outcome = lg
+        .legalize_observed(&design, &gp, Some(&mut armed))
+        .unwrap();
+    assert_eq!(unarmed.placement, outcome.placement);
+    assert_eq!(plain.counters(), armed.counters());
+    assert_eq!(heatmap_digest(&armed), (16, 15997393158955639427));
+    assert_eq!(armed.heatmaps()[0].name, "flow_pass0/die0/supply");
+    assert_eq!(armed.heatmaps()[15].name, "flow_pass1/die1/moves");
+
+    let onto = outcome.placement.pos(CellId::new(6));
+    let moves: Vec<CellMove> = (0..5)
+        .map(|i| CellMove {
+            cell: CellId::new(i),
+            target: onto,
+            die: None,
+        })
+        .collect();
+    let mut engine = EcoEngine::new(Flow3dConfig::default(), design, outcome.placement).unwrap();
+    let mut plain = Profile::new();
+    let unarmed = engine.eco_observed(&moves, Some(&mut plain)).unwrap();
+    assert!(plain.heatmaps().is_empty());
+    let mut armed = Profile::new();
+    armed.enable_heatmaps();
+    let eco = engine.eco_observed(&moves, Some(&mut armed)).unwrap();
+    assert_eq!(unarmed.placement, eco.placement);
+    assert_eq!(heatmap_digest(&armed), (8, 6153720398901328967));
 }

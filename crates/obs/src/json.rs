@@ -86,11 +86,21 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document.
+    /// The deepest array/object nesting [`parse`](Self::parse) accepts.
+    /// Deeper documents are rejected with a [`JsonError`] instead of
+    /// recursing until the stack overflows.
+    pub const MAX_DEPTH: usize = 128;
+
+    /// Parses a JSON document in time linear in its length.
+    ///
+    /// Arrays and objects may nest at most [`MAX_DEPTH`](Self::MAX_DEPTH)
+    /// levels. `\u` escapes take exactly four hex digits; a UTF-16
+    /// surrogate pair decodes to one scalar, a lone surrogate is an error.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -144,17 +154,26 @@ impl fmt::Display for Json {
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    // Unescaped stretches go out with one `write_str` each. Every byte
+    // that needs escaping is ASCII, so `start..i` always lies on char
+    // boundaries.
+    let mut start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        f.write_str(&s[start..i])?;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            _ => write!(f, "\\u{b:04x}")?,
+        }
+        start = i + 1;
     }
+    f.write_str(&s[start..])?;
     f.write_str("\"")
 }
 
@@ -178,6 +197,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -222,8 +243,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.eat_keyword("true").map(|_| Json::Bool(true)),
             Some(b'f') => self.eat_keyword("false").map(|_| Json::Bool(false)),
@@ -231,6 +252,24 @@ impl Parser<'_> {
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Runs `container` one nesting level deeper, refusing to go past
+    /// [`Json::MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == Json::MAX_DEPTH {
+            return Err(self.err(&format!(
+                "document nested deeper than {} levels",
+                Json::MAX_DEPTH
+            )));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -288,55 +327,84 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-ASCII \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("\\u escape is not a scalar value"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input came from a
-                    // &str, so boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let Some(c) = rest.chars().next() else {
-                        return Err(self.err("unterminated string"));
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run up to the next quote or backslash in one go.
+            // Both are ASCII, so the run ends on a char boundary and only
+            // its own bytes need validating.
+            let start = self.pos;
+            let Some(len) = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = self.bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            let run =
+                std::str::from_utf8(&self.bytes[start..start + len]).map_err(|e| JsonError {
+                    message: "invalid UTF-8".to_string(),
+                    offset: start + e.valid_up_to(),
+                })?;
+            out.push_str(run);
+            self.pos = start + len;
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(out);
             }
+            self.pos += 1;
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    out.push(self.unicode_escape()?);
+                    continue;
+                }
+                _ => return Err(self.err("invalid escape")),
+            }
+            self.pos += 1;
         }
+    }
+
+    /// Decodes a `\u` escape with `pos` on the `u`, leaving `pos` just
+    /// past it. A high surrogate must be followed by a `\u`-escaped low
+    /// surrogate; the pair decodes to one astral scalar.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let high = self.hex4(self.pos + 1)?;
+        self.pos += 5;
+        let code = match high {
+            0xD800..=0xDBFF => {
+                if self.bytes.get(self.pos..self.pos + 2) != Some(b"\\u") {
+                    return Err(self.err("lone high surrogate in \\u escape"));
+                }
+                let low = self.hex4(self.pos + 2)?;
+                if !(0xDC00..=0xDFFF).contains(&low) {
+                    return Err(self.err("high surrogate not followed by a low surrogate"));
+                }
+                self.pos += 6;
+                0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+            }
+            0xDC00..=0xDFFF => return Err(self.err("lone low surrogate in \\u escape")),
+            code => code,
+        };
+        char::from_u32(code).ok_or_else(|| self.err("\\u escape is not a scalar value"))
+    }
+
+    /// The value of exactly four hex digits starting at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, JsonError> {
+        let digits = self
+            .bytes
+            .get(at..at + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        digits.iter().try_fold(0u32, |acc, &b| {
+            let d = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| self.err("invalid \\u escape"))?;
+            Ok(acc << 4 | d)
+        })
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -426,8 +494,72 @@ mod tests {
 
     #[test]
     fn unicode_escapes_parse() {
-        let v = Json::parse(r#""Aé""#).unwrap();
+        let v = Json::parse(r#""\u0041\u00e9""#).unwrap();
         assert_eq!(v.as_str(), Some("Aé"));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_scalar() {
+        let v = Json::parse(r#""x\ud83d\ude00y""#).unwrap();
+        assert_eq!(v.as_str(), Some("x😀y"));
+        // Raw astral UTF-8 passes through untouched.
+        assert_eq!(Json::parse("\"😀\"").unwrap().as_str(), Some("😀"));
+    }
+
+    #[test]
+    fn malformed_unicode_escapes_are_errors() {
+        for text in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u00g1""#,
+            r#""\u12""#,
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83dA""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
+        ] {
+            assert!(Json::parse(text).is_err(), "{text} must not parse");
+        }
+        let e = Json::parse(r#""\ude00""#).unwrap_err();
+        assert!(e.message.contains("surrogate"), "{e}");
+    }
+
+    #[test]
+    fn control_bytes_escape_and_round_trip() {
+        let s = "a\"b\\c\nd\re\tf\u{1}g\u{1f}h é 😀";
+        let text = Json::Str(s.into()).to_string();
+        assert_eq!(text, "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001fh é 😀\"");
+        assert_eq!(Json::parse(&text).unwrap().as_str(), Some(s));
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_cap_is_an_error() {
+        let at_cap = format!(
+            "{}{}",
+            "[".repeat(Json::MAX_DEPTH),
+            "]".repeat(Json::MAX_DEPTH)
+        );
+        assert!(Json::parse(&at_cap).is_ok());
+        let over = format!(
+            "{}1{}",
+            "[".repeat(Json::MAX_DEPTH + 1),
+            "]".repeat(Json::MAX_DEPTH + 1)
+        );
+        let e = Json::parse(&over).unwrap_err();
+        assert!(e.message.contains("nested deeper"), "{e}");
+        assert_eq!(e.offset, Json::MAX_DEPTH);
+        // A megabyte of openers fails the same way instead of
+        // overflowing the stack.
+        let e = Json::parse(&"[{\"k\":".repeat(1 << 17)).unwrap_err();
+        assert!(e.message.contains("nested deeper"), "{e}");
+    }
+
+    #[test]
+    fn unterminated_strings_are_errors() {
+        for text in ["\"abc", "\"abc\\", "\"abc\\\"", "[\"a\", \"b"] {
+            assert!(Json::parse(text).is_err(), "{text:?} must not parse");
+        }
     }
 
     #[test]

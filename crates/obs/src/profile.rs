@@ -2,9 +2,10 @@
 //! time and call counts; [`Span`] is the RAII variant of a phase scope.
 //!
 //! Beyond timers and counters, a profile carries the rest of the
-//! telemetry state: a [`HistogramSet`], captured [`Heatmap`]s, and —
-//! when armed via [`Profile::enable_tracing`] — a per-thread
-//! [`TraceEvent`] stream (see the [`trace`](crate::trace) module).
+//! telemetry state: a [`HistogramSet`], captured [`Heatmap`]s (recorded
+//! only when armed via [`Profile::enable_heatmaps`]), and — when armed
+//! via [`Profile::enable_tracing`] — a per-thread [`TraceEvent`] stream
+//! (see the [`trace`](crate::trace) module).
 
 use crate::counters::CounterSet;
 use crate::heatmap::Heatmap;
@@ -64,6 +65,8 @@ pub struct Profile {
     counters: CounterSet,
     hists: HistogramSet,
     heatmaps: Vec<Heatmap>,
+    /// Whether instrumented code should capture heatmaps at all.
+    heatmaps_armed: bool,
     /// `Some` once tracing is armed; recording is a plain `Vec::push`
     /// on this thread-local state, so no lock is ever taken.
     trace: Option<TraceState>,
@@ -85,6 +88,7 @@ impl Profile {
             counters: CounterSet::new(),
             hists: HistogramSet::new(),
             heatmaps: Vec::new(),
+            heatmaps_armed: false,
             trace: None,
         }
     }
@@ -122,6 +126,19 @@ impl Profile {
     /// Whether tracing is armed.
     pub fn is_tracing(&self) -> bool {
         self.trace.is_some()
+    }
+
+    /// Arms heatmap capture: instrumented code (the flow pass) then
+    /// snapshots its per-bin grids into this profile. Off by default,
+    /// because every capture copies whole grids and nothing but a
+    /// heatmap sidecar reads them. Idempotent.
+    pub fn enable_heatmaps(&mut self) {
+        self.heatmaps_armed = true;
+    }
+
+    /// Whether heatmap capture is armed.
+    pub fn heatmaps_enabled(&self) -> bool {
+        self.heatmaps_armed
     }
 
     /// The trace epoch, when tracing is armed — hand this to
@@ -344,7 +361,9 @@ impl Profile {
         &mut self.hists
     }
 
-    /// Attaches a captured heatmap to the profile.
+    /// Attaches a captured heatmap to the profile. Callers that capture
+    /// as a side effect check [`heatmaps_enabled`](Self::heatmaps_enabled)
+    /// first; an explicit attach is always kept.
     pub fn add_heatmap(&mut self, map: Heatmap) {
         self.heatmaps.push(map);
     }

@@ -175,8 +175,15 @@ impl RunReport {
         self
     }
 
-    /// Serializes to a compact JSON document.
+    /// Serializes to a compact JSON document: exactly the text of
+    /// [`to_json_value`](Self::to_json_value).
     pub fn to_json(&self) -> String {
+        self.to_json_value().to_string()
+    }
+
+    /// The report as a JSON value, for embedding in a larger document
+    /// without a serialize-and-reparse round trip.
+    pub fn to_json_value(&self) -> Json {
         let mut fields = vec![
             ("case".to_string(), Json::Str(self.case.clone())),
             ("legalizer".to_string(), Json::Str(self.legalizer.clone())),
@@ -241,7 +248,7 @@ impl RunReport {
         if let Some(rss) = self.peak_rss_bytes {
             fields.push(("peak_rss_bytes".to_string(), Json::Num(rss as f64)));
         }
-        Json::Obj(fields).to_string()
+        Json::Obj(fields)
     }
 
     /// Parses a report previously produced by [`to_json`](Self::to_json).
@@ -493,6 +500,17 @@ mod tests {
         let report = sample();
         let parsed = RunReport::from_json(&report.to_json()).unwrap();
         assert_eq!(parsed, report);
+    }
+
+    #[test]
+    fn json_value_equals_the_reparsed_text() {
+        // Embedding the value directly must give the same document the
+        // old serialize-and-reparse path produced.
+        let report = sample();
+        assert_eq!(
+            Json::parse(&report.to_json()).unwrap(),
+            report.to_json_value()
+        );
     }
 
     #[test]

@@ -82,16 +82,19 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// Writes `json` as one length-prefixed frame and flushes.
+/// Writes `json` as one length-prefixed frame and flushes. Prefix and
+/// payload go out in a single `write_all`, so an unbuffered socket sees
+/// one write per frame.
 ///
 /// # Errors
 ///
 /// Any error of the underlying writer.
 pub fn write_frame(w: &mut impl Write, json: &Json) -> std::io::Result<()> {
     let payload = json.to_string();
-    let bytes = payload.as_bytes();
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload.as_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -120,8 +123,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Json>, FrameError> {
     if len > MAX_FRAME {
         return Err(FrameError::TooLarge(len));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
+    // Grow the buffer only as payload bytes actually arrive: a length
+    // prefix alone must not be able to reserve MAX_FRAME bytes.
+    let mut buf = Vec::new();
+    r.take(len as u64).read_to_end(&mut buf)?;
+    if buf.len() < len {
+        return Err(FrameError::Io(std::io::ErrorKind::UnexpectedEof.into()));
+    }
     let text = std::str::from_utf8(&buf).map_err(|_| FrameError::BadUtf8)?;
     Json::parse(text).map(Some).map_err(FrameError::BadJson)
 }
@@ -396,11 +404,41 @@ mod tests {
     }
 
     #[test]
+    fn a_frame_is_one_write() {
+        /// Counts `write` calls; a split prefix/payload would count two.
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writes(Vec::new());
+        let msg = obj(&[("cmd", Json::Str("ping".into()))]);
+        write_frame(&mut w, &msg).unwrap();
+        assert_eq!(w.0.len(), 1);
+        let text = msg.to_string();
+        assert_eq!(w.0[0][..4], (text.len() as u32).to_be_bytes());
+        assert_eq!(&w.0[0][4..], text.as_bytes());
+    }
+
+    #[test]
     fn truncated_and_oversized_frames_error() {
         // Truncated payload: length says 10, only 3 bytes follow.
         let mut buf = 10u32.to_be_bytes().to_vec();
         buf.extend_from_slice(b"abc");
         assert!(matches!(read_frame(&mut &buf[..]), Err(FrameError::Io(_))));
+        // A bare prefix claiming the maximum costs nothing up front.
+        let buf = (MAX_FRAME as u32).to_be_bytes().to_vec();
+        assert!(matches!(read_frame(&mut &buf[..]), Err(FrameError::Io(_))));
+        // A prefix cut short is truncated too.
+        assert!(matches!(
+            read_frame(&mut &[0u8, 0][..]),
+            Err(FrameError::Io(_))
+        ));
         // Oversized length prefix.
         let buf = (MAX_FRAME as u32 + 1).to_be_bytes().to_vec();
         assert!(matches!(

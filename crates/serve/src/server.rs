@@ -39,7 +39,7 @@ use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Server tuning knobs. The defaults favour predictability:
 /// single-threaded engines plus two wave workers that overlap
@@ -171,7 +171,36 @@ struct Shared {
     done: Mutex<bool>,
     done_cv: Condvar,
     dispatcher: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// Requests read off a connection whose response is not written yet
+    /// (see [`Answering`]).
+    answering: Mutex<usize>,
+    answered_cv: Condvar,
 }
+
+/// Counts one connection request as unanswered from the moment its
+/// frame is read until the guard drops after the response is written,
+/// so [`Server::join`] can wait for the shutdown answer to leave the
+/// process before a listener returns and the process exits.
+struct Answering<'a>(&'a Shared);
+
+impl<'a> Answering<'a> {
+    fn start(shared: &'a Shared) -> Self {
+        *lock(&shared.answering) += 1;
+        Answering(shared)
+    }
+}
+
+impl Drop for Answering<'_> {
+    fn drop(&mut self) {
+        *lock(&self.0.answering) -= 1;
+        self.0.answered_cv.notify_all();
+    }
+}
+
+/// How long [`Server::join`] waits for responses still being written
+/// once the dispatcher has stopped: ample for any reply a reading peer
+/// accepts, and a bound on a peer that stopped reading.
+const ANSWER_GRACE: Duration = Duration::from_secs(5);
 
 /// The resident legalization service. Cheap to clone; all clones share
 /// one registry, queue, and dispatcher. See the module docs for the
@@ -231,6 +260,8 @@ impl Server {
                 done: Mutex::new(false),
                 done_cv: Condvar::new(),
                 dispatcher: Mutex::new(None),
+                answering: Mutex::new(0),
+                answered_cv: Condvar::new(),
             }),
         };
         let worker = server.clone();
@@ -293,8 +324,12 @@ impl Server {
         *lock(&self.shared.done)
     }
 
-    /// Blocks until the server is done (see [`is_done`](Self::is_done))
-    /// and joins the dispatcher thread.
+    /// Blocks until the server is done (see [`is_done`](Self::is_done)),
+    /// joins the dispatcher thread, and waits (up to a grace period) for
+    /// connection threads to finish writing responses they already hold
+    /// — the shutdown answer among them. The listener loops return only
+    /// after this, so a process that exits when they return does not cut
+    /// off its last replies.
     pub fn join(&self) {
         let mut done = lock(&self.shared.done);
         while !*done {
@@ -312,6 +347,11 @@ impl Server {
             // do not do.
             let _ = handle.join();
         }
+        let answering = lock(&self.shared.answering);
+        let _ = self
+            .shared
+            .answered_cv
+            .wait_timeout_while(answering, ANSWER_GRACE, |n| *n > 0);
     }
 
     /// Serves connections from `listener` until shutdown. Each
@@ -405,6 +445,7 @@ impl Server {
                     return;
                 }
             };
+            let _answering = Answering::start(&self.shared);
             let rid = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
             let id = request_id(&json).unwrap_or(rid);
             let is_shutdown = matches!(json.get("cmd").and_then(Json::as_str), Some("shutdown"));
@@ -926,10 +967,9 @@ impl Server {
             fields.push(("commit_reseeded".into(), Json::num(cs.reseeded as f64)));
             fields.push(("commit_total".into(), Json::num(cs.total as f64)));
         }
-        if let Ok(json) = Json::parse(&report.to_json()) {
-            self.note_report(&tag, &json);
-            fields.push(("report".into(), json));
-        }
+        let report = report.to_json_value();
+        self.note_report(&tag, &report);
+        fields.push(("report".into(), report));
         self.export_trace(name, id, &profile);
         Executed {
             response: ok_response(id, fields),
@@ -1001,10 +1041,9 @@ impl Server {
             fields.push(("commit_reseeded".into(), Json::num(cs.reseeded as f64)));
             fields.push(("commit_total".into(), Json::num(cs.total as f64)));
         }
-        if let Ok(json) = Json::parse(&report.to_json()) {
-            self.note_report(&tag, &json);
-            fields.push(("report".into(), json));
-        }
+        let report = report.to_json_value();
+        self.note_report(&tag, &report);
+        fields.push(("report".into(), report));
         if trace {
             if let Some(trace_json) = profile.to_chrome_trace(&format!("flow3d-serve {tag}")) {
                 fields.push(("trace".into(), Json::Str(trace_json)));
@@ -1065,9 +1104,7 @@ impl Server {
                     .map_or(Json::Null, Json::num),
             ),
         ];
-        if let Ok(json) = Json::parse(&report.to_json()) {
-            fields.push(("report".into(), json));
-        }
+        fields.push(("report".into(), report.to_json_value()));
         ok_response(id, fields)
     }
 }

@@ -346,6 +346,47 @@ fn malformed_frame_is_answered_then_connection_closes() {
     shutdown_and_join(&mut client, &server);
 }
 
+/// A frame nested far past `Json::MAX_DEPTH` (a megabyte of `[`) is a
+/// `malformed_frame`, not a stack overflow that takes the process down:
+/// the server keeps answering on a fresh connection.
+#[cfg(unix)]
+#[test]
+fn deeply_nested_frame_is_malformed_not_fatal() {
+    use flow3d_serve::read_frame;
+    use std::io::Write;
+
+    let server = Server::new(ServerConfig::default()).unwrap();
+    let (mut ours, theirs) = std::os::unix::net::UnixStream::pair().unwrap();
+    let handler = server.clone();
+    std::thread::spawn(move || handler.handle_connection(theirs));
+
+    let payload = vec![b'['; 1 << 20];
+    ours.write_all(&(payload.len() as u32).to_be_bytes())
+        .unwrap();
+    ours.write_all(&payload).unwrap();
+    ours.flush().unwrap();
+    let resp = read_frame(&mut ours).unwrap().unwrap();
+    assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
+    assert_eq!(
+        resp.get("error").and_then(|e| e.get("code")),
+        Some(&Json::Str("malformed_frame".into()))
+    );
+    let message = resp
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Json::as_str)
+        .unwrap();
+    assert!(message.contains("nested deeper"), "{message}");
+    assert!(read_frame(&mut ours).unwrap().is_none());
+
+    let mut client = socketpair_client(&server);
+    let resp = client
+        .request(&obj(vec![("cmd", Json::Str("ping".into()))]))
+        .unwrap();
+    assert_ok(&resp);
+    shutdown_and_join(&mut client, &server);
+}
+
 /// Two cases served concurrently from two connections: every response
 /// is still bit-identical to the one-shot API — sharding must never
 /// leak state across cases.
@@ -456,6 +497,41 @@ fn tcp_listener_round_trips_and_stops() {
     assert_ok(&resp);
     shutdown_and_join(&mut client, &server);
     accept_thread.join().unwrap().unwrap();
+}
+
+/// When a listener loop returns, the shutdown answer has already been
+/// written: a binary that exits right after `serve_unix` returns must not
+/// cut it off. The reply is read without blocking only after the loop
+/// has returned.
+#[cfg(unix)]
+#[test]
+fn shutdown_answer_is_written_before_the_listener_returns() {
+    use flow3d_serve::{read_frame, write_frame};
+
+    let dir = std::env::temp_dir().join(format!("flow3d-serve-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("shutdown.sock");
+    std::fs::remove_file(&path).ok();
+    let server = Server::new(ServerConfig::default()).unwrap();
+    let acceptor = server.clone();
+    let listen_path = path.clone();
+    let accept_thread = std::thread::spawn(move || acceptor.serve_unix(&listen_path));
+    let mut stream = loop {
+        match std::os::unix::net::UnixStream::connect(&path) {
+            Ok(s) => break s,
+            Err(_) => std::thread::sleep(std::time::Duration::from_millis(5)),
+        }
+    };
+    write_frame(
+        &mut stream,
+        &obj(vec![("cmd", Json::Str("shutdown".into()))]),
+    )
+    .unwrap();
+    accept_thread.join().unwrap().unwrap();
+    stream.set_nonblocking(true).unwrap();
+    let resp = read_frame(&mut stream).unwrap().unwrap();
+    assert_ok(&resp);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn parse_request(json: &Json) -> flow3d_serve::Request {

@@ -156,6 +156,7 @@ fn telemetry_is_invariant_under_thread_count() {
     for case in cases() {
         let collect = |threads: usize| {
             let mut profile = flow3d_obs::Profile::new();
+            profile.enable_heatmaps();
             let cfg = Flow3dConfig {
                 threads,
                 ..Default::default()
