@@ -82,33 +82,5 @@ fn bench_d2d(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_kernel(c: &mut Criterion) {
-    // Search-kernel ablation: the selection memo is pure caching
-    // (placements are byte-identical either way — tests/differential.rs),
-    // so this group isolates its wall-clock effect on the hot path.
-    let run = prepare(Suite::Iccad2022, "case3", SCALE);
-    let mut group = c.benchmark_group("ablation_kernel");
-    group.sample_size(10);
-    for (label, selection_memo) in [("memo_on", true), ("memo_off", false)] {
-        let lg = Flow3dLegalizer::new(Flow3dConfig {
-            selection_memo,
-            ..Default::default()
-        });
-        group.bench_with_input(BenchmarkId::from_parameter(label), &run, |b, run| {
-            b.iter(|| {
-                let outcome = lg.legalize(&run.design, &run.global).expect("legalize");
-                black_box(outcome.stats.nodes_expanded)
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_alpha,
-    bench_binwidth,
-    bench_d2d,
-    bench_kernel
-);
+criterion_group!(benches, bench_alpha, bench_binwidth, bench_d2d);
 criterion_main!(benches);

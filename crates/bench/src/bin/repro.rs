@@ -520,13 +520,6 @@ fn bench_baseline(scale: f64, out: &str) {
     let (row, report) = evaluate_profiled_into(&run, &Flow3dLegalizer::default(), &mut profile);
     std::fs::write(out, report.to_json()).expect("write baseline report");
     print!("{}", report.to_pretty());
-    if report.selection_memo_hit_rate() == Some(0.0) {
-        println!(
-            "warning: selection memo hit rate is 0.0 — the memo is enabled but \
-             every lookup missed; a key or invalidation regression would look \
-             exactly like this (see counters selection_memo_hits/_misses)"
-        );
-    }
     println!("{:.2}s -> {out}", row.runtime_s);
 }
 

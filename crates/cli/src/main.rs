@@ -3,7 +3,7 @@
 //! ```text
 //! flow3d gen --suite 2022 --case case3 [--scale 0.25] --out case.txt [--gp gp.txt]
 //! flow3d legalize --algo 3dflow|tetris|abacus|bonn --case case.txt --gp gp.txt \
-//!        --out legal.txt [--no-d2d] [--no-congestion] [--no-post] [--no-memo] [--memo-slots N] [--no-soa] \
+//!        --out legal.txt [--no-d2d] [--no-congestion] [--no-post] [--no-soa] \
 //!        [--alpha 0.1] [--bin-width 10] [--post-bin-width 5] [--post-passes 3] \
 //!        [--row-algo abacus|isotonic] [--threads N] \
 //!        [--profile out.json] [--trace out.trace.json] [--heatmaps out.heatmaps.json]
@@ -156,7 +156,7 @@ fn run_report(argv: &[String]) -> Result<(), String> {
 fn usage() -> String {
     "usage:\n  \
      flow3d gen --suite 2022|2023|million|demo --case <name> [--scale S] [--seed N] --out case.txt [--gp gp.txt]\n  \
-     flow3d legalize --algo 3dflow|tetris|abacus|bonn --case case.txt --gp gp.txt --out legal.txt [--no-d2d] [--no-congestion] [--no-post] [--no-memo] [--memo-slots N] [--no-soa] [--alpha A] [--bin-width F] [--post-bin-width F] [--post-passes N] [--row-algo abacus|isotonic] [--threads N] [--profile out.json] [--trace out.trace.json] [--heatmaps out.heatmaps.json]\n  \
+     flow3d legalize --algo 3dflow|tetris|abacus|bonn --case case.txt --gp gp.txt --out legal.txt [--no-d2d] [--no-congestion] [--no-post] [--no-soa] [--alpha A] [--bin-width F] [--post-bin-width F] [--post-passes N] [--row-algo abacus|isotonic] [--threads N] [--profile out.json] [--trace out.trace.json] [--heatmaps out.heatmaps.json]\n  \
      flow3d check --case case.txt --legal legal.txt [--gp gp.txt]\n  \
      flow3d stats --case case.txt\n  \
      flow3d report show <report.json>\n  \
@@ -254,12 +254,6 @@ fn cmd_legalize(args: &Args) -> Result<(), String> {
                 "isotonic" => flow3d_core::RowAlgo::IsotonicL1,
                 other => return Err(format!("--row-algo: unknown algorithm `{other}`")),
             },
-            // Memo off is an ablation knob: output is bit-identical
-            // either way, only the search wall-clock changes.
-            selection_memo: !args.flag("no-memo"),
-            // 0 = auto-size the shared memo from the flow-source count;
-            // a pure capacity knob, the output never changes.
-            memo_slots: args.get_usize("memo-slots", 0)?,
             // 0 = auto: FLOW3D_THREADS, else available parallelism. The
             // result is bit-identical for every worker count.
             threads: args.get_usize("threads", 0)?,

@@ -57,7 +57,7 @@ pub fn realize(
 mod tests {
     use super::*;
     use crate::grid::BinGrid;
-    use crate::search::{find_path, SearchCounters, SearchParams, SearchScratch, SearchShared};
+    use crate::search::{find_path, SearchCounters, SearchParams, SearchScratch};
     use flow3d_db::{
         CellId, Design, DesignBuilder, DieId, DieSpec, LibCellSpec, RowLayout, TechnologySpec,
     };
@@ -94,7 +94,7 @@ mod tests {
         let mut scratch = SearchScratch::new(grid.num_bins());
         let mut counters = SearchCounters::default();
         let params = SearchParams::default();
-        let path = find_path(&st, bins[0], &params, &SearchShared::default(), &mut scratch, &mut counters).unwrap();
+        let path = find_path(&st, bins[0], &params, None, &mut scratch, &mut counters).unwrap();
         let whole = realize(&mut st, &path, &params.selection);
         st.check_invariants().unwrap();
         (st.total_overflow(), whole)
@@ -141,7 +141,7 @@ mod tests {
         let mut scratch = SearchScratch::new(grid.num_bins());
         let mut counters = SearchCounters::default();
         let params = SearchParams::default();
-        let path = find_path(&st, b0, &params, &SearchShared::default(), &mut scratch, &mut counters).unwrap();
+        let path = find_path(&st, b0, &params, None, &mut scratch, &mut counters).unwrap();
         let whole = realize(&mut st, &path, &params.selection);
         assert!(whole >= 1);
         assert_eq!(st.total_overflow(), 0);
@@ -180,7 +180,7 @@ mod tests {
         let mut scratch = SearchScratch::new(grid.num_bins());
         let mut counters = SearchCounters::default();
         let params = SearchParams::default();
-        let path = find_path(&st, bins[0], &params, &SearchShared::default(), &mut scratch, &mut counters).unwrap();
+        let path = find_path(&st, bins[0], &params, None, &mut scratch, &mut counters).unwrap();
         realize(&mut st, &path, &params.selection);
         st.check_invariants().unwrap();
         assert_eq!(st.sup(bins[0]), 0);

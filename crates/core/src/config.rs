@@ -29,21 +29,6 @@ pub struct Flow3dConfig {
     /// Row-legalization algorithm (§III-D): the paper's Abacus clustering
     /// or the L1-optimal isotonic variant.
     pub row_algo: RowAlgo,
-    /// Reuse `select_moves` results across the searches of one source's
-    /// retry ladder via the per-scratch
-    /// [`SelectionMemo`](crate::selection::SelectionMemo). Pure caching:
-    /// the legalizer's output is bit-identical with the memo on or off
-    /// (enforced by `tests/differential.rs`); disable only to measure the
-    /// cache's effect (`--no-memo` in the CLI, the `kernel` bench group).
-    pub selection_memo: bool,
-    /// Slot capacity of the shared selection memo. `0` (the default)
-    /// sizes it automatically from the flow-source count
-    /// ([`SelectionMemo::auto_slots`](crate::selection::SelectionMemo::auto_slots));
-    /// a nonzero value pins the capacity (rounded up to a power-of-two
-    /// set count of the 2-way table). Pure capacity knob: like
-    /// `selection_memo` itself it can change only hit/miss telemetry and
-    /// wall-clock, never the output (`--memo-slots` in the CLI).
-    pub memo_slots: usize,
     /// Worker threads for the parallel phases (flow-pass search batches,
     /// per-segment `PlaceRow`). `0` means auto: the `FLOW3D_THREADS`
     /// environment variable if set, otherwise all available cores (see
@@ -73,8 +58,6 @@ impl Default for Flow3dConfig {
             post_opt: true,
             post_passes: 3,
             row_algo: RowAlgo::default(),
-            selection_memo: true,
-            memo_slots: 0,
             threads: 0,
             soa_view: true,
         }
@@ -129,8 +112,6 @@ mod tests {
         assert_eq!(c.post_bin_width_factor, 5.0);
         assert!(c.allow_d2d);
         assert!(c.post_opt);
-        assert!(c.selection_memo, "memo is pure caching, on by default");
-        assert_eq!(c.memo_slots, 0, "memo capacity is auto-sized by default");
         assert_eq!(c.threads, 0, "default is auto-sized");
         assert!(c.soa_view, "SoA layout is pure caching, on by default");
     }

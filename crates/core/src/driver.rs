@@ -9,9 +9,9 @@ use crate::grid::{BinGrid, BinId};
 use crate::placerow::{place_row_with, RowAlgo, RowItem};
 use crate::search::{
     find_path_limited, AugmentingPath, SearchCounters, SearchParams, SearchPool, SearchScratch,
-    SearchShared, TabuList,
+    TabuList,
 };
-use crate::selection::{MemoWrite, SelectionMemo, SelectionParams};
+use crate::selection::SelectionParams;
 use crate::state::{FlowState, GeomSource};
 use crate::traits::{LegalizeOutcome, LegalizeStats, Legalizer};
 use flow3d_db::{CellId, Design, DieId, LegalPlacement, Placement3d, RowLayout, SoaView};
@@ -72,15 +72,9 @@ pub fn flow_pass_observed(
 }
 
 /// The result of one source's bounded-search retry ladder: the candidate
-/// path (if any), the search counters it burned, how many searches ran,
-/// and the memo writes it buffered (selections missed in both memo
-/// layers) for the coordinator to merge in source order.
-type SourceSearch = (
-    Option<AugmentingPath>,
-    SearchCounters,
-    usize,
-    Vec<MemoWrite>,
-);
+/// path (if any), the search counters it burned, and how many searches
+/// ran.
+type SourceSearch = (Option<AugmentingPath>, SearchCounters, usize);
 
 /// Runs the per-source retry ladder — bounded search with halved flow
 /// limits, then one retry with the bound disabled — against an immutable
@@ -91,19 +85,11 @@ fn search_source(
     bin: BinId,
     sup: i64,
     params: &SearchParams,
-    shared: &SearchShared<'_>,
+    tabu: Option<&TabuList>,
     scratch: &mut SearchScratch,
 ) -> SourceSearch {
     let mut counters = SearchCounters::default();
     let mut searches: usize = 0;
-    // One ladder-local memo scope per source: the searches of this
-    // ladder run against the same frozen state, so their selections are
-    // mutually reusable. Cross-source (and cross-round, cross-request)
-    // reuse happens through the shared round-start snapshot in `shared`,
-    // which is frozen for the whole round — so hits and misses stay a
-    // pure function of (state, shared snapshot, source) and the counters
-    // are thread-count invariant.
-    scratch.begin_source();
     for relaxed in [false, true] {
         if relaxed && (params.alpha.is_infinite() || params.dijkstra) {
             break;
@@ -127,16 +113,16 @@ fn search_source(
                 bin,
                 limit,
                 &attempt_params,
-                shared,
+                tabu,
                 scratch,
                 &mut counters,
             ) {
-                return (Some(p), counters, searches, scratch.take_memo_writes());
+                return (Some(p), counters, searches);
             }
             limit /= 2;
         }
     }
-    (None, counters, searches, scratch.take_memo_writes())
+    (None, counters, searches)
 }
 
 /// [`flow_pass_observed`] on a worker pool of `threads` threads.
@@ -180,15 +166,13 @@ pub fn flow_pass_threaded(
 
 /// [`flow_pass_threaded`] with a caller-owned [`SearchPool`].
 ///
-/// The pool (node arenas, heaps, and the shared content-addressed
-/// selection memo) is grown to the worker count and persists across
-/// calls, so a resident engine amortizes its allocations — and its memo
-/// warmth — over many requests instead of one pass. Which scratch slot
-/// serves which source is scheduling-dependent; pooled scratch never
-/// influences results (a memo hit replays exactly what the selection
-/// would recompute, and entries are validated by content signature), so
-/// the determinism contract of [`flow_pass_threaded`] is unchanged. See
-/// [`crate::EcoEngine`] for the resident lifecycle.
+/// The pool (node arenas, heaps, selection buffers) is grown to the
+/// worker count and persists across calls, so a resident engine
+/// amortizes its allocations over many requests instead of one pass.
+/// Which scratch slot serves which source is scheduling-dependent;
+/// pooled scratch never influences results (it carries capacity, not
+/// data), so the determinism contract of [`flow_pass_threaded`] is
+/// unchanged. See [`crate::EcoEngine`] for the resident lifecycle.
 ///
 /// # Errors
 ///
@@ -249,10 +233,9 @@ pub fn flow_pass_threaded_pooled(
     let mut last_applied: BTreeMap<(u32, u32), u64> = BTreeMap::new();
     let mut tabu_until: BTreeMap<(u32, u32), u64> = BTreeMap::new();
     let mut tabu_edges: u64 = 0;
-    // Worker search scratch (node arena, heap, ladder-local memo) and the
-    // shared selection memo persist across rounds so their allocations —
-    // and the memo's warmth — amortize over the whole pass, and across
-    // whole passes when the caller owns the pool.
+    // Worker search scratch (node arena, heap, selection buffer)
+    // persists across rounds so its allocations amortize over the whole
+    // pass, and across whole passes when the caller owns the pool.
     loop {
         // Round sources: every overflowed bin, most loaded first (bin id
         // breaks ties) — a deterministic function of the state alone.
@@ -265,32 +248,21 @@ pub fn flow_pass_threaded_pooled(
             break;
         }
         sources.sort_by_key(|&(sup, b)| (std::cmp::Reverse(sup), b));
-        if params.use_memo {
-            let want = if params.memo_slots > 0 {
-                params.memo_slots
-            } else {
-                SelectionMemo::auto_slots(sources.len())
-            };
-            pool.memo.ensure_slots(want);
-        }
         // Freeze this round's tabu list (expired entries drop out first).
         tabu_until.retain(|_, until| *until > round);
-        let tabu = TabuList::from_edges(
+        let tabu_list = TabuList::from_edges(
             tabu_until
                 .keys()
                 .map(|&(u, v)| (BinId(u), BinId(v)))
                 .collect(),
         );
-        let shared = SearchShared {
-            memo: params.use_memo.then_some(&pool.memo),
-            tabu: (!tabu.is_empty()).then_some(&tabu),
-        };
+        let tabu = (!tabu_list.is_empty()).then_some(&tabu_list);
 
         // Batch: one read-only search per source against the frozen
         // state, fanned out across the pool. Worker-local scratch reuses
-        // its epoch-visited marks across the items one worker claims; the
-        // shared memo snapshot is identical for every worker, so which
-        // slot serves which source cannot change any outcome.
+        // its buffers across the items one worker claims and carries
+        // nothing between them, so which slot serves which source cannot
+        // change any outcome.
         obs.begin("search_batch");
         let frozen: &FlowState<'_> = state;
         let (candidates, worker_profiles) = flow3d_par::par_map_with_pool(
@@ -304,7 +276,7 @@ pub fn flow_pass_threaded_pooled(
                 if observing {
                     wprof.begin("source_search");
                 }
-                let result = search_source(frozen, bin, sup, params, &shared, scratch);
+                let result = search_source(frozen, bin, sup, params, tabu, scratch);
                 if observing {
                     wprof.end("source_search");
                 }
@@ -322,32 +294,18 @@ pub fn flow_pass_threaded_pooled(
                 // Histograms are recorded coordinator-side in source
                 // (index) order — never from racing workers — so their
                 // contents are thread-count invariant.
-                for (_, c, _, _) in &candidates {
+                for (_, c, _) in &candidates {
                     p.record(hist_keys::SEARCH_NODES, c.expanded as f64);
-                    if params.use_memo {
-                        p.record(
-                            hist_keys::SELECTION_MEMO_HITS_PER_SOURCE,
-                            c.memo_hits as f64,
-                        );
-                    }
                 }
             }
         }
         obs.end("search_batch");
-        for (_, c, searches, writes) in &candidates {
+        for (_, c, searches) in &candidates {
             counters.expanded += c.expanded;
             counters.created += c.created;
             counters.pruned += c.pruned;
             counters.pruned_stale += c.pruned_stale;
-            counters.memo_hits += c.memo_hits;
-            counters.memo_misses += c.memo_misses;
             retries += searches.saturating_sub(1);
-            // Merge buffered memo writes in source order: a deterministic
-            // store sequence gives deterministic eviction, so the next
-            // round's snapshot is thread-count invariant too.
-            if params.use_memo {
-                pool.memo.absorb(writes);
-            }
         }
 
         // Deterministic reduction: cheapest candidate first, the source
@@ -355,7 +313,7 @@ pub fn flow_pass_threaded_pooled(
         let mut order: Vec<(usize, &AugmentingPath)> = candidates
             .iter()
             .enumerate()
-            .filter_map(|(i, (path, _, _, _))| path.as_ref().map(|p| (i, p)))
+            .filter_map(|(i, (path, _, _))| path.as_ref().map(|p| (i, p)))
             .collect();
         order.sort_by(|&(a, pa), &(b, pb)| {
             pa.cost
@@ -461,14 +419,6 @@ pub fn flow_pass_threaded_pooled(
     obs.bump(keys::NODES_CREATED, counters.created as u64);
     obs.bump(keys::BRANCHES_PRUNED, counters.pruned as u64);
     obs.bump(keys::BRANCHES_PRUNED_STALE, counters.pruned_stale as u64);
-    if params.use_memo {
-        // Bumped only when the memo is on: downstream hit-rate reporting
-        // reads the *presence* of these counters as "memo enabled", so a
-        // cold-but-enabled run (0 hits, some misses) stays distinguishable
-        // from a disabled one (no counters at all).
-        obs.bump(keys::SELECTION_MEMO_HITS, counters.memo_hits as u64);
-        obs.bump(keys::SELECTION_MEMO_MISSES, counters.memo_misses as u64);
-    }
     obs.bump(keys::PING_PONG_TABUS, tabu_edges);
     obs.bump(
         keys::AUGMENTING_PATHS,
@@ -856,8 +806,6 @@ impl Flow3dLegalizer {
             alpha: cfg.alpha,
             slack,
             dijkstra: false,
-            use_memo: cfg.selection_memo,
-            memo_slots: cfg.memo_slots,
             selection: SelectionParams {
                 clamp_negative: false,
                 d2d_congestion_cost: cfg.d2d_congestion_cost,

@@ -120,7 +120,7 @@ pub(crate) struct EcoContext<'a> {
     pub layout: &'a RowLayout,
     /// Bin grid built at the post-optimization width.
     pub grid: &'a BinGrid,
-    /// Legalizer configuration (alpha, memo, row algorithm, …).
+    /// Legalizer configuration (alpha, row algorithm, …).
     pub cfg: &'a Flow3dConfig,
     /// The legal placement the ECO perturbs; anchors and the cross-die
     /// counter are relative to it.
@@ -252,8 +252,6 @@ pub(crate) fn run_eco(
         alpha: cfg.alpha,
         slack,
         dijkstra: false,
-        use_memo: cfg.selection_memo,
-        memo_slots: cfg.memo_slots,
         selection: SelectionParams {
             clamp_negative: false,
             d2d_congestion_cost: cfg.d2d_congestion_cost,

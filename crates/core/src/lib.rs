@@ -64,9 +64,9 @@ pub mod traits;
 
 pub use config::Flow3dConfig;
 pub use driver::Flow3dLegalizer;
-pub use placerow::RowAlgo;
 pub use error::LegalizeError;
 pub use incremental::CellMove;
+pub use placerow::RowAlgo;
 pub use resident::{CommitStats, EcoEngine};
 pub use state::{FlowState, GeomSource};
 pub use traits::{LegalizeOutcome, LegalizeStats, Legalizer};

@@ -13,9 +13,8 @@
 //! * a **seed cache**: the resolved `(bin, x)` slot of every cell at its
 //!   base position, so unmoved cells skip `nearest_position` entirely,
 //! * the **search pool**: per-worker [`SearchScratch`](crate::search::SearchScratch)
-//!   arenas (node arena, heap, ladder-local memo) plus the **shared
-//!   content-addressed selection memo**, which keep their allocations —
-//!   and the memoized selections — warm across requests.
+//!   arenas (node arena, heap, selection buffer), which keep their
+//!   allocations across requests.
 //!
 //! # Bit-identity with the one-shot path
 //!
@@ -26,24 +25,8 @@
 //! would compute. Every downstream phase is deterministic in the seeded
 //! state, so the engine's placements are bit-identical to the one-shot
 //! API for every request — the caches carry capacity, never decisions.
-//!
-//! # Warm selection memo
-//!
-//! The shared selection memo survives in the pool between requests with
-//! **no invalidation protocol at all**: every entry is keyed by a
-//! content signature of the neighborhood the selection read (see
-//! [`FlowState::selection_signature`](crate::state::FlowState::selection_signature)),
-//! so an entry replays exactly when the bins it describes hold the same
-//! content again — and silently stops matching the moment they do not.
-//! Requests with *disjoint* move sets therefore warm each other: the
-//! parts of the design an ECO does not touch re-seed to identical
-//! content, their signatures repeat, and the next request's selections
-//! in those regions are answered from the memo. `commit()` keeps the
-//! memo too, for the same reason. Hit counts are thread-count invariant
-//! (the memo is coordinator-owned; workers see a frozen round snapshot
-//! and their writes merge in source order), and a memo hit replays
-//! exactly what the selection would recompute, so warmth is invisible
-//! in the output — only in the telemetry and the wall-clock.
+//! Nothing a request computes survives into the next one except through
+//! [`EcoEngine::commit`], which changes the base on purpose.
 
 use crate::config::Flow3dConfig;
 use crate::driver::bin_widths;
@@ -189,8 +172,7 @@ impl EcoEngine {
     }
 
     /// Overrides the worker count resolved from the configuration.
-    /// Thread count never changes results — nor, with the shared
-    /// content-addressed memo, the hit/miss telemetry.
+    /// Thread count never changes results or telemetry counters.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = flow3d_par::resolve_threads(threads);
     }
@@ -211,14 +193,9 @@ impl EcoEngine {
     ///
     /// The placement is bit-identical to
     /// [`Flow3dLegalizer::legalize_incremental`](crate::Flow3dLegalizer::legalize_incremental) on `(design, base,
-    /// moves)` with the same configuration. The resident selection memo
-    /// needs no replay key and no invalidation (see the [module
-    /// docs](self)): entries are validated by content signature, so any
-    /// request — identical, overlapping, or fully disjoint from the
-    /// previous one — reuses every selection whose neighborhood content
-    /// repeats, and recomputes the rest. Even a failed request leaves
-    /// the memo sound: entries it stored describe the content they were
-    /// computed against, wherever that content recurs.
+    /// moves)` with the same configuration. A failed request leaves
+    /// nothing a later request reads: the search pool keeps only buffer
+    /// capacity.
     ///
     /// # Errors
     ///
@@ -252,10 +229,8 @@ impl EcoEngine {
     /// that can have changed**: a cell whose `(position, die)` equals the
     /// old base's would resolve to the identical slot (`resolve_seed` is
     /// a pure function of the die, the anchor, and the cell's width on
-    /// that die), so its cached entry is kept. The selection memo is kept
-    /// too — its entries are validated by content signature, not by which
-    /// base they were computed against. Call with an accepted ECO outcome
-    /// to make follow-up requests relative to it.
+    /// that die), so its cached entry is kept. Call with an accepted ECO
+    /// outcome to make follow-up requests relative to it.
     ///
     /// Returns how many seeds were refreshed out of how many cells, so
     /// callers (the serve layer, benches) can report the delta's
@@ -321,7 +296,6 @@ mod tests {
     use crate::traits::Legalizer;
     use flow3d_db::{DesignBuilder, DieId, DieSpec, LibCellSpec, Placement3d, TechnologySpec};
     use flow3d_geom::{FPoint, Point};
-    use flow3d_obs::{keys, Profile};
 
     fn design(n: usize) -> Design {
         let mut b = DesignBuilder::new("t")
@@ -374,16 +348,14 @@ mod tests {
         let sets: Vec<Vec<CellMove>> = vec![
             vec![],
             pileup(&base, &[0, 1, 2, 3, 4], 5),
-            pileup(&base, &[0, 1, 2, 3, 4], 5), // replay (memo-warm)
+            pileup(&base, &[0, 1, 2, 3, 4], 5), // replay
             vec![clash_move(&base, 5, 6), clash_move(&base, 7, 6)],
             vec![CellMove {
                 cell: CellId::new(2),
                 target: base.pos(CellId::new(2)),
                 die: Some(DieId::new(1 - base.die(CellId::new(2)).index())),
             }],
-            pileup(&base, &[0, 1, 2, 3, 4], 5), // back to an earlier set — the
-            // content-addressed memo answers it warm despite the disjoint
-            // interlopers (see `disjoint_interlopers_do_not_cool_the_memo`)
+            pileup(&base, &[0, 1, 2, 3, 4], 5), // back to an earlier set
         ];
         for (k, moves) in sets.iter().enumerate() {
             let warm = engine.eco(moves).unwrap();
@@ -395,43 +367,6 @@ mod tests {
             );
         }
         assert_eq!(engine.requests_served(), 6);
-    }
-
-    #[test]
-    fn second_identical_call_is_memo_warm() {
-        let d = design(12);
-        let base = base_placement(&d);
-        // One worker makes memo-hit counters deterministic: the same
-        // scratch serves every source, so everything stored by the first
-        // request is visible to its replay.
-        let cfg = Flow3dConfig {
-            threads: 1,
-            ..Flow3dConfig::default()
-        };
-        let mut engine = EcoEngine::new(cfg, d, base.clone()).unwrap();
-        let moves = pileup(&base, &[0, 1, 2, 3, 4, 5], 6);
-        let run = |engine: &mut EcoEngine, moves: &[CellMove]| {
-            let mut profile = Profile::new();
-            let outcome = engine.eco_observed(moves, Some(&mut profile)).unwrap();
-            (
-                outcome,
-                profile.counters().get(keys::SELECTION_MEMO_HITS),
-                profile.counters().get(keys::SELECTION_MEMO_MISSES),
-            )
-        };
-        let (out1, hits1, misses1) = run(&mut engine, &moves);
-        let (out2, hits2, misses2) = run(&mut engine, &moves);
-        assert_eq!(out1.placement, out2.placement, "replay must not diverge");
-        assert!(misses1 > 0, "the first request runs selections cold");
-        assert!(
-            hits2 > hits1,
-            "the replay must answer selections from the resident memo \
-             (hits {hits1} -> {hits2})"
-        );
-        assert!(
-            misses2 < misses1,
-            "warm selections replace cold ones (misses {misses1} -> {misses2})"
-        );
     }
 
     #[test]
@@ -450,46 +385,6 @@ mod tests {
             engine.commit(LegalPlacement::new(2)),
             Err(LegalizeError::PlacementMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn disjoint_interlopers_do_not_cool_the_memo() {
-        // The warm-cache generality contract: memo entries are keyed by
-        // content, not by request identity, so serving a fully disjoint
-        // move set in between does NOT cool the cache for a return to an
-        // earlier set (the generation-stamped memo this replaced went
-        // cold on any non-identical interloper).
-        let d = design(20);
-        let base = base_placement(&d);
-        let cfg = Flow3dConfig {
-            threads: 1,
-            ..Flow3dConfig::default()
-        };
-        let mut engine = EcoEngine::new(cfg, d, base.clone()).unwrap();
-        let run = |engine: &mut EcoEngine, moves: &[CellMove]| {
-            let mut profile = Profile::new();
-            engine.eco_observed(moves, Some(&mut profile)).unwrap();
-            (
-                profile.counters().get(keys::SELECTION_MEMO_HITS),
-                profile.counters().get(keys::SELECTION_MEMO_MISSES),
-            )
-        };
-        let set_a = pileup(&base, &[10, 11, 12, 13, 14], 0);
-        let set_b = pileup(&base, &[15, 16, 17, 18, 19], 9); // disjoint from A
-        let (hits_a, misses_a) = run(&mut engine, &set_a);
-        assert_eq!(hits_a, 0, "first request is cold");
-        assert!(misses_a > 0, "the pileup must force selections");
-        run(&mut engine, &set_b);
-        let (hits_return, misses_return) = run(&mut engine, &set_a);
-        assert!(
-            hits_return > 0,
-            "returning to set A after a disjoint interloper must be warm"
-        );
-        assert!(
-            misses_return < misses_a,
-            "most of A's selections replay from content \
-             ({misses_a} cold misses -> {misses_return})"
-        );
     }
 
     #[test]
@@ -526,7 +421,6 @@ mod tests {
         );
         assert_eq!(engine.seed_cache, full);
     }
-
 
     #[test]
     fn corrupt_base_errors_match_the_one_shot_path() {

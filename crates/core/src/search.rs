@@ -17,17 +17,9 @@
 //! * the bound is also applied at **pop time**, so entries queued before
 //!   `best` tightened are dropped for the cost of one comparison instead
 //!   of a full expansion (and no longer inflate the `expanded` counter);
-//! * `select_moves` outcomes are memoized in a content-addressed
-//!   [`SelectionMemo`], keyed on `(u, v, needed)` and validated by the
-//!   [`FlowState::selection_signature`] of the neighborhood the
-//!   selection read. Each search consults two layers: a ladder-local
-//!   scratch memo (cleared per source retry ladder) and an optional
-//!   shared round-start snapshot ([`SearchShared::memo`]) whose entries
-//!   survive across sources, rounds, requests, and commits for as long
-//!   as their neighborhood contents do. Misses are recorded as
-//!   [`MemoWrite`]s for the flow-pass coordinator to merge back in
-//!   deterministic source order, which keeps hit/miss telemetry
-//!   invariant under the worker count.
+//! * each edge's selection runs through [`select_summary`], which ranks
+//!   candidates into the scratch's [`SelectionBuf`] and builds no move
+//!   list, so an expansion allocates nothing.
 //!
 //! The same routine runs in **Dijkstra mode** (for the BonnPlaceLegal
 //! baseline): costs are clamped non-negative by the selection layer, every
@@ -35,7 +27,7 @@
 //! *candidate* popped is provably the cheapest — the classic early exit.
 
 use crate::grid::{BinId, EdgeKind};
-use crate::selection::{select_moves, MemoWrite, SelectionMemo, SelectionParams};
+use crate::selection::{select_summary, SelectionBuf, SelectionParams};
 use crate::state::FlowState;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -51,20 +43,6 @@ pub struct SearchParams {
     /// Dijkstra mode: no pruning, first candidate popped wins. Requires
     /// non-negative costs ([`SelectionParams::clamp_negative`]).
     pub dijkstra: bool,
-    /// Memoize `select_moves` outcomes (ladder-local scratch layer plus
-    /// the shared [`SearchShared::memo`] snapshot when one is passed).
-    /// Results are bit-identical either way; off is kept for ablation
-    /// ([`Flow3dConfig::selection_memo`]).
-    ///
-    /// [`Flow3dConfig::selection_memo`]: crate::Flow3dConfig::selection_memo
-    pub use_memo: bool,
-    /// Slot capacity of the selection memos; `0` (the default) sizes
-    /// the shared table from the flow pass's source count via
-    /// [`SelectionMemo::auto_slots`]. Bound to
-    /// [`Flow3dConfig::memo_slots`].
-    ///
-    /// [`Flow3dConfig::memo_slots`]: crate::Flow3dConfig::memo_slots
-    pub memo_slots: usize,
     /// Cost model shared with realization.
     pub selection: SelectionParams,
 }
@@ -75,8 +53,6 @@ impl Default for SearchParams {
             alpha: 0.1,
             slack: 1.0,
             dijkstra: false,
-            use_memo: true,
-            memo_slots: 0,
             selection: SelectionParams::default(),
         }
     }
@@ -114,20 +90,6 @@ impl TabuList {
     pub fn contains(&self, u: BinId, v: BinId) -> bool {
         self.edges.binary_search(&(u.0, v.0)).is_ok()
     }
-}
-
-/// Read-only, round-frozen context shared by every search of one
-/// flow-pass round: the shared memo snapshot and the tabu list. Both
-/// are optional so standalone searches (tests, embedders) can pass
-/// [`SearchShared::default`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SearchShared<'a> {
-    /// Round-start snapshot of the shared selection memo. Lookups hit
-    /// it read-only; new outcomes are buffered as [`MemoWrite`]s in the
-    /// scratch and merged by the coordinator at round end.
-    pub memo: Option<&'a SelectionMemo>,
-    /// Directed edges the ping-pong detector has tabooed this round.
-    pub tabu: Option<&'a TabuList>,
 }
 
 /// One step of the returned path (root source first).
@@ -181,27 +143,21 @@ pub struct SearchCounters {
     /// `pruned_stale ≤ created` always holds. Always 0 in Dijkstra
     /// mode.
     pub pruned_stale: usize,
-    /// `select_moves` calls answered by the [`SelectionMemo`]. 0 when
-    /// [`SearchParams::use_memo`] is off.
-    pub memo_hits: usize,
-    /// `select_moves` calls that missed the memo and ran the selection.
-    /// 0 when [`SearchParams::use_memo`] is off.
-    pub memo_misses: usize,
 }
 
 /// Reusable scratch buffers: allocate once per legalization, reuse across
 /// the thousands of searches. Holds the visited-epoch set, the node
-/// arena, the priority queue, and the selection memo; all are cleared (or
-/// epoch-invalidated), never reallocated, between searches, so their
-/// contents can never leak into a later search's result.
+/// arena, the priority queue, and the selection candidate buffer; all
+/// are cleared (or epoch-invalidated), never reallocated, between
+/// searches, so their contents can never leak into a later search's
+/// result.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
     visited_epoch: Vec<u32>,
     epoch: u32,
     nodes: Vec<Node>,
     heap: BinaryHeap<Reverse<(OrdF64, u32)>>,
-    memo: SelectionMemo,
-    writes: Vec<MemoWrite>,
+    selection: SelectionBuf,
 }
 
 impl SearchScratch {
@@ -212,27 +168,8 @@ impl SearchScratch {
             epoch: 0,
             nodes: Vec::new(),
             heap: BinaryHeap::new(),
-            memo: SelectionMemo::new(),
-            writes: Vec::new(),
+            selection: SelectionBuf::default(),
         }
-    }
-
-    /// Opens a new ladder-local memo scope: call once per source retry
-    /// ladder, before the ladder's first search. Repeat searches within
-    /// the ladder (halved limits, the relaxed retry) then share memo
-    /// entries without consulting what this scratch served before, so
-    /// the ladder-local layer's hits stay a pure function of
-    /// `(state, source)`.
-    pub fn begin_source(&mut self) {
-        self.memo.clear();
-    }
-
-    /// Drains the memo writes buffered since the last call: every
-    /// `select_moves` outcome this scratch computed (missed in both
-    /// layers). The flow-pass coordinator merges them into the shared
-    /// memo in source order.
-    pub fn take_memo_writes(&mut self) -> Vec<MemoWrite> {
-        std::mem::take(&mut self.writes)
     }
 
     fn begin(&mut self, num_bins: usize) {
@@ -258,47 +195,21 @@ impl SearchScratch {
 }
 
 /// Reusable search state for a whole flow pass (or a resident engine's
-/// lifetime): the per-worker [`SearchScratch`]es and the **shared
-/// content-addressed selection memo**.
-///
-/// The shared memo is coordinator-owned. During a round the workers see
-/// it as a frozen read-only snapshot ([`SearchShared::memo`]); the
-/// outcomes they compute come back as [`MemoWrite`]s and are merged in
-/// deterministic source order between rounds. Because entries are
-/// validated by content signature — not by generation stamp — they stay
-/// servable across rounds, passes, ECO requests, and commits for as long
-/// as the neighborhood they describe is unchanged, which is what makes a
-/// pool worth keeping resident (see `crate::EcoEngine`).
-#[derive(Debug)]
+/// lifetime): the per-worker [`SearchScratch`]es, grown to the worker
+/// count on demand by `flow_pass_threaded_pooled`. Keeping a pool
+/// resident (see `crate::EcoEngine`) amortizes the scratch allocations
+/// over many requests; the scratches never carry results between
+/// searches.
+#[derive(Debug, Default)]
 // flow3d-tidy: allow(dead-pub) — facade API (flow3d::core) for embedders that drive the legalizer below the Legalizer trait
 pub struct SearchPool {
-    /// Per-worker scratch, grown to the worker count on demand by
-    /// `flow_pass_threaded_pooled`.
     pub(crate) scratches: Vec<SearchScratch>,
-    /// The shared selection memo; sized on first use from
-    /// [`SearchParams::memo_slots`] or the round's source count.
-    pub(crate) memo: SelectionMemo,
 }
 
 impl SearchPool {
-    /// Creates an empty pool; buffers and the memo grow on first use.
+    /// Creates an empty pool; buffers grow on first use.
     pub fn new() -> Self {
-        Self {
-            scratches: Vec::new(),
-            memo: SelectionMemo::with_slots(0),
-        }
-    }
-
-    /// Slot capacity of the shared selection memo (minimal until the
-    /// first flow pass sizes it from the source count).
-    pub fn memo_slots(&self) -> usize {
-        self.memo.slots()
-    }
-}
-
-impl Default for SearchPool {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -336,17 +247,18 @@ fn bound(best: f64, alpha: f64, slack: f64) -> f64 {
 }
 
 /// Finds the cheapest augmenting path draining `source`'s supply, or
-/// `None` when no reachable bin set can absorb it.
+/// `None` when no reachable bin set can absorb it. Edges in `tabu` (the
+/// flow-pass ping-pong detector's round-frozen list) are not traversed.
 // flow3d-tidy: allow(dead-pub) — facade API (flow3d::core) for embedders that drive the legalizer below the Legalizer trait
 pub fn find_path(
     state: &FlowState<'_>,
     source: BinId,
     params: &SearchParams,
-    shared: &SearchShared<'_>,
+    tabu: Option<&TabuList>,
     scratch: &mut SearchScratch,
     counters: &mut SearchCounters,
 ) -> Option<AugmentingPath> {
-    find_path_limited(state, source, i64::MAX, params, shared, scratch, counters)
+    find_path_limited(state, source, i64::MAX, params, tabu, scratch, counters)
 }
 
 /// [`find_path`] pushing at most `limit` DBU of the source's supply.
@@ -361,7 +273,7 @@ pub fn find_path_limited(
     source: BinId,
     limit: i64,
     params: &SearchParams,
-    shared: &SearchShared<'_>,
+    tabu: Option<&TabuList>,
     scratch: &mut SearchScratch,
     counters: &mut SearchCounters,
 ) -> Option<AugmentingPath> {
@@ -429,49 +341,24 @@ pub fn find_path_limited(
             if scratch.visited(nbr) {
                 continue;
             }
-            if let Some(tabu) = shared.tabu {
-                if tabu.contains(node.bin, nbr) {
-                    // Ping-pong suppression: the reverse of this edge
-                    // was applied recently; the bin stays reachable via
-                    // other routes, this edge just sits the window out.
-                    continue;
-                }
+            if tabu.is_some_and(|t| t.contains(node.bin, nbr)) {
+                // Ping-pong suppression: the reverse of this edge was
+                // applied recently; the bin stays reachable via other
+                // routes, this edge just sits the window out.
+                continue;
             }
             // The search consumes only the (cost, added_to_v) summary of
             // a selection; `augment::realize` recomputes the full move
             // list against the same frozen state when a path is applied.
-            let outcome = if params.use_memo {
-                let sig = state.selection_signature(node.bin, nbr, kind == EdgeKind::DieToDie);
-                let cached = scratch
-                    .memo
-                    .lookup(node.bin, nbr, needed, sig)
-                    .or_else(|| shared.memo.and_then(|m| m.lookup(node.bin, nbr, needed, sig)));
-                match cached {
-                    Some(cached) => {
-                        counters.memo_hits += 1;
-                        cached
-                    }
-                    None => {
-                        counters.memo_misses += 1;
-                        let computed =
-                            select_moves(state, node.bin, nbr, kind, needed, &params.selection)
-                                .map(|sel| (sel.cost, sel.added_to_v));
-                        scratch.memo.store(node.bin, nbr, needed, sig, computed);
-                        scratch.writes.push(MemoWrite {
-                            u: node.bin,
-                            v: nbr,
-                            needed,
-                            sig,
-                            outcome: computed,
-                        });
-                        computed
-                    }
-                }
-            } else {
-                select_moves(state, node.bin, nbr, kind, needed, &params.selection)
-                    .map(|sel| (sel.cost, sel.added_to_v))
-            };
-            let Some((sel_cost, added_to_v)) = outcome else {
+            let Some((sel_cost, added_to_v)) = select_summary(
+                state,
+                node.bin,
+                nbr,
+                kind,
+                needed,
+                &params.selection,
+                &mut scratch.selection,
+            ) else {
                 continue;
             };
             scratch.mark(nbr);
@@ -571,7 +458,7 @@ mod tests {
             &st,
             b0,
             &SearchParams::default(),
-            &SearchShared::default(),
+            None,
             &mut scratch,
             &mut counters
         )
@@ -605,7 +492,7 @@ mod tests {
             &st,
             bins[0],
             &SearchParams::default(),
-            &SearchShared::default(),
+            None,
             &mut scratch,
             &mut counters,
         )
@@ -638,7 +525,7 @@ mod tests {
             &st,
             bins[0],
             &SearchParams::default(),
-            &SearchShared::default(),
+            None,
             &mut scratch,
             &mut counters,
         )
@@ -677,7 +564,7 @@ mod tests {
             &st,
             bins[0],
             &SearchParams::default(),
-            &SearchShared::default(),
+            None,
             &mut scratch,
             &mut counters,
         )
@@ -715,7 +602,7 @@ mod tests {
             &st,
             bins[0],
             &SearchParams::default(),
-            &SearchShared::default(),
+            None,
             &mut scratch,
             &mut counters,
         )
@@ -734,7 +621,7 @@ mod tests {
             &st2,
             bins2[0],
             &SearchParams::default(),
-            &SearchShared::default(),
+            None,
             &mut scratch2,
             &mut counters
         )
@@ -760,7 +647,7 @@ mod tests {
                     alpha,
                     ..Default::default()
                 },
-                &SearchShared::default(),
+                None,
                 &mut scratch,
                 &mut counters,
             )
@@ -793,15 +680,8 @@ mod tests {
             },
             ..Default::default()
         };
-        let path = find_path(
-            &st,
-            bins[0],
-            &params,
-            &SearchShared::default(),
-            &mut scratch,
-            &mut counters,
-        )
-        .expect("path");
+        let path =
+            find_path(&st, bins[0], &params, None, &mut scratch, &mut counters).expect("path");
         assert!(path.cost >= 0.0);
         let last = path.steps.last().unwrap();
         assert!(st.dem(last.bin) >= last.inflow);
@@ -821,136 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn memo_does_not_change_the_path_and_counters_relate() {
-        let d = fixture();
-        let (layout, grid) = setup(&d, true);
-        let bins = grid.bins_in_segment(seg(&layout, DieId::BOTTOM, 0));
-        let mut st = FlowState::new(&d, &layout, &grid, vec![Point::ORIGIN; 8]);
-        for i in 0..3 {
-            st.insert_cell(CellId::new(i), bins[0], 0);
-        }
-        let run = |use_memo: bool| {
-            let mut scratch = SearchScratch::new(grid.num_bins());
-            scratch.begin_source();
-            let mut counters = SearchCounters::default();
-            let p = find_path(
-                &st,
-                bins[0],
-                &SearchParams {
-                    use_memo,
-                    ..Default::default()
-                },
-                &SearchShared::default(),
-                &mut scratch,
-                &mut counters,
-            )
-            .expect("path");
-            (p, counters)
-        };
-        let (with_memo, c_on) = run(true);
-        let (without, c_off) = run(false);
-        assert_eq!(with_memo.steps, without.steps);
-        assert_eq!(with_memo.cost.to_bits(), without.cost.to_bits());
-        assert_eq!(
-            (c_on.expanded, c_on.created, c_on.pruned, c_on.pruned_stale),
-            (
-                c_off.expanded,
-                c_off.created,
-                c_off.pruned,
-                c_off.pruned_stale
-            ),
-            "the memo may only change hit/miss telemetry"
-        );
-        assert_eq!(c_off.memo_hits + c_off.memo_misses, 0);
-        assert!(c_on.memo_misses > 0, "a fresh scope must miss");
-        assert!(c_on.pruned_stale <= c_on.created);
-        // Every pop is either expanded or stale-pruned; pushes are the
-        // root plus the non-candidate created nodes.
-        assert!(c_on.expanded + c_on.pruned_stale <= c_on.created + 1);
-    }
-
-    #[test]
-    fn memo_hits_within_a_retry_ladder_and_self_invalidates_on_mutation() {
-        let d = fixture();
-        let (layout, grid) = setup(&d, true);
-        let bins = grid.bins_in_segment(seg(&layout, DieId::BOTTOM, 0));
-        let mut st = FlowState::new(&d, &layout, &grid, vec![Point::ORIGIN; 8]);
-        for i in 0..4 {
-            st.insert_cell(CellId::new(i), bins[0], 0);
-        }
-        let mut scratch = SearchScratch::new(grid.num_bins());
-        scratch.begin_source();
-        let params = SearchParams::default();
-        let shared = SearchShared::default();
-        let mut c1 = SearchCounters::default();
-        let p1 = find_path(&st, bins[0], &params, &shared, &mut scratch, &mut c1).expect("path");
-        // Same ladder, same limit: the repeat search must be answered
-        // entirely from the ladder-local memo and return the identical
-        // path.
-        let mut c2 = SearchCounters::default();
-        let p2 = find_path(&st, bins[0], &params, &shared, &mut scratch, &mut c2).expect("path");
-        assert_eq!(p1.steps, p2.steps);
-        assert_eq!(p1.cost.to_bits(), p2.cost.to_bits());
-        assert!(c2.memo_hits > 0, "repeat search must hit");
-        assert_eq!(c2.memo_misses, 0, "nothing new to compute");
-        // A state mutation changes the content signatures, so stale
-        // entries stop matching without any explicit invalidation call.
-        st.insert_cell(CellId::new(4), bins[0], 0);
-        let mut c3 = SearchCounters::default();
-        let _ = find_path(&st, bins[0], &params, &shared, &mut scratch, &mut c3);
-        assert_eq!(c3.memo_hits, 0, "stale entries must not replay");
-        assert!(c3.memo_misses > 0);
-    }
-
-    #[test]
-    fn shared_memo_snapshot_answers_a_cold_scratch() {
-        // A fresh ladder with an empty local memo must be answered from
-        // the shared round-start snapshot built out of a previous
-        // ladder's buffered writes — the cross-source reuse path that the
-        // generation-stamped memo could never take.
-        let d = fixture();
-        let (layout, grid) = setup(&d, true);
-        let bins = grid.bins_in_segment(seg(&layout, DieId::BOTTOM, 0));
-        let mut st = FlowState::new(&d, &layout, &grid, vec![Point::ORIGIN; 8]);
-        for i in 0..4 {
-            st.insert_cell(CellId::new(i), bins[0], 0);
-        }
-        let params = SearchParams::default();
-
-        let mut warm = SearchScratch::new(grid.num_bins());
-        warm.begin_source();
-        let mut c0 = SearchCounters::default();
-        let p0 = find_path(
-            &st,
-            bins[0],
-            &params,
-            &SearchShared::default(),
-            &mut warm,
-            &mut c0,
-        )
-        .expect("path");
-        let writes = warm.take_memo_writes();
-        assert_eq!(writes.len(), c0.memo_misses, "one write per miss");
-
-        let mut shared_memo = SelectionMemo::new();
-        shared_memo.absorb(&writes);
-        let shared = SearchShared {
-            memo: Some(&shared_memo),
-            ..Default::default()
-        };
-        let mut cold = SearchScratch::new(grid.num_bins());
-        cold.begin_source();
-        let mut c1 = SearchCounters::default();
-        let p1 = find_path(&st, bins[0], &params, &shared, &mut cold, &mut c1).expect("path");
-        assert_eq!(p0.steps, p1.steps);
-        assert_eq!(p0.cost.to_bits(), p1.cost.to_bits());
-        assert!(c1.memo_hits > 0, "snapshot must answer the cold ladder");
-        assert_eq!(c1.memo_misses, 0);
-        // Shared hits must not be re-buffered as writes.
-        assert!(cold.take_memo_writes().is_empty());
-    }
-
-    #[test]
     fn tabu_list_blocks_an_edge_and_changes_the_escape() {
         // Whatever edge the free search takes out of the overflowed
         // source, tabu it: the re-search must route around it (the
@@ -966,28 +716,22 @@ mod tests {
         let mut scratch = SearchScratch::new(grid.num_bins());
         let mut counters = SearchCounters::default();
 
-        scratch.begin_source();
-        let free = find_path(
-            &st,
-            bins[0],
-            &params,
-            &SearchShared::default(),
-            &mut scratch,
-            &mut counters,
-        )
-        .expect("path");
+        let free =
+            find_path(&st, bins[0], &params, None, &mut scratch, &mut counters).expect("path");
         let first_hop = free.steps[1].bin;
 
         let tabu = TabuList::from_edges(vec![(bins[0], first_hop)]);
         assert!(tabu.contains(bins[0], first_hop));
         assert!(!tabu.contains(first_hop, bins[0]));
-        let shared = SearchShared {
-            tabu: Some(&tabu),
-            ..Default::default()
-        };
-        scratch.begin_source();
-        let detour =
-            find_path(&st, bins[0], &params, &shared, &mut scratch, &mut counters).expect("path");
+        let detour = find_path(
+            &st,
+            bins[0],
+            &params,
+            Some(&tabu),
+            &mut scratch,
+            &mut counters,
+        )
+        .expect("path");
         assert_ne!(
             detour.steps[1].bin, first_hop,
             "the tabu edge out of the source must not be taken"

@@ -73,247 +73,37 @@ pub struct Selection {
     pub cost: f64,
 }
 
-/// Default slot count of [`SelectionMemo`] when neither the
-/// `memo_slots` config knob nor [`SelectionMemo::auto_slots`] sizing
-/// applies (ladder-local scratch memos, unit tests).
-// flow3d-tidy: allow(dead-pub) — facade API (flow3d::core) for embedders that drive the legalizer below the Legalizer trait
-pub const DEFAULT_MEMO_SLOTS: usize = 1024;
+/// Caller-owned candidate buffer for [`select_summary`]. Ranking
+/// reuses its allocation, so a caller that keeps one buffer (the search
+/// kernel keeps one per worker scratch) selects without allocating.
+#[derive(Debug, Clone, Default)]
+pub struct SelectionBuf {
+    ranked: Vec<Candidate>,
+}
 
-/// Set associativity of [`SelectionMemo`]: each key probes one set of
-/// this many ways, so two hot keys that fold to the same set no longer
-/// thrash each other the way the old direct-mapped table did.
-const MEMO_WAYS: usize = 2;
-
-/// One memo slot. `epoch == 0` marks an empty slot (the live epoch
-/// counter skips 0).
+/// One fragment of `u` that could cross the edge, with its ranking key.
 #[derive(Debug, Clone, Copy)]
-struct MemoSlot {
-    epoch: u32,
-    u: u32,
-    v: u32,
-    needed: i64,
-    /// Content signature of the neighborhood the selection read
-    /// ([`FlowState::selection_signature`]); the validity stamp.
-    sig: u64,
-    /// Store-order stamp for pseudo-LRU eviction within a set.
-    stamp: u64,
-    outcome: Option<(f64, i64)>,
+struct Candidate {
+    /// Cost per unit of moved width; candidates are walked cheapest
+    /// first (cell id breaking ties).
+    unit: f64,
+    /// Cost of moving the whole cell (whole-cell edges only; a
+    /// fractional move costs `unit · take`).
+    cost: f64,
+    cell: CellId,
+    /// Width that may leave `u`: the contiguity-bounded slice for a
+    /// fractional move, the whole fragment for a whole move.
+    from_u: i64,
+    /// Width the cell occupies in `v` after a whole move (its width on
+    /// `v`'s die).
+    into_v: i64,
 }
 
-const EMPTY_SLOT: MemoSlot = MemoSlot {
-    epoch: 0,
-    u: u32::MAX,
-    v: u32::MAX,
-    needed: 0,
-    sig: 0,
-    stamp: 0,
-    outcome: None,
-};
-
-/// One memoized `select_moves` outcome, produced by a search and merged
-/// into a shared [`SelectionMemo`] by the flow-pass coordinator at the
-/// end of each round (in deterministic source order, so the shared
-/// table's contents never depend on worker scheduling).
-#[derive(Debug, Clone, Copy)]
-// flow3d-tidy: allow(dead-pub) — facade API (flow3d::core) for embedders that drive the legalizer below the Legalizer trait
-pub struct MemoWrite {
-    /// Source bin of the edge.
-    pub u: BinId,
-    /// Candidate bin of the edge.
-    pub v: BinId,
-    /// Outflow the selection was asked for.
-    pub needed: i64,
-    /// Content signature the outcome was computed against.
-    pub sig: u64,
-    /// The cached [`select_moves`] summary (`None` = edge unusable).
-    pub outcome: Option<(f64, i64)>,
-}
-
-/// Set-associative, content-addressed memo of [`select_moves`] outcomes
-/// for the search kernel's hot loop.
-///
-/// The search consumes only two fields of a [`Selection`] — `cost` and
-/// `added_to_v` — so the memo caches that compact `Option<(f64, i64)>`
-/// summary (`None` = the edge cannot supply `needed`; negative results
-/// are worth caching too). Keys are `(u, v, needed)`; the edge kind is
-/// not part of the key because a bin pair has exactly one edge kind.
-///
-/// Validity is **content-addressed**: each entry carries the
-/// [`FlowState::selection_signature`] of everything the selection read
-/// (source-bin occupancy; plus candidate usage and die headroom on
-/// cross-die edges), and a lookup only replays when the caller's
-/// current signature matches. There is no generation stamp and no
-/// replay discipline — an entry is valid exactly when the neighborhood
-/// it read still has the same contents, no matter how many mutations,
-/// ECO requests, or `commit()`s happened in between. A 64-bit signature
-/// collision would replay a wrong summary; with the splitmix64-mixed
-/// signatures the chance is ~2⁻⁶⁴ per colliding pair, and the
-/// bit-identity differential suites are the referee.
-///
-/// Capacity is configurable (`Flow3dConfig::memo_slots`, auto-sized
-/// from the flow pass's source count by default) and the table is
-/// 2-way set-associative (`MEMO_WAYS`) with store-order (pseudo-LRU)
-/// eviction. Deliberately a flat array, not a map: lookups are one
-/// multiply-xor hash and two slot probes, no allocation, no ordering
-/// concerns (flow3d-tidy D1 bans hash maps in this crate anyway).
-#[derive(Debug, Clone)]
-// flow3d-tidy: allow(dead-pub) — facade API (flow3d::core) for embedders that drive the legalizer below the Legalizer trait
-pub struct SelectionMemo {
-    slots: Vec<MemoSlot>,
-    /// Number of sets; always a power of two (index folds with a mask).
-    sets: usize,
-    epoch: u32,
-    stamp: u64,
-}
-
-impl Default for SelectionMemo {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SelectionMemo {
-    /// Creates an empty memo with [`DEFAULT_MEMO_SLOTS`] slots.
-    pub fn new() -> Self {
-        Self::with_slots(DEFAULT_MEMO_SLOTS)
-    }
-
-    /// Creates an empty memo with at least `slots` slots (rounded up to
-    /// a power-of-two set count).
-    pub fn with_slots(slots: usize) -> Self {
-        let sets = (slots.max(MEMO_WAYS) / MEMO_WAYS).next_power_of_two();
-        Self {
-            slots: vec![EMPTY_SLOT; sets * MEMO_WAYS],
-            sets,
-            epoch: 1,
-            stamp: 0,
-        }
-    }
-
-    /// Current slot capacity.
-    #[inline]
-    pub fn slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The sizing policy for `memo_slots = 0` (auto): ~8 slots per flow
-    /// source, clamped to `[DEFAULT_MEMO_SLOTS, 2^18]`. A source probes
-    /// a handful of neighbor edges at a few distinct `needed` values per
-    /// round, so 8× keeps several rounds' working sets resident without
-    /// letting million-bin cases allocate unbounded tables.
-    pub fn auto_slots(sources: usize) -> usize {
-        (sources.saturating_mul(8)).clamp(DEFAULT_MEMO_SLOTS, 1 << 18)
-    }
-
-    /// Grows the table to at least `slots` slots, rehashing live
-    /// entries. Grow-only: a smaller request is a no-op, so a resident
-    /// engine's warmth survives later passes with fewer sources.
-    pub fn ensure_slots(&mut self, slots: usize) {
-        let sets = (slots.max(MEMO_WAYS) / MEMO_WAYS).next_power_of_two();
-        if sets <= self.sets {
-            return;
-        }
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; sets * MEMO_WAYS]);
-        self.sets = sets;
-        for s in old {
-            if s.epoch == self.epoch {
-                self.place(s);
-            }
-        }
-    }
-
-    /// Invalidates every entry (epoch bump). Ladder-local scratch memos
-    /// call this once per source retry ladder.
-    pub fn clear(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Epoch wrapped: hard-reset so no 4-billion-clears-old
-            // entry can alias the restarted counter.
-            self.slots.fill(EMPTY_SLOT);
-            self.epoch = 1;
-        }
-    }
-
-    /// Deterministic multiplicative hash of the key, folded to a set
-    /// index. The signature stays out of the index so a re-store of the
-    /// same key after a content change lands in the same set and evicts
-    /// its own stale entry first.
-    #[inline]
-    fn set_index(&self, u: BinId, v: BinId, needed: i64) -> usize {
-        let mut h = (u.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= (v.0 as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-        h ^= (needed as u64).wrapping_mul(0x1656_67B1_9E37_79F9);
-        h ^= h >> 32;
-        (h as usize) & (self.sets - 1)
-    }
-
-    /// Looks up the memoized outcome for `(u, v, needed)` computed
-    /// against content signature `sig`. Outer `None` = miss; `Some`
-    /// replays the exact [`select_moves`] summary (including a cached
-    /// "edge unusable" `None`).
-    #[inline]
-    pub fn lookup(&self, u: BinId, v: BinId, needed: i64, sig: u64) -> Option<Option<(f64, i64)>> {
-        let base = self.set_index(u, v, needed) * MEMO_WAYS;
-        self.slots[base..base + MEMO_WAYS]
-            .iter()
-            .find(|s| {
-                s.epoch == self.epoch
-                    && s.u == u.0
-                    && s.v == v.0
-                    && s.needed == needed
-                    && s.sig == sig
-            })
-            .map(|s| s.outcome)
-    }
-
-    /// Stores the `(cost, added_to_v)` summary (or `None` for an
-    /// unusable edge) for `(u, v, needed)` at content signature `sig`.
-    /// Within the key's set, a stale entry for the same key is evicted
-    /// first, then an empty way, then the oldest store.
-    #[inline]
-    pub fn store(&mut self, u: BinId, v: BinId, needed: i64, sig: u64, outcome: Option<(f64, i64)>) {
-        self.stamp = self.stamp.wrapping_add(1);
-        self.place(MemoSlot {
-            epoch: self.epoch,
-            u: u.0,
-            v: v.0,
-            needed,
-            sig,
-            stamp: self.stamp,
-            outcome,
-        });
-    }
-
-    /// Merges coordinator-collected writes (already in deterministic
-    /// source order) into the table.
-    pub fn absorb(&mut self, writes: &[MemoWrite]) {
-        for w in writes {
-            self.store(w.u, w.v, w.needed, w.sig, w.outcome);
-        }
-    }
-
-    fn place(&mut self, slot: MemoSlot) {
-        let base = self.set_index(BinId(slot.u), BinId(slot.v), slot.needed) * MEMO_WAYS;
-        let set = &mut self.slots[base..base + MEMO_WAYS];
-        let way = set
-            .iter()
-            .position(|s| {
-                s.epoch == self.epoch
-                    && s.u == slot.u
-                    && s.v == slot.v
-                    && s.needed == slot.needed
-            })
-            .or_else(|| set.iter().position(|s| s.epoch != self.epoch))
-            .unwrap_or_else(|| {
-                set.iter()
-                    .enumerate()
-                    .min_by_key(|(_, s)| s.stamp)
-                    .map(|(i, _)| i)
-                    // flow3d-tidy: allow(panic-unwrap) — MEMO_WAYS ≥ 1, the set is never empty
-                    .expect("memo set is never empty")
-            });
-        set[way] = slot;
-    }
+/// Flow accounting of one selection walk.
+struct Walk {
+    removed: i64,
+    added: i64,
+    cost: f64,
 }
 
 /// Selects the cheapest cell set moving at least `needed` DBU out of `u`
@@ -327,11 +117,173 @@ pub fn select_moves(
     needed: i64,
     params: &SelectionParams,
 ) -> Option<Selection> {
+    let mut moves = Vec::new();
+    let mut buf = SelectionBuf::default();
+    let walk = select_with(state, u, v, kind, needed, params, &mut buf, |m| {
+        moves.push(m)
+    })?;
+    Some(Selection {
+        moves,
+        removed_from_u: walk.removed,
+        added_to_v: walk.added,
+        cost: walk.cost,
+    })
+}
+
+/// The `(cost, added_to_v)` of [`select_moves`] on the same arguments,
+/// bit for bit, without building the move list: the search kernel reads
+/// only these two fields, and `augment::realize` recomputes the moves
+/// when a path is applied. Ranks into the caller's `buf`.
+pub fn select_summary(
+    state: &FlowState<'_>,
+    u: BinId,
+    v: BinId,
+    kind: EdgeKind,
+    needed: i64,
+    params: &SelectionParams,
+    buf: &mut SelectionBuf,
+) -> Option<(f64, i64)> {
+    select_with(state, u, v, kind, needed, params, buf, |_| {}).map(|w| (w.cost, w.added))
+}
+
+/// The one selection: rank every candidate fragment of `u` into `buf`,
+/// then walk them cheapest first until `needed` is covered, handing each
+/// chosen move to `emit`.
+///
+/// * Across a horizontal edge each candidate contributes at most its
+///   contiguity-bounded slice, and the last one only what is still
+///   needed.
+/// * Across vertical and D2D edges whole cells move. A D2D move that
+///   would break the target die's utilization cap is skipped.
+#[allow(clippy::too_many_arguments)]
+fn select_with(
+    state: &FlowState<'_>,
+    u: BinId,
+    v: BinId,
+    kind: EdgeKind,
+    needed: i64,
+    params: &SelectionParams,
+    buf: &mut SelectionBuf,
+    mut emit: impl FnMut(Move),
+) -> Option<Walk> {
     debug_assert!(needed > 0, "selection needs positive outflow");
-    match kind {
-        EdgeKind::Horizontal => select_fractional(state, u, v, needed, params),
-        EdgeKind::Vertical | EdgeKind::DieToDie => select_whole(state, u, v, kind, needed, params),
+    rank(state, u, v, kind, params, &mut buf.ranked);
+    let whole = kind != EdgeKind::Horizontal;
+    let cross_die = kind == EdgeKind::DieToDie;
+    let die_v = state.grid.bin(v).die;
+    let (mut headroom, h_v) = if cross_die {
+        (state.area_headroom(die_v), state.cell_height(die_v))
+    } else {
+        (i64::MAX, 0)
+    };
+    let mut walk = Walk {
+        removed: 0,
+        added: 0,
+        cost: 0.0,
+    };
+    for c in &buf.ranked {
+        if walk.removed >= needed {
+            break;
+        }
+        if !whole {
+            let take = c.from_u.min(needed - walk.removed);
+            emit(Move {
+                cell: c.cell,
+                width_from_u: take,
+                whole: false,
+            });
+            walk.removed += take;
+            walk.added += take;
+            walk.cost += c.unit * take as f64;
+            continue;
+        }
+        if cross_die {
+            let need_area = c.into_v * h_v;
+            if need_area > headroom {
+                continue; // utilization cap on the target die (§III-F)
+            }
+            headroom -= need_area;
+        }
+        emit(Move {
+            cell: c.cell,
+            width_from_u: c.from_u,
+            whole: true,
+        });
+        walk.removed += c.from_u;
+        walk.added += c.into_v;
+        walk.cost += c.cost;
     }
+    (walk.removed >= needed).then_some(walk)
+}
+
+/// Fills `ranked` with the fragments of `u` that can cross to `v`,
+/// cheapest per unit of width first.
+fn rank(
+    state: &FlowState<'_>,
+    u: BinId,
+    v: BinId,
+    kind: EdgeKind,
+    params: &SelectionParams,
+    ranked: &mut Vec<Candidate>,
+) {
+    ranked.clear();
+    let bin_u = state.grid.bin(u);
+    let bin_v = state.grid.bin(v);
+    if kind == EdgeKind::Horizontal {
+        for f in state.frags_in(u) {
+            let movable = max_fractional(state, f.cell, u, v);
+            if movable <= 0 {
+                continue;
+            }
+            let w_c = state.cell_width(f.cell, bin_u.die) as f64;
+            let delta = (state.disp_to(f.cell, bin_v) - state.disp_to(f.cell, bin_u)) as f64;
+            let mut unit = delta / w_c;
+            if params.clamp_negative {
+                unit = unit.max(0.0);
+            }
+            ranked.push(Candidate {
+                unit,
+                cost: 0.0,
+                cell: f.cell,
+                from_u: movable,
+                into_v: movable,
+            });
+        }
+    } else {
+        let seg_width = state.layout.segment(bin_v.segment).width();
+        let congestion = if kind == EdgeKind::DieToDie {
+            let eq7 = if params.d2d_congestion_cost {
+                ((state.sup(v) - state.dem(v)) as f64).max(0.0)
+            } else {
+                0.0
+            };
+            eq7 + params.d2d_penalty
+        } else {
+            0.0
+        };
+        for f in state.frags_in(u) {
+            let w_v = state.cell_width(f.cell, bin_v.die);
+            if w_v > seg_width {
+                continue; // does not fit in the target segment at all
+            }
+            let mut cost =
+                state.disp_to(f.cell, bin_v) as f64 - state.disp_current(f.cell) + congestion;
+            if params.clamp_negative {
+                cost = cost.max(0.0);
+            }
+            ranked.push(Candidate {
+                unit: cost / w_v as f64,
+                cost,
+                cell: f.cell,
+                from_u: f.width,
+                into_v: w_v,
+            });
+        }
+    }
+    // A cell has at most one fragment per bin, so the keys are distinct
+    // and the unstable sort orders exactly like a stable one, without
+    // the stable sort's scratch allocation.
+    ranked.sort_unstable_by(|a, b| a.unit.total_cmp(&b.unit).then(a.cell.cmp(&b.cell)));
 }
 
 /// Maximum width of `cell`'s fragment in `u` movable toward `v` without
@@ -373,145 +325,6 @@ pub mod test_support {
     ) -> i64 {
         max_fractional(state, cell, u, v)
     }
-}
-
-fn select_fractional(
-    state: &FlowState<'_>,
-    u: BinId,
-    v: BinId,
-    needed: i64,
-    params: &SelectionParams,
-) -> Option<Selection> {
-    let bin_u = state.grid.bin(u);
-    let bin_v = state.grid.bin(v);
-    // (unit cost, cell, movable width)
-    let mut options: Vec<(f64, CellId, i64)> = state
-        .frags_in(u)
-        .iter()
-        .filter_map(|f| {
-            let movable = max_fractional(state, f.cell, u, v);
-            if movable <= 0 {
-                return None;
-            }
-            let w_c = state.cell_width(f.cell, bin_u.die) as f64;
-            let delta = (state.disp_to(f.cell, bin_v) - state.disp_to(f.cell, bin_u)) as f64;
-            let mut unit = delta / w_c;
-            if params.clamp_negative {
-                unit = unit.max(0.0);
-            }
-            Some((unit, f.cell, movable))
-        })
-        .collect();
-    options.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-    let mut moves = Vec::new();
-    let mut moved = 0i64;
-    let mut cost = 0.0;
-    for (unit, cell, movable) in options {
-        if moved >= needed {
-            break;
-        }
-        let take = movable.min(needed - moved);
-        moves.push(Move {
-            cell,
-            width_from_u: take,
-            whole: false,
-        });
-        moved += take;
-        cost += unit * take as f64;
-    }
-    if moved < needed {
-        return None;
-    }
-    Some(Selection {
-        moves,
-        removed_from_u: moved,
-        added_to_v: moved,
-        cost,
-    })
-}
-
-fn select_whole(
-    state: &FlowState<'_>,
-    u: BinId,
-    v: BinId,
-    kind: EdgeKind,
-    needed: i64,
-    params: &SelectionParams,
-) -> Option<Selection> {
-    let bin_v = state.grid.bin(v);
-    let seg_v = state.layout.segment(bin_v.segment);
-    let die_v = bin_v.die;
-    let cross_die = kind == EdgeKind::DieToDie;
-    let congestion = if cross_die {
-        let eq7 = if params.d2d_congestion_cost {
-            ((state.sup(v) - state.dem(v)) as f64).max(0.0)
-        } else {
-            0.0
-        };
-        eq7 + params.d2d_penalty
-    } else {
-        0.0
-    };
-
-    // (unit cost, total cost, cell, frag width in u, width on target die)
-    let mut options: Vec<(f64, f64, CellId, i64, i64)> = state
-        .frags_in(u)
-        .iter()
-        .filter_map(|f| {
-            let w_v = state.cell_width(f.cell, die_v);
-            if w_v > seg_v.width() {
-                return None; // does not fit in the target segment at all
-            }
-            let mut cost =
-                state.disp_to(f.cell, bin_v) as f64 - state.disp_current(f.cell) + congestion;
-            if params.clamp_negative {
-                cost = cost.max(0.0);
-            }
-            Some((cost / w_v as f64, cost, f.cell, f.width, w_v))
-        })
-        .collect();
-    options.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
-
-    let mut moves = Vec::new();
-    let mut removed = 0i64;
-    let mut added = 0i64;
-    let mut cost = 0.0;
-    let mut headroom = if cross_die {
-        state.area_headroom(die_v)
-    } else {
-        i64::MAX
-    };
-    let h_v = state.cell_height(die_v);
-    for (_, c_cost, cell, fw, w_v) in options {
-        if removed >= needed {
-            break;
-        }
-        if cross_die {
-            let need_area = w_v * h_v;
-            if need_area > headroom {
-                continue; // utilization cap on the target die (§III-F)
-            }
-            headroom -= need_area;
-        }
-        moves.push(Move {
-            cell,
-            width_from_u: fw,
-            whole: true,
-        });
-        removed += fw;
-        added += w_v;
-        cost += c_cost;
-    }
-    if removed < needed {
-        return None;
-    }
-    Some(Selection {
-        moves,
-        removed_from_u: removed,
-        added_to_v: added,
-        cost,
-    })
 }
 
 #[cfg(test)]
@@ -784,73 +597,6 @@ mod tests {
             &SelectionParams::default(),
         )
         .is_none());
-    }
-
-    #[test]
-    fn memo_replays_by_content_signature() {
-        let u = crate::grid::BinId(3);
-        let v = crate::grid::BinId(4);
-        let mut memo = SelectionMemo::new();
-        assert_eq!(memo.lookup(u, v, 40, 0xABCD), None, "fresh memo is empty");
-        memo.store(u, v, 40, 0xABCD, Some((1.5, 40)));
-        memo.store(u, v, 60, 0xABCD, None); // negative result cached too
-        assert_eq!(memo.lookup(u, v, 40, 0xABCD), Some(Some((1.5, 40))));
-        assert_eq!(memo.lookup(u, v, 60, 0xABCD), Some(None));
-        assert_eq!(memo.lookup(v, u, 40, 0xABCD), None, "key includes direction");
-        // A changed neighborhood signature hides the entry: no explicit
-        // invalidation step exists or is needed.
-        assert_eq!(memo.lookup(u, v, 40, 0xBEEF), None);
-        // Re-storing the same key at the new signature evicts its own
-        // stale entry (same set, same key match), and the new content
-        // replays while the old one stays gone.
-        memo.store(u, v, 40, 0xBEEF, Some((2.5, 40)));
-        assert_eq!(memo.lookup(u, v, 40, 0xBEEF), Some(Some((2.5, 40))));
-        assert_eq!(memo.lookup(u, v, 40, 0xABCD), None);
-        // clear() (ladder scoping) kills everything at once.
-        memo.clear();
-        assert_eq!(memo.lookup(u, v, 40, 0xBEEF), None);
-    }
-
-    #[test]
-    fn memo_is_two_way_associative_and_grows_live() {
-        // Two distinct `needed` values for one (u, v) pair can land in
-        // different sets; force a shared set by using a minimal table:
-        // with one set, both keys coexist in the two ways.
-        let u = crate::grid::BinId(3);
-        let v = crate::grid::BinId(4);
-        let mut memo = SelectionMemo::with_slots(2);
-        assert_eq!(memo.slots(), 2);
-        memo.store(u, v, 40, 1, Some((1.5, 40)));
-        memo.store(u, v, 60, 1, Some((2.5, 60)));
-        assert_eq!(memo.lookup(u, v, 40, 1), Some(Some((1.5, 40))));
-        assert_eq!(memo.lookup(u, v, 60, 1), Some(Some((2.5, 60))));
-        // A third key evicts the oldest store (pseudo-LRU), not both.
-        memo.store(u, v, 80, 1, Some((3.5, 80)));
-        assert_eq!(memo.lookup(u, v, 40, 1), None, "oldest way evicted");
-        assert_eq!(memo.lookup(u, v, 60, 1), Some(Some((2.5, 60))));
-        assert_eq!(memo.lookup(u, v, 80, 1), Some(Some((3.5, 80))));
-        // Growing rehashes live entries instead of dropping them.
-        memo.ensure_slots(64);
-        assert!(memo.slots() >= 64);
-        assert_eq!(memo.lookup(u, v, 60, 1), Some(Some((2.5, 60))));
-        assert_eq!(memo.lookup(u, v, 80, 1), Some(Some((3.5, 80))));
-        // Grow-only: a smaller request changes nothing.
-        let before = memo.slots();
-        memo.ensure_slots(2);
-        assert_eq!(memo.slots(), before);
-    }
-
-    #[test]
-    fn memo_absorb_merges_coordinator_writes() {
-        let u = crate::grid::BinId(3);
-        let v = crate::grid::BinId(4);
-        let mut memo = SelectionMemo::new();
-        memo.absorb(&[
-            MemoWrite { u, v, needed: 40, sig: 7, outcome: Some((1.5, 40)) },
-            MemoWrite { u: v, v: u, needed: 10, sig: 9, outcome: None },
-        ]);
-        assert_eq!(memo.lookup(u, v, 40, 7), Some(Some((1.5, 40))));
-        assert_eq!(memo.lookup(v, u, 10, 9), Some(None));
     }
 
     #[test]

@@ -82,31 +82,6 @@ pub struct FlowState<'a> {
     allowed_area: Vec<i64>,
     /// Geometry source for the hot path (SoA columns or id maps).
     geom: GeomSource<'a>,
-    /// Mutation counter: bumped by every public mutator. Two reads with
-    /// the same generation observe identical assignment state.
-    generation: u64,
-    /// Content signature per cell: a hash of the cell's id, anchor, and
-    /// canonical fragment list. Recomputed by every mutator that touches
-    /// the cell.
-    cell_sig: Vec<u64>,
-    /// Content signature per bin: the commutative (wrapping) sum of the
-    /// [`cell_sig`](Self::cell_sig) of every cell with a fragment in the
-    /// bin. Because per-bin fragment lists are unordered (`swap_remove`),
-    /// the sum — not a sequence hash — is what makes two states with the
-    /// same *contents* produce the same signature regardless of the
-    /// mutation history that built them. This is what content-addressed
-    /// selection-memo keys validate against.
-    bin_sig: Vec<u64>,
-}
-
-/// The 64-bit finalizer of splitmix64: a cheap, high-quality mixing
-/// step for building content signatures.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl<'a> FlowState<'a> {
@@ -153,9 +128,6 @@ impl<'a> FlowState<'a> {
             used_area: vec![0; design.num_dies()],
             allowed_area,
             geom,
-            generation: 0,
-            cell_sig: vec![0; design.num_cells()],
-            bin_sig: vec![0; grid.num_bins()],
         }
     }
 
@@ -170,18 +142,6 @@ impl<'a> FlowState<'a> {
     #[inline]
     pub fn cell_height(&self, die: DieId) -> i64 {
         self.geom.cell_height(self.design, die)
-    }
-
-    /// The mutation generation: incremented by every call to
-    /// [`insert_cell`](Self::insert_cell),
-    /// [`insert_cell_whole`](Self::insert_cell_whole),
-    /// [`remove_cell`](Self::remove_cell), and
-    /// [`move_fraction`](Self::move_fraction). Two reads with the same
-    /// generation observe identical assignment state, so derived caches
-    /// may key on it.
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// The displacement anchor of `cell`.
@@ -245,67 +205,6 @@ impl<'a> FlowState<'a> {
         self.used_area[die.index()]
     }
 
-    /// Content signature of `bin`: changes whenever any member cell's
-    /// fragment list (in *any* bin) or anchor changes, and is equal for
-    /// two states whose contents match regardless of mutation history.
-    #[inline]
-    pub fn bin_signature(&self, bin: BinId) -> u64 {
-        self.bin_sig[bin.index()]
-    }
-
-    /// Content signature of everything a `select_moves` call on the edge
-    /// `(u, v)` reads: the source-bin occupancy (member cells' ids,
-    /// anchors, and full fragment lists — which covers contiguity checks
-    /// against `v`), and, for cross-die edges only, the candidate bin's
-    /// usage (the Eq. 7 congestion term reads `sup(v) − dem(v)`, a pure
-    /// function of `usage(v)`) and the target die's used area (the
-    /// utilization-headroom check). Everything else a selection touches
-    /// — bin spans, segment widths, cell geometry — is immutable for the
-    /// lifetime of the grid, and `(u, v, needed)` itself is part of the
-    /// memo key, not the signature.
-    pub fn selection_signature(&self, u: BinId, v: BinId, cross_die: bool) -> u64 {
-        let mut h = mix64(self.bin_sig[u.index()]);
-        if cross_die {
-            let die_v = self.grid.bin(v).die;
-            h = mix64(h ^ self.usage[v.index()] as u64);
-            h = mix64(h ^ self.used_area[die_v.index()] as u64);
-        }
-        h
-    }
-
-    /// Recomputes `cell`'s content signature from its id, anchor, and
-    /// canonical (left-to-right sorted) fragment list.
-    fn compute_cell_sig(&self, cell: CellId) -> u64 {
-        let a = self.anchor[cell.index()];
-        let mut h = mix64(cell.index() as u64 ^ 0xA076_1D64_78BD_642F);
-        h = mix64(h ^ a.x as u64);
-        h = mix64(h ^ a.y as u64);
-        for &(bin, w) in &self.cell_frags[cell.index()] {
-            h = mix64(h ^ bin.index() as u64);
-            h = mix64(h ^ w as u64);
-        }
-        h
-    }
-
-    /// Subtracts `cell`'s current signature from every bin it occupies.
-    /// Must be called *before* mutating the cell's fragments or sig.
-    fn unhook_sig(&mut self, cell: CellId) {
-        let s = self.cell_sig[cell.index()];
-        for &(bin, _) in &self.cell_frags[cell.index()] {
-            self.bin_sig[bin.index()] = self.bin_sig[bin.index()].wrapping_sub(s);
-        }
-    }
-
-    /// Recomputes `cell`'s signature and adds it to every bin it now
-    /// occupies. Must be called *after* the mutation completes.
-    fn rehook_sig(&mut self, cell: CellId) {
-        let s = self.compute_cell_sig(cell);
-        self.cell_sig[cell.index()] = s;
-        for &(bin, _) in &self.cell_frags[cell.index()] {
-            self.bin_sig[bin.index()] = self.bin_sig[bin.index()].wrapping_add(s);
-        }
-    }
-
     /// Estimated displacement of `cell` if assigned to `bin` (Eq. 4 with
     /// the bin-local snap of §III-A): the anchor's x clamped into the bin,
     /// y at the bin's row.
@@ -338,7 +237,6 @@ impl<'a> FlowState<'a> {
     /// Panics if the cell already has fragments or is wider than the
     /// segment.
     pub fn insert_cell(&mut self, cell: CellId, bin_hint: BinId, desired_x: i64) {
-        self.generation = self.generation.wrapping_add(1);
         assert!(
             self.cell_frags[cell.index()].is_empty(),
             "cell {cell} already assigned"
@@ -360,7 +258,6 @@ impl<'a> FlowState<'a> {
             }
         }
         self.used_area[die.index()] += w * self.cell_height(die);
-        self.rehook_sig(cell);
     }
 
     /// Inserts the whole cell into one bin (whole-cell moves across rows
@@ -370,7 +267,6 @@ impl<'a> FlowState<'a> {
     ///
     /// Panics if the cell already has fragments.
     pub fn insert_cell_whole(&mut self, cell: CellId, bin: BinId) {
-        self.generation = self.generation.wrapping_add(1);
         assert!(
             self.cell_frags[cell.index()].is_empty(),
             "cell {cell} already assigned"
@@ -379,7 +275,6 @@ impl<'a> FlowState<'a> {
         let w = self.cell_width(cell, die);
         self.add_frag(cell, bin, w);
         self.used_area[die.index()] += w * self.cell_height(die);
-        self.rehook_sig(cell);
     }
 
     /// Removes every fragment of `cell`, returning its former die.
@@ -388,8 +283,6 @@ impl<'a> FlowState<'a> {
     ///
     /// Panics if the cell has no fragments.
     pub fn remove_cell(&mut self, cell: CellId) -> DieId {
-        self.generation = self.generation.wrapping_add(1);
-        self.unhook_sig(cell);
         let die = self.cell_die(cell);
         let frags = std::mem::take(&mut self.cell_frags[cell.index()]);
         for (bin, width) in frags {
@@ -404,7 +297,6 @@ impl<'a> FlowState<'a> {
         }
         let w = self.cell_width(cell, die);
         self.used_area[die.index()] -= w * self.cell_height(die);
-        self.rehook_sig(cell);
         die
     }
 
@@ -416,8 +308,6 @@ impl<'a> FlowState<'a> {
     ///
     /// Panics if the cell has no fragment of at least `width` in `from`.
     pub fn move_fraction(&mut self, cell: CellId, from: BinId, to: BinId, width: i64) {
-        self.generation = self.generation.wrapping_add(1);
-        self.unhook_sig(cell);
         debug_assert!(width > 0);
         debug_assert_eq!(
             self.grid.bin(from).segment,
@@ -452,7 +342,6 @@ impl<'a> FlowState<'a> {
         // Grow in `to`.
         self.add_frag(cell, to, width);
         self.keep_frags_sorted(cell);
-        self.rehook_sig(cell);
     }
 
     fn add_frag(&mut self, cell: CellId, bin: BinId, width: i64) {
@@ -534,23 +423,6 @@ impl<'a> FlowState<'a> {
             indices.sort_unstable();
             if indices.windows(2).any(|w| w[1] != w[0] + 1) {
                 return Err(format!("cell {cell}: fragments not contiguous"));
-            }
-        }
-        // Incrementally maintained content signatures must match a full
-        // recomputation — the soundness condition of the content-addressed
-        // selection memo.
-        for c in 0..self.design.num_cells() {
-            let cell = CellId::new(c);
-            if !self.cell_frags[c].is_empty() && self.cell_sig[c] != self.compute_cell_sig(cell) {
-                return Err(format!("cell {cell}: stale content signature"));
-            }
-        }
-        for i in 0..self.grid.num_bins() {
-            let sum = self.frags[i].iter().fold(0u64, |acc, f| {
-                acc.wrapping_add(self.cell_sig[f.cell.index()])
-            });
-            if sum != self.bin_sig[i] {
-                return Err(format!("bin {i}: stale bin signature"));
             }
         }
         Ok(())
@@ -710,28 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn generation_bumps_on_every_mutation() {
-        let (design,) = fixture();
-        let (layout, grid) = state_of(&design);
-        let mut st = FlowState::new(&design, &layout, &grid, vec![Point::ORIGIN; 3]);
-        assert_eq!(st.generation(), 0);
-        let seg = layout.segments()[0].id;
-        let bins = grid.bins_in_segment(seg);
-        let u1 = CellId::new(1);
-        st.insert_cell(u1, bins[0], 80); // straddles bins[0]/bins[1]
-        assert_eq!(st.generation(), 1);
-        st.move_fraction(u1, bins[0], bins[1], 20);
-        assert_eq!(st.generation(), 2);
-        st.remove_cell(u1);
-        assert_eq!(st.generation(), 3);
-        st.insert_cell_whole(u1, bins[0]);
-        assert_eq!(st.generation(), 4);
-        // Reads leave the generation alone.
-        let _ = (st.sup(bins[0]), st.dem(bins[0]), st.disp_current(u1));
-        assert_eq!(st.generation(), 4);
-    }
-
-    #[test]
     fn area_headroom_tracks_utilization_cap() {
         let (design,) = fixture();
         let (layout, grid) = state_of(&design);
@@ -740,49 +590,6 @@ mod tests {
         assert_eq!(st.area_headroom(DieId::BOTTOM), free);
         st.insert_cell(CellId::new(0), grid.bin_at(layout.segments()[0].id, 0), 0);
         assert_eq!(st.area_headroom(DieId::BOTTOM), free - 40 * 12);
-    }
-
-    /// Two states with identical *contents* must report identical bin
-    /// signatures, regardless of the mutation history that built them —
-    /// the property that lets content-addressed memo entries survive
-    /// across rebuilt `FlowState`s (fresh ECO requests) and commits.
-    #[test]
-    fn bin_signatures_are_history_independent() {
-        let (design,) = fixture();
-        let (layout, grid) = state_of(&design);
-        let anchors = vec![Point::new(80, 0); 3];
-        let seg = layout.segments()[0].id;
-        let b0 = grid.bin_at(seg, 0);
-
-        // Path A: insert all three directly at their final spots.
-        let mut a = FlowState::new(&design, &layout, &grid, anchors.clone());
-        a.insert_cell(CellId::new(0), b0, 0);
-        a.insert_cell(CellId::new(1), b0, 200);
-        a.insert_cell(CellId::new(2), b0, 500);
-
-        // Path B: different insertion order plus a detour (insert,
-        // remove, re-insert) converging on the same assignment.
-        let mut b = FlowState::new(&design, &layout, &grid, anchors);
-        b.insert_cell(CellId::new(2), b0, 500);
-        b.insert_cell(CellId::new(1), b0, 700);
-        b.remove_cell(CellId::new(1));
-        b.insert_cell(CellId::new(0), b0, 0);
-        b.insert_cell(CellId::new(1), b0, 200);
-
-        a.check_invariants().unwrap();
-        b.check_invariants().unwrap();
-        for i in 0..grid.num_bins() {
-            let bin = BinId::new(i);
-            assert_eq!(
-                a.bin_signature(bin),
-                b.bin_signature(bin),
-                "bin {i} signature depends on history"
-            );
-        }
-        // And a genuinely different assignment is visible in the sig.
-        b.remove_cell(CellId::new(0));
-        b.insert_cell(CellId::new(0), grid.bin_at(seg, 120), 120);
-        assert_ne!(a.bin_signature(b0), b.bin_signature(b0));
     }
 }
 
@@ -883,5 +690,4 @@ mod prop_tests {
             }
         });
     }
-
 }

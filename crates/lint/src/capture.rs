@@ -118,10 +118,7 @@ fn closure_at(tokens: &[Token], i: usize) -> Option<usize> {
 /// Splits a closure literal starting at `i` into parameter and body
 /// token ranges; returns `(params, body, past_end)`.
 #[allow(clippy::type_complexity)]
-fn closure_extent(
-    tokens: &[Token],
-    i: usize,
-) -> Option<((usize, usize), (usize, usize), usize)> {
+fn closure_extent(tokens: &[Token], i: usize) -> Option<((usize, usize), (usize, usize), usize)> {
     let mut k = i;
     if tokens.get(k).is_some_and(|t| t.is_ident("move")) {
         k += 1;
@@ -211,7 +208,11 @@ fn find_let_closure(tokens: &[Token], name: &str) -> Option<usize> {
 
 /// Collects the identifiers a closure body binds locally: parameters,
 /// `let` patterns, `for` loop variables, and nested-closure parameters.
-fn local_bindings(tokens: &[Token], params: (usize, usize), body: (usize, usize)) -> BTreeSet<String> {
+fn local_bindings(
+    tokens: &[Token],
+    params: (usize, usize),
+    body: (usize, usize),
+) -> BTreeSet<String> {
     let mut locals: BTreeSet<String> = BTreeSet::new();
     for t in &tokens[params.0..params.1] {
         if t.kind == TokKind::Ident {
@@ -358,7 +359,8 @@ mod tests {
 
     #[test]
     fn local_let_mut_is_exempt() {
-        let src = "fn f() { par_map(4, n, |i| { let mut acc = Vec::new(); fill(&mut acc, i); acc }); }";
+        let src =
+            "fn f() { par_map(4, n, |i| { let mut acc = Vec::new(); fill(&mut acc, i); acc }); }";
         assert!(w3(src).is_empty());
     }
 

@@ -54,7 +54,9 @@ fn check_config_leg(
     docs: &BTreeMap<String, String>,
     out: &mut Vec<(String, Violation)>,
 ) {
-    let Some((cfg_path, cfg)) = facts.iter().find(|(p, _)| p.ends_with("core/src/config.rs"))
+    let Some((cfg_path, cfg)) = facts
+        .iter()
+        .find(|(p, _)| p.ends_with("core/src/config.rs"))
     else {
         return;
     };
@@ -100,7 +102,10 @@ fn check_config_leg(
                     (*path).clone(),
                     drift(
                         b.line,
-                        format!("CLI binds `{}`, which is not a `Flow3dConfig` field", b.field),
+                        format!(
+                            "CLI binds `{}`, which is not a `Flow3dConfig` field",
+                            b.field
+                        ),
                         "remove the stale bind or add the field to Flow3dConfig".to_string(),
                     ),
                 ));
@@ -126,8 +131,7 @@ fn check_config_leg(
             .filter(|b| b.field == field.name)
             .map(|b| b.flag.as_str())
             .collect();
-        let mentioned =
-            hay.contains(&field.name) || flags.iter().any(|flag| hay.contains(flag));
+        let mentioned = hay.contains(&field.name) || flags.iter().any(|flag| hay.contains(flag));
         if !mentioned {
             out.push((
                 cfg_path.clone(),
@@ -137,7 +141,8 @@ fn check_config_leg(
                         "config field `{}` is documented in neither README.md nor EXPERIMENTS.md",
                         field.name
                     ),
-                    "add it to the config-knob table (README.md) or an experiment recipe".to_string(),
+                    "add it to the config-knob table (README.md) or an experiment recipe"
+                        .to_string(),
                 ),
             ));
         }
@@ -190,7 +195,9 @@ fn check_command_leg(
                 proto_path.clone(),
                 drift(
                     *line,
-                    format!("`Request::cmd()` names `{name}`, which `Request::parse` never accepts"),
+                    format!(
+                        "`Request::cmd()` names `{name}`, which `Request::parse` never accepts"
+                    ),
                     "add a parse arm for the command or drop the stale cmd() arm".to_string(),
                 ),
             ));
@@ -203,10 +210,7 @@ fn check_command_leg(
                 proto_path.clone(),
                 drift(
                     v.line,
-                    format!(
-                        "`Request::{}` has no `\"{wire}\"` parse arm",
-                        v.name
-                    ),
+                    format!("`Request::{}` has no `\"{wire}\"` parse arm", v.name),
                     "wire the variant into `Request::parse` or remove it".to_string(),
                 ),
             ));
@@ -373,12 +377,7 @@ mod tests {
     fn fact_map(entries: &[(&str, &str)]) -> BTreeMap<String, FileFacts> {
         entries
             .iter()
-            .map(|(p, src)| {
-                (
-                    p.to_string(),
-                    file_facts(src, &FilePolicy::strict(), 0),
-                )
-            })
+            .map(|(p, src)| (p.to_string(), file_facts(src, &FilePolicy::strict(), 0)))
             .collect()
     }
 
@@ -439,7 +438,8 @@ mod tests {
         let mut docs = BTreeMap::new();
         docs.insert(
             "SERVING.md".to_string(),
-            "| `cmd` | effect |\n|---|---|\n| `ping` | liveness |\n| `halt` | bogus |\n".to_string(),
+            "| `cmd` | effect |\n|---|---|\n| `ping` | liveness |\n| `halt` | bogus |\n"
+                .to_string(),
         );
         let v = check_w1(&facts, &docs);
         // `load` missing from the table, `halt` documented but unknown.
@@ -471,8 +471,10 @@ mod tests {
                 .to_string(),
         );
         let v = check_w1(&facts, &docs);
-        assert!(v.iter().any(|(p, x)| p.ends_with("metrics.rs")
-            && x.message.contains("flow3d_serve_requests_total")));
+        assert!(v
+            .iter()
+            .any(|(p, x)| p.ends_with("metrics.rs")
+                && x.message.contains("flow3d_serve_requests_total")));
         assert!(v
             .iter()
             .any(|(p, x)| p == "SERVING.md" && x.message.contains("flow3d_serve_ghost_gauge")));

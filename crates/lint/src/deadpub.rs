@@ -103,7 +103,10 @@ mod tests {
     #[test]
     fn unreferenced_pub_fn_is_dead() {
         let facts = fact_map(&[
-            ("crates/a/src/lib.rs", "pub fn used() {}\npub fn orphan() {}"),
+            (
+                "crates/a/src/lib.rs",
+                "pub fn used() {}\npub fn orphan() {}",
+            ),
             ("crates/b/src/lib.rs", "fn f() { a::used(); }"),
         ]);
         let v = check_w2(&facts);
@@ -123,7 +126,10 @@ mod tests {
     #[test]
     fn integration_tests_and_bins_count_as_external() {
         let facts = fact_map(&[
-            ("crates/a/src/lib.rs", "pub fn tested() {}\npub fn binned() {}"),
+            (
+                "crates/a/src/lib.rs",
+                "pub fn tested() {}\npub fn binned() {}",
+            ),
             ("crates/a/tests/api.rs", "fn t() { a::tested(); }"),
             ("crates/a/src/bin/tool.rs", "fn main() { a::binned(); }"),
         ]);

@@ -440,7 +440,9 @@ fn extract_strings(tokens: &[Token]) -> Vec<StrLit> {
                 text: t.text.clone(),
                 line: t.line,
                 col: t.col,
-                prev: i.checked_sub(1).map_or(String::new(), |p| tokens[p].text.clone()),
+                prev: i
+                    .checked_sub(1)
+                    .map_or(String::new(), |p| tokens[p].text.clone()),
                 next: tokens.get(i + 1).map_or(String::new(), |n| n.text.clone()),
                 in_fn: fn_stack.last().map_or(String::new(), |(n, _)| n.clone()),
             });
@@ -555,13 +557,28 @@ pub(crate) fn save_cache(path: &Path, facts: &BTreeMap<String, FileFacts>) -> io
             ));
         }
         for fd in &f.fields {
-            out.push_str(&format!("f\t{}\t{}\t{}\n", esc(&fd.owner), esc(&fd.name), fd.line));
+            out.push_str(&format!(
+                "f\t{}\t{}\t{}\n",
+                esc(&fd.owner),
+                esc(&fd.name),
+                fd.line
+            ));
         }
         for v in &f.variants {
-            out.push_str(&format!("v\t{}\t{}\t{}\n", esc(&v.owner), esc(&v.name), v.line));
+            out.push_str(&format!(
+                "v\t{}\t{}\t{}\n",
+                esc(&v.owner),
+                esc(&v.name),
+                v.line
+            ));
         }
         for b in &f.binds {
-            out.push_str(&format!("b\t{}\t{}\t{}\n", esc(&b.field), esc(&b.flag), b.line));
+            out.push_str(&format!(
+                "b\t{}\t{}\t{}\n",
+                esc(&b.field),
+                esc(&b.flag),
+                b.line
+            ));
         }
         if !f.refs.is_empty() {
             let joined: Vec<&str> = f.refs.iter().map(String::as_str).collect();
@@ -816,8 +833,10 @@ mod tests {
         assert_eq!(g.defs.len(), orig.defs.len());
         assert_eq!(g.raw.len(), orig.raw.len());
         assert_eq!(g.suppressions.len(), orig.suppressions.len());
-        assert_eq!(g.strings.iter().map(|s| &s.text).collect::<Vec<_>>(),
-                   orig.strings.iter().map(|s| &s.text).collect::<Vec<_>>());
+        assert_eq!(
+            g.strings.iter().map(|s| &s.text).collect::<Vec<_>>(),
+            orig.strings.iter().map(|s| &s.text).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -372,7 +372,10 @@ pub fn run(root: &Path, fix: bool) -> io::Result<TidyReport> {
     // mechanism — they pass through, sorted per file.
     for (path, mut vs) in extra {
         vs.sort_by_key(|v| (v.line, v.col, v.lint));
-        let lines: Vec<&str> = docs.get(&path).map(|d| d.lines().collect()).unwrap_or_default();
+        let lines: Vec<&str> = docs
+            .get(&path)
+            .map(|d| d.lines().collect())
+            .unwrap_or_default();
         for v in vs {
             let snippet = lines
                 .get(v.line.saturating_sub(1) as usize)
@@ -412,9 +415,7 @@ mod tests {
             "determinism, no-unsafe, and capture hygiene still apply"
         );
         let future = crate_policy("brand-new-crate");
-        assert!(
-            future.d1 && future.d2 && future.d3 && future.d4 && future.d5 && future.w3
-        );
+        assert!(future.d1 && future.d2 && future.d3 && future.d4 && future.d5 && future.w3);
     }
 
     #[test]

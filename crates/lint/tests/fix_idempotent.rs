@@ -122,7 +122,10 @@ fn fix_is_idempotent_over_the_real_workspace() {
         }
         let src = entry.path().join("src");
         if src.is_dir() {
-            copy_rs_tree(&src, &root.join("crates").join(entry.file_name()).join("src"));
+            copy_rs_tree(
+                &src,
+                &root.join("crates").join(entry.file_name()).join("src"),
+            );
         }
     }
     assert_fix_idempotent(&root, false);

@@ -119,7 +119,11 @@ fn second_run_is_fully_cached() {
     assert!(warm.clean());
 
     // Touching one file invalidates exactly that file.
-    let cfg = root.join("crates").join("core").join("src").join("config.rs");
+    let cfg = root
+        .join("crates")
+        .join("core")
+        .join("src")
+        .join("config.rs");
     let src = std::fs::read_to_string(&cfg).expect("read config");
     std::fs::write(&cfg, format!("{src}\n// touched\n")).expect("write config");
     let third = flow3d_lint::run(&root, false).expect("third run");

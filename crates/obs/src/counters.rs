@@ -16,9 +16,13 @@ pub mod keys {
     /// Frontier entries dropped at pop time because the bound tightened
     /// after they were queued (they were never expanded).
     pub const BRANCHES_PRUNED_STALE: &str = "branches_pruned_stale";
-    /// Selection-memo lookups answered from the cache during path search.
+    /// Selection-memo hits. No stage records this counter since the
+    /// selection memo was removed, so it reads 0; the name stays only
+    /// because the repository benchmark's per-layer metrics still read
+    /// it.
     pub const SELECTION_MEMO_HITS: &str = "selection_memo_hits";
-    /// Selection-memo lookups that had to run `select_moves`.
+    /// Selection-memo misses. Like [`SELECTION_MEMO_HITS`], never
+    /// recorded and kept only for the benchmark's per-layer metrics.
     pub const SELECTION_MEMO_MISSES: &str = "selection_memo_misses";
     /// Augmenting paths found and realized.
     pub const AUGMENTING_PATHS: &str = "augmenting_paths";

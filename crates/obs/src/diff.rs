@@ -94,18 +94,14 @@ impl Default for DiffTolerances {
 
 /// Counters whose regressions never fail a diff, only warn.
 ///
-/// These are kernel-internal efficiency measures (cache hits, pop-time
-/// frontier drops): their values shift whenever search internals are
+/// These are kernel-internal efficiency measures (pop-time frontier
+/// drops): their values shift whenever search internals are
 /// retuned while the *placement* stays bit-identical, so gating CI on
 /// them would punish exactly the optimizations they exist to observe.
 /// The outcome-facing counters (paths, moves, retries) stay under the
 /// full counter tolerances.
 // flow3d-tidy: allow(dead-pub) — telemetry schema (flow3d::obs) consumed by downstream report tooling
-pub const ADVISORY_COUNTERS: &[&str] = &[
-    crate::counters::keys::BRANCHES_PRUNED_STALE,
-    crate::counters::keys::SELECTION_MEMO_HITS,
-    crate::counters::keys::SELECTION_MEMO_MISSES,
-];
+pub const ADVISORY_COUNTERS: &[&str] = &[crate::counters::keys::BRANCHES_PRUNED_STALE];
 
 /// The outcome of comparing two reports.
 #[derive(Debug, Clone, PartialEq)]
@@ -587,11 +583,13 @@ mod tests {
     fn advisory_counters_warn_but_never_fail() {
         let mut base = report();
         let mut cur = report();
-        base.counters.push(("selection_memo_hits".to_string(), 100));
-        cur.counters.push(("selection_memo_hits".to_string(), 500)); // +400 %
+        base.counters
+            .push(("branches_pruned_stale".to_string(), 100));
+        cur.counters
+            .push(("branches_pruned_stale".to_string(), 500)); // +400 %
         let diff = diff_reports(&base, &cur, &DiffTolerances::default());
         assert_eq!(
-            status_of(&diff, "counter/selection_memo_hits").status,
+            status_of(&diff, "counter/branches_pruned_stale").status,
             DiffStatus::Warn,
             "advisory counters cap at Warn"
         );

@@ -28,9 +28,6 @@ pub mod keys {
     pub const SEARCH_DEPTH: &str = "search_path_depth";
     /// Cells per non-empty PlaceRow segment.
     pub const SEGMENT_CELLS: &str = "placerow_segment_cells";
-    /// Selection-memo hits per source search (recorded only when the
-    /// memo is enabled; one sample per overflowed source bin per round).
-    pub const SELECTION_MEMO_HITS_PER_SOURCE: &str = "selection_memo_hits_per_source";
     /// End-to-end serve-mode request latency in microseconds (admission
     /// to response), one sample per request; recorded by `flow3d-serve`
     /// into its server-level profile and surfaced by the `stats`

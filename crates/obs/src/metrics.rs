@@ -152,7 +152,6 @@ impl RollingWindow {
             total_errors: self.total_errors,
             capacity: self.capacity as u64,
             evicted: self.evicted,
-            selection_memo_hit_rate: None,
         }
     }
 }
@@ -197,15 +196,6 @@ pub struct MetricsSnapshot {
     pub capacity: u64,
     /// Samples dropped by capacity pressure before they aged out.
     pub evicted: u64,
-    /// Lifetime selection-memo hit rate of the serving engines, if the
-    /// memo is enabled. `None` (memo disabled or no search ran yet)
-    /// renders as JSON `null` and omits the Prometheus gauge;
-    /// `Some(0.0)` means the memo is on but every lookup missed so far
-    /// — a cold cache, not a disabled one. The window itself never
-    /// carries memo data; the server stamps this from its lifetime
-    /// counter profile via
-    /// [`RunReport::selection_memo_hit_rate`](crate::RunReport::selection_memo_hit_rate).
-    pub selection_memo_hit_rate: Option<f64>,
 }
 
 impl MetricsSnapshot {
@@ -234,10 +224,6 @@ impl MetricsSnapshot {
             ("total_errors".to_string(), u(self.total_errors)),
             ("capacity".to_string(), u(self.capacity)),
             ("evicted".to_string(), u(self.evicted)),
-            (
-                "selection_memo_hit_rate".to_string(),
-                self.selection_memo_hit_rate.map_or(Json::Null, Json::num),
-            ),
         ])
     }
 
@@ -275,13 +261,6 @@ impl MetricsSnapshot {
             "Admission-queue depth at scrape time.",
             self.queue_depth.to_string(),
         );
-        if let Some(rate) = self.selection_memo_hit_rate {
-            gauge(
-                "flow3d_serve_selection_memo_hit_rate",
-                "Lifetime selection-memo hit rate; the gauge is absent when the memo is disabled.",
-                fmt_f64(rate),
-            );
-        }
         out.push_str(concat!(
             "# HELP flow3d_serve_request_latency_micros ",
             "Windowed request latency quantiles in microseconds.\n",
@@ -426,32 +405,5 @@ mod tests {
         )));
         assert!(text.contains("flow3d_serve_requests_total 10"));
         assert!(text.contains("# TYPE flow3d_serve_queue_depth gauge"));
-    }
-
-    #[test]
-    fn memo_hit_rate_distinguishes_disabled_from_cold() {
-        let w = RollingWindow::new(16, 1_000_000);
-        // Disabled (or never searched): JSON null, no Prometheus gauge.
-        let off = w.snapshot(1_000, 0);
-        assert_eq!(off.selection_memo_hit_rate, None);
-        assert!(matches!(
-            off.to_json().get("selection_memo_hit_rate"),
-            Some(Json::Null)
-        ));
-        assert!(!off
-            .to_prometheus()
-            .contains("flow3d_serve_selection_memo_hit_rate"));
-        // Enabled but cold: 0.0, not absent.
-        let mut cold = w.snapshot(1_000, 0);
-        cold.selection_memo_hit_rate = Some(0.0);
-        assert_eq!(
-            cold.to_json()
-                .get("selection_memo_hit_rate")
-                .and_then(Json::as_f64),
-            Some(0.0)
-        );
-        assert!(cold
-            .to_prometheus()
-            .contains("flow3d_serve_selection_memo_hit_rate 0\n"));
     }
 }

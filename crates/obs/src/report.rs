@@ -143,29 +143,6 @@ impl RunReport {
             .map(|&(_, v)| v)
     }
 
-    /// Selection-memo hit rate `hits / (hits + misses)` over the run's
-    /// counters, or `None` when the memo was **disabled** (neither
-    /// counter recorded — the flow pass bumps them only with
-    /// `selection_memo` on, even for zero values). A run that had the
-    /// memo enabled but took no hits reports `Some(0.0)`, so "cold this
-    /// request" and "memo off" stay distinguishable downstream
-    /// (serve `stats`, `repro bench`).
-    pub fn selection_memo_hit_rate(&self) -> Option<f64> {
-        let hits = self.counter(crate::keys::SELECTION_MEMO_HITS);
-        let misses = self.counter(crate::keys::SELECTION_MEMO_MISSES);
-        if hits.is_none() && misses.is_none() {
-            return None;
-        }
-        let hits = hits.unwrap_or(0);
-        let total = hits + misses.unwrap_or(0);
-        if total == 0 {
-            // Enabled but no lookups ran (e.g. no overflow, so no
-            // searches): a defined 0.0, not "disabled".
-            return Some(0.0);
-        }
-        Some(hits as f64 / total as f64)
-    }
-
     /// Attaches a peak-RSS sample in bytes (builder style). Not filled
     /// in by [`from_profile`](Self::from_profile) — the gauge is a
     /// process-wide high-water mark, so sampling is an explicit caller
@@ -410,9 +387,6 @@ impl RunReport {
             for (k, v) in &self.counters {
                 let _ = writeln!(out, "  {k:<width$} = {v}");
             }
-            if let Some(rate) = self.selection_memo_hit_rate() {
-                let _ = writeln!(out, "  selection memo hit rate: {:.1} %", 100.0 * rate);
-            }
         }
         if !self.hists.is_empty() {
             let width = self
@@ -524,45 +498,6 @@ mod tests {
         assert!(!json.contains("histograms"), "empty hists omitted: {json}");
         let parsed = RunReport::from_json(&json).unwrap();
         assert_eq!(parsed, report);
-    }
-
-    #[test]
-    fn selection_memo_hit_rate_from_counters() {
-        let mut report = sample();
-        assert_eq!(report.selection_memo_hit_rate(), None, "no memo counters");
-        report
-            .counters
-            .push((crate::keys::SELECTION_MEMO_HITS.to_string(), 30));
-        report
-            .counters
-            .push((crate::keys::SELECTION_MEMO_MISSES.to_string(), 10));
-        assert_eq!(report.selection_memo_hit_rate(), Some(0.75));
-        let pretty = report.to_pretty();
-        assert!(
-            pretty.contains("selection memo hit rate: 75.0 %"),
-            "{pretty}"
-        );
-        report.counters.retain(|(k, _)| !k.contains("memo"));
-        report
-            .counters
-            .push((crate::keys::SELECTION_MEMO_MISSES.to_string(), 10));
-        assert_eq!(
-            report.selection_memo_hit_rate(),
-            Some(0.0),
-            "all-miss runs report 0.0 so callers can warn"
-        );
-        report.counters.retain(|(k, _)| !k.contains("memo"));
-        report
-            .counters
-            .push((crate::keys::SELECTION_MEMO_HITS.to_string(), 0));
-        report
-            .counters
-            .push((crate::keys::SELECTION_MEMO_MISSES.to_string(), 0));
-        assert_eq!(
-            report.selection_memo_hit_rate(),
-            Some(0.0),
-            "enabled-but-idle (0/0 counters present) is 0.0, not None"
-        );
     }
 
     #[test]

@@ -123,7 +123,7 @@ where
 /// count first), while `init()` still produces a fresh per-call state
 /// `S`. This splits worker-local data by lifetime: amortized scratch
 /// that should keep its allocations across many calls (search arenas,
-/// heaps, memo tables) goes in the pool; data that must start fresh
+/// heaps, candidate buffers) goes in the pool; data that must start fresh
 /// every call (per-round worker profiles, which would otherwise be
 /// merged twice) stays in `S`.
 ///

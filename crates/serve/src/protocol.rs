@@ -7,6 +7,7 @@
 //!
 //! * A **frame** is a 4-byte big-endian payload length followed by that
 //!   many bytes of UTF-8 JSON. Frames above [`MAX_FRAME`] are rejected.
+//! * A `load` may ask for at most 64 engine threads.
 //! * A **request** is an object with a `"cmd"` string, an optional
 //!   numeric `"id"` (echoed back; assigned by the server when absent),
 //!   and command-specific fields — see [`Request`].
@@ -24,6 +25,12 @@ use std::io::{Read, Write};
 /// a full case file, small enough to bound a malicious length prefix.
 // flow3d-tidy: allow(dead-pub) — wire-protocol API (flow3d::serve) for out-of-tree clients
 pub const MAX_FRAME: usize = 64 << 20;
+
+/// Most engine worker threads a `load` request may ask for. An engine
+/// spawns up to this many OS threads per flow round and keeps one
+/// search scratch per thread for its lifetime, so the wire must not be
+/// able to ask for thousands.
+const MAX_LOAD_THREADS: usize = 64;
 
 /// Error codes carried by `{"error": {"code": …}}` responses.
 pub mod codes {
@@ -200,8 +207,8 @@ pub enum Request {
         /// server legalizes it to produce the base.
         global: Option<String>,
         /// Worker threads for this case's engine (0 = the server
-        /// default). More threads shard a case's die regions across the
-        /// pool; memo-hit telemetry is deterministic only at 1.
+        /// default, at most 64). Results and telemetry counters are
+        /// identical at any value.
         threads: usize,
     },
     /// Full legalization of a provided global placement against the
@@ -270,12 +277,18 @@ impl Request {
                 if legal.is_some() == global.is_some() {
                     return Err("`load` needs exactly one of `legal` and `global`".into());
                 }
+                let threads = json.get("threads").and_then(Json::as_u64).unwrap_or(0);
+                if threads > MAX_LOAD_THREADS as u64 {
+                    return Err(format!(
+                        "`threads` is {threads}, above the limit of {MAX_LOAD_THREADS}"
+                    ));
+                }
                 Ok(Request::Load {
                     name: required_str(json, "name")?,
                     case: required_str(json, "case")?,
                     legal,
                     global,
-                    threads: json.get("threads").and_then(Json::as_u64).unwrap_or(0) as usize,
+                    threads: threads as usize,
                 })
             }
             "legalize" => Ok(Request::Legalize {
@@ -514,6 +527,33 @@ mod tests {
         assert!(Request::parse(&bad).is_err());
         let bad = obj(&[("cmd", Json::Str("warp".into()))]);
         assert!(Request::parse(&bad).unwrap_err().contains("unknown cmd"));
+    }
+
+    #[test]
+    fn load_threads_are_bounded() {
+        let load = |threads: f64| {
+            Request::parse(&obj(&[
+                ("cmd", Json::Str("load".into())),
+                ("name", Json::Str("a".into())),
+                ("case", Json::Str("...".into())),
+                ("legal", Json::Str("...".into())),
+                ("threads", Json::num(threads)),
+            ]))
+        };
+        for ok in [0, 1, MAX_LOAD_THREADS] {
+            match load(ok as f64) {
+                Ok(Request::Load { threads, .. }) => assert_eq!(threads, ok),
+                other => panic!("threads={ok} must parse: {other:?}"),
+            }
+        }
+        for too_many in [
+            MAX_LOAD_THREADS as f64 + 1.0,
+            100_000.0,
+            (1u64 << 53) as f64,
+        ] {
+            let err = load(too_many).unwrap_err();
+            assert!(err.contains("`threads`"), "{err}");
+        }
     }
 
     #[test]

@@ -43,10 +43,9 @@ use std::time::{Duration, Instant};
 
 /// Server tuning knobs. The defaults favour predictability:
 /// single-threaded engines plus two wave workers that overlap
-/// independent cases. Results *and* warm-memo telemetry are
-/// bit-identical at every setting — the engines absorb shared-memo
-/// writes in deterministic source order — so these knobs trade
-/// wall-clock only.
+/// independent cases. Results *and* search telemetry are
+/// bit-identical at every setting, so these knobs trade wall-clock
+/// only.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Maximum queued requests executed concurrently per wave (each on
@@ -56,7 +55,7 @@ pub struct ServerConfig {
     /// [`codes::OVERLOADED`] instead of buffering without limit.
     pub queue_depth: usize,
     /// Engine threads for cases loaded without an explicit `threads`
-    /// field. Results and memo-hit telemetry are bit-identical at any
+    /// field. Results and search telemetry are bit-identical at any
     /// value; `1` (the default) avoids oversubscribing the wave
     /// workers on small cases.
     pub default_threads: usize,
@@ -554,17 +553,9 @@ impl Server {
     fn metrics_response(&self, id: u64) -> Json {
         let now = self.uptime_micros();
         let queue_depth = lock(&self.shared.queue).jobs.len();
-        let mut snapshot = lock(&self.shared.telemetry)
+        let snapshot = lock(&self.shared.telemetry)
             .window
             .snapshot(now, queue_depth);
-        // Stamp the lifetime memo hit rate from the merged counter
-        // profile: `null` only when the memo is disabled (or nothing
-        // has searched yet), `0.0` when it is on but cold.
-        snapshot.selection_memo_hit_rate = {
-            let stats = lock(&self.shared.stats);
-            RunReport::from_profile("flow3d-serve", "flow3d-serve", &stats.profile)
-                .selection_memo_hit_rate()
-        };
         ok_response(
             id,
             vec![
@@ -1094,14 +1085,6 @@ impl Server {
                     Some(bytes) => Json::num(bytes as f64),
                     None => Json::Null,
                 },
-            ),
-            // `null` = memo disabled (no memo counters ever touched);
-            // `0.0` = memo on, every lookup missed so far.
-            (
-                "selection_memo_hit_rate".into(),
-                report
-                    .selection_memo_hit_rate()
-                    .map_or(Json::Null, Json::num),
             ),
         ];
         fields.push(("report".into(), report.to_json_value()));

@@ -1,7 +1,8 @@
 //! Client/server integration tests: the full frame protocol over real
 //! sockets, checked for bit-identity against the one-shot incremental
-//! API, warm-memo reuse across replayed ECO batches, malformed-frame
-//! rejection, sharded concurrent connections, and graceful drain.
+//! API and for legality by the independent `flow3d_metrics` checker,
+//! malformed-frame rejection, sharded concurrent connections, and
+//! graceful drain.
 
 use flow3d_core::{CellMove, Flow3dConfig, Flow3dLegalizer, Legalizer};
 use flow3d_db::{
@@ -45,8 +46,8 @@ fn base_placement(d: &Design) -> LegalPlacement {
 type Spec = (usize, i64, i64, Option<usize>);
 
 /// Piles `from` onto `onto`'s position — enough clashing cells overflow
-/// a bin and force flow searches, which is what makes memo telemetry
-/// observable (a lone clash is absorbed by PlaceRow without a search).
+/// a bin and force flow searches (a lone clash is absorbed by PlaceRow
+/// without a search).
 fn pileup(base: &LegalPlacement, from: &[usize], onto: usize) -> Vec<Spec> {
     let p = base.pos(CellId::new(onto));
     let die = base.die(CellId::new(onto)).index();
@@ -141,6 +142,15 @@ fn report_counter(result: &Json, counter: &str) -> u64 {
         .unwrap_or(0)
 }
 
+/// Parses a served placement back against the design and requires the
+/// independent checker to find it legal — the engine's own invariants
+/// are not the referee here.
+fn assert_served_legal(d: &Design, legal: &str) {
+    let placement = flow3d_io::parse_legal(d, legal).expect("served placement parses");
+    let report = flow3d_metrics::check_legal(d, &placement);
+    assert!(report.is_legal(), "served placement is illegal: {report}");
+}
+
 fn one_shot(d: &Design, base: &LegalPlacement, spec: &[Spec]) -> String {
     // The server's default engine runs one thread; match it exactly.
     let legalizer = Flow3dLegalizer::new(Flow3dConfig {
@@ -173,13 +183,14 @@ fn socketpair_client(server: &Server) -> Client<std::os::unix::net::UnixStream> 
 }
 
 /// The acceptance batch: 8 ECO requests (4 distinct move sets, each
-/// fired twice in a row) against one resident case. Every response must
-/// be bit-identical to the one-shot incremental API, every replay must
-/// be answered memo-warm, and the server stats must expose the request
+/// fired twice in a row) against one resident case, then a return to the
+/// first set and a committing request. Every response must be
+/// bit-identical to the one-shot incremental API and legal under the
+/// independent checker, and the server stats must expose the request
 /// latency histogram.
 #[cfg(unix)]
 #[test]
-fn eco_batch_is_bit_identical_and_memo_warm() {
+fn eco_batch_is_bit_identical_and_legal() {
     let d = design(12);
     let base = base_placement(&d);
     let server = Server::new(ServerConfig::default()).unwrap();
@@ -217,31 +228,19 @@ fn eco_batch_is_bit_identical_and_memo_warm() {
                 result.get("requests_served"),
                 Some(&Json::num(requests as f64))
             );
-            let hits = report_counter(result, "selection_memo_hits");
-            if round == 1 {
-                assert!(
-                    hits > 0,
-                    "replayed request must be answered memo-warm, got {hits} hits"
-                );
-            }
+            assert_served_legal(&d, result_str(result, "legal"));
         }
     }
 
-    // Warm-cache generality: return to the *first* move set after three
-    // disjoint sets (and their replays) ran in between. The
-    // content-addressed memo keeps its entries across disjoint requests,
-    // so this must be answered warm — the generation-stamped memo it
-    // replaced went cold here.
+    // Return to the *first* move set after three disjoint sets (and
+    // their replays) ran in between: the resident engine must answer it
+    // exactly like a cold one-shot run.
     {
         let expected = one_shot(&d, &base, &sets[0]);
         let resp = client.request(&eco_request("demo", &sets[0])).unwrap();
         let result = assert_ok(&resp);
         assert_eq!(result_str(result, "legal"), expected);
-        let hits = report_counter(result, "selection_memo_hits");
-        assert!(
-            hits > 0,
-            "returning to a disjoint earlier set must be memo-warm, got {hits} hits"
-        );
+        assert_served_legal(&d, result_str(result, "legal"));
     }
 
     // Commit the last outcome: the response reports the seed-cache
@@ -254,6 +253,7 @@ fn eco_batch_is_bit_identical_and_memo_warm() {
         let resp = client.request(&req).unwrap();
         let result = assert_ok(&resp);
         assert_eq!(result.get("committed"), Some(&Json::Bool(true)));
+        assert_served_legal(&d, result_str(result, "legal"));
         let reseeded = result
             .get("commit_reseeded")
             .and_then(Json::as_u64)
@@ -283,16 +283,6 @@ fn eco_batch_is_bit_identical_and_memo_warm() {
     // at snapshot time but may be — accept either.
     let counted = result.get("requests").and_then(Json::as_u64).unwrap();
     assert!(counted >= 11, "stats undercounts: {counted}");
-    // The top-level hit-rate gauge distinguishes enabled-and-warm
-    // (a number > 0 here) from disabled (JSON null).
-    let rate = result
-        .get("selection_memo_hit_rate")
-        .and_then(Json::as_f64)
-        .expect("stats expose the memo hit rate when the memo is enabled");
-    assert!(
-        rate > 0.0 && rate <= 1.0,
-        "after warm replays the lifetime hit rate is positive: {rate}"
-    );
     let report = result.get("report").expect("stats carry a server report");
     let report = RunReport::from_json(&report.to_string()).unwrap();
     let latency = report
@@ -411,13 +401,14 @@ fn concurrent_connections_stay_deterministic() {
 
     std::thread::scope(|scope| {
         for (name, (spec, want)) in ["a", "b"].into_iter().zip(sets.iter().zip(&expected)) {
-            let server = &server;
+            let (server, d) = (&server, &d);
             scope.spawn(move || {
                 let mut client = socketpair_client(server);
                 for _ in 0..4 {
                     let resp = client.request(&eco_request(name, spec)).unwrap();
                     let result = assert_ok(&resp);
                     assert_eq!(result_str(result, "legal"), want.as_str(), "case {name}");
+                    assert_served_legal(d, result_str(result, "legal"));
                 }
             });
         }
@@ -462,6 +453,7 @@ fn shutdown_drains_admitted_requests() {
                 expected,
                 "drained request diverged"
             );
+            assert_served_legal(&d, result_str(result, "legal"));
         }
     });
     server.join();
@@ -556,7 +548,7 @@ fn metrics_window_reports_known_request_sequence() {
     let spec = pileup(&base, &[0, 1, 2, 3, 4], 5);
     for _ in 0..4 {
         let resp = client.request(&eco_request("demo", &spec)).unwrap();
-        assert_ok(&resp);
+        assert_served_legal(&d, result_str(assert_ok(&resp), "legal"));
     }
 
     let resp = client
@@ -603,15 +595,6 @@ fn metrics_window_reports_known_request_sequence() {
         "flow3d_serve_request_latency_micros{{quantile=\"0.99\"}} {p99}"
     )));
     assert!(text.contains("flow3d_serve_requests_total 5"));
-    // The memo is enabled and the three replayed ecos were warm, so the
-    // hit-rate gauge is present (it is absent entirely when disabled)
-    // and positive.
-    let rate = window
-        .get("selection_memo_hit_rate")
-        .and_then(Json::as_f64)
-        .expect("memo enabled: the hit-rate gauge is a number, not null");
-    assert!(rate > 0.0, "replays must register hits: {rate}");
-    assert!(text.contains("flow3d_serve_selection_memo_hit_rate"));
 
     shutdown_and_join(&mut client, &server);
 }

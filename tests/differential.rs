@@ -105,46 +105,6 @@ fn parallel_output_is_byte_identical_without_d2d() {
     assert_matrix("no-d2d", Flow3dConfig::without_d2d());
 }
 
-/// The selection memo is pure caching: with it disabled the engine must
-/// still be thread-count deterministic...
-#[test]
-fn parallel_output_is_byte_identical_without_selection_memo() {
-    assert_matrix(
-        "no-memo",
-        Flow3dConfig {
-            selection_memo: false,
-            ..Default::default()
-        },
-    );
-}
-
-/// ...and, memo on vs memo off, every case must produce byte-identical
-/// placements and identical stats — the memo may only change how fast
-/// `select_moves` answers, never what it answers.
-#[test]
-fn selection_memo_does_not_change_placements_or_stats() {
-    let memo_off = Flow3dConfig {
-        selection_memo: false,
-        ..Default::default()
-    };
-    for case in cases() {
-        for threads in THREAD_COUNTS {
-            let (on_bytes, on_stats) = run(&case, Flow3dConfig::default(), threads);
-            let (off_bytes, off_stats) = run(&case, memo_off.clone(), threads);
-            assert_eq!(
-                on_bytes, off_bytes,
-                "{}: memo changed the placement at threads={threads}",
-                case.label
-            );
-            assert_eq!(
-                on_stats, off_stats,
-                "{}: memo changed the stats at threads={threads}",
-                case.label
-            );
-        }
-    }
-}
-
 /// Everything the telemetry layer reports — phase paths and call
 /// counts, counters, histogram contents, heatmap grids — must be
 /// identical for every worker count, not just the placement bytes.

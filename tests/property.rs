@@ -85,7 +85,13 @@ fn eco_case() -> &'static (flow3d::db::Design, LegalPlacement) {
 /// Builds batch `k`'s moves from its generated `(mask, onto, flip)`.
 /// Batch `k` only ever moves cells `4k..4k+4`, so the three batches of
 /// one case are disjoint by construction.
-fn batch_moves(k: usize, mask: u8, onto: usize, flip: bool, base: &LegalPlacement) -> Vec<CellMove> {
+fn batch_moves(
+    k: usize,
+    mask: u8,
+    onto: usize,
+    flip: bool,
+    base: &LegalPlacement,
+) -> Vec<CellMove> {
     let onto = CellId::new(onto);
     (0..4)
         .filter(|bit| mask & (1 << bit) != 0)

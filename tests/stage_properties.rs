@@ -88,8 +88,6 @@ fn params_for(design: &flow3d::db::Design, cfg: &Flow3dConfig) -> SearchParams {
         alpha: cfg.alpha,
         slack,
         dijkstra: false,
-        use_memo: cfg.selection_memo,
-        memo_slots: cfg.memo_slots,
         selection: SelectionParams {
             clamp_negative: false,
             d2d_congestion_cost: cfg.d2d_congestion_cost,
@@ -102,11 +100,12 @@ fn params_for(design: &flow3d::db::Design, cfg: &Flow3dConfig) -> SearchParams {
 // Reference search kernel
 //
 // A deliberately naive re-implementation of the production kernel's
-// semantics: per-call Vec + BinaryHeap (no arena reuse), direct
-// `select_moves` (no memo), and its own 4-line bound and total-order
-// wrapper. Identical push/pop sequences give identical `BinaryHeap`
-// behaviour, so the optimized kernel must reproduce this one node for
-// node — path, cost bits, and every counter.
+// semantics: per-call Vec + BinaryHeap (no arena reuse), the
+// move-building `select_moves` (a fresh candidate list and move list per
+// edge, where the kernel reuses one buffer and builds no moves), and its
+// own 4-line bound and total-order wrapper. Identical push/pop sequences
+// give identical `BinaryHeap` behaviour, so the optimized kernel must
+// reproduce this one node for node — path, cost bits, and every counter.
 // ---------------------------------------------------------------------
 
 struct RefCounters {
@@ -272,13 +271,15 @@ fn arb_congested_instance() -> impl Strategy<Value = (Vec<i64>, Vec<(f64, f64, f
     })
 }
 
-/// The production kernel (arena reuse + pop-time pruning + selection
-/// memo, with the memo both on and off) must reproduce the naive
-/// reference search node for node on random designs, in both best-first
-/// and Dijkstra modes.
+/// The production kernel (arena reuse, pop-time pruning, allocation-free
+/// selection summaries) must reproduce the naive reference search node
+/// for node on random designs, in both best-first and Dijkstra modes,
+/// at every limit of the flow pass's retry ladder. One scratch serves
+/// every search, so nothing a search leaves in it may change a later
+/// one.
 #[test]
 fn kernel_matches_naive_reference_implementation() {
-    use flow3d_core::search::{find_path_limited, SearchCounters, SearchScratch, SearchShared};
+    use flow3d_core::search::{find_path_limited, SearchCounters, SearchScratch};
 
     let mut compared = 0usize;
     proptest!(ProptestConfig::with_cases(24), |(
@@ -305,31 +306,26 @@ fn kernel_matches_naive_reference_implementation() {
         let mut scratch = SearchScratch::new(grid.num_bins());
         for mode in [best_first, dijkstra] {
             for bin in state.overflowed_bins() {
-                let limit = state.sup(bin);
-                let (want, rc) = reference_search(&state, bin, limit, &mode);
-                for use_memo in [false, true] {
-                    let params = SearchParams { use_memo, ..mode };
-                    scratch.begin_source();
+                // The flow pass's retry ladder: the full supply, then
+                // halved limits.
+                let mut limit = state.sup(bin);
+                while limit > 0 {
+                    let (want, rc) = reference_search(&state, bin, limit, &mode);
                     let mut c = SearchCounters::default();
-                    let got = find_path_limited(
-                        &state,
-                        bin,
-                        limit,
-                        &params,
-                        &SearchShared::default(),
-                        &mut scratch,
-                        &mut c,
-                    );
+                    let got =
+                        find_path_limited(&state, bin, limit, &mode, None, &mut scratch, &mut c);
                     match (&got, &want) {
                         (Some(g), Some(w)) => {
-                            prop_assert_eq!(&g.steps, &w.steps, "steps (memo={})", use_memo);
+                            prop_assert_eq!(&g.steps, &w.steps, "steps (limit {})", limit);
                             prop_assert_eq!(g.cost.to_bits(), w.cost.to_bits());
                         }
                         (None, None) => {}
                         _ => prop_assert!(
                             false,
-                            "path presence mismatch (memo={}): kernel={} reference={}",
-                            use_memo, got.is_some(), want.is_some()
+                            "path presence mismatch (limit {}): kernel={} reference={}",
+                            limit,
+                            got.is_some(),
+                            want.is_some()
                         ),
                     }
                     prop_assert_eq!(c.expanded, rc.expanded);
@@ -339,6 +335,7 @@ fn kernel_matches_naive_reference_implementation() {
                     prop_assert!(c.pruned_stale <= c.created, "pruned_stale ≤ created");
                     prop_assert!(c.expanded + c.pruned_stale <= c.created + 1);
                     compared += 1;
+                    limit /= 2;
                 }
             }
         }
@@ -346,6 +343,73 @@ fn kernel_matches_naive_reference_implementation() {
     assert!(
         compared >= 8,
         "only {compared} kernel-vs-reference comparisons ran — fixture too sparse"
+    );
+}
+
+/// The search reads a selection only through `select_summary`; on every
+/// edge kind, with signed and clamped costs, it must agree bit for bit
+/// with the move-building `select_moves` that `augment::realize`
+/// applies — while one buffer serves every call, so a longer earlier
+/// ranking can never leak into a shorter later one.
+#[test]
+fn selection_summary_matches_the_move_building_call() {
+    use flow3d_core::grid::{BinId, EdgeKind};
+    use flow3d_core::selection::{select_moves, select_summary, SelectionBuf};
+
+    // Comparisons per edge kind: horizontal, vertical, die-to-die.
+    let mut compared = [0usize; 3];
+    proptest!(ProptestConfig::with_cases(24), |(
+        (widths, anchors) in arb_congested_instance(),
+        bin_factor in 1.0f64..4.0,
+    )| {
+        let (design, gp) = build(&widths, &anchors);
+        let cfg = Flow3dConfig::default();
+        let layout = RowLayout::build(&design);
+        let Ok(mut dies) = assign::partition_dies(&design, &gp) else { return; };
+        // Bins a few cell widths wide: several per row, so horizontal
+        // edges exist and cells straddle bin boundaries.
+        let bw = bin_widths(&design, bin_factor);
+        let grid = BinGrid::build(&design, &layout, &bw, true);
+        let Ok(state) = assign::build_state(&design, &layout, &grid, &gp, &mut dies)
+        else { return; };
+        let signed = params_for(&design, &cfg).selection;
+        let mut buf = SelectionBuf::default();
+        for u in (0..grid.num_bins()).map(BinId::new) {
+            let usage = state.usage(u);
+            if usage == 0 {
+                continue;
+            }
+            for &(v, kind) in grid.neighbors(u) {
+                for needed in [1, state.sup(u).max(1), usage / 2 + 1, usage, usage + 1] {
+                    for clamp_negative in [false, true] {
+                        let params = SelectionParams { clamp_negative, ..signed };
+                        let full = select_moves(&state, u, v, kind, needed, &params);
+                        if let Some(sel) = &full {
+                            let moved: i64 = sel.moves.iter().map(|m| m.width_from_u).sum();
+                            prop_assert_eq!(moved, sel.removed_from_u);
+                        }
+                        let full = full.map(|s| (s.cost.to_bits(), s.added_to_v));
+                        let summary =
+                            select_summary(&state, u, v, kind, needed, &params, &mut buf)
+                                .map(|(cost, added)| (cost.to_bits(), added));
+                        prop_assert_eq!(
+                            summary, full,
+                            "{:?} edge {:?}->{:?}, needed {}, clamp {}",
+                            kind, u, v, needed, clamp_negative
+                        );
+                        compared[match kind {
+                            EdgeKind::Horizontal => 0,
+                            EdgeKind::Vertical => 1,
+                            EdgeKind::DieToDie => 2,
+                        }] += 1;
+                    }
+                }
+            }
+        }
+    });
+    assert!(
+        compared.iter().all(|&n| n >= 100),
+        "edge kinds too sparsely covered (horizontal, vertical, d2d): {compared:?}"
     );
 }
 
