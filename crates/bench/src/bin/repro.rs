@@ -532,7 +532,7 @@ fn bench_baseline(scale: f64, out: &str) {
 /// rolling-window metrics are live gauges and stay out of it. The first
 /// eco pays the cold per-case caches, the remaining replays of the same
 /// move set measure the resident hot path the service exists for, and
-/// the commit row holds the seed-cache delta honest (it asserts
+/// the commit row holds the re-seed delta honest (it asserts
 /// `commit_reseeded < 10%` of the design on top of being diffed).
 fn serve_phases(run: &flow3d_bench::CaseRun, profile: &mut flow3d_obs::Profile) {
     use flow3d_serve::{Json, MoveSpec, Request, Server, ServerConfig};
@@ -589,10 +589,10 @@ fn serve_phases(run: &flow3d_bench::CaseRun, profile: &mut flow3d_obs::Profile) 
         assert!(ok(&reply), "serve eco request {id} failed: {reply}");
     }
     // One committing replay, timed as `serve/commit`: a small warm eco
-    // plus the seed-cache delta that rebases the resident engine. The
+    // plus the re-seed delta that rebases the resident engine. The
     // ECO-sized move list (8 cells, vs the burst's 32) models the
     // commit-worthy traffic commits exist for, and the delta discipline
-    // is part of the row's contract — a commit that re-resolved the
+    // is part of the row's contract — a commit that re-seeded the
     // full design would both inflate the row and trip the reseed
     // assertion below.
     let commit_moves: Vec<MoveSpec> = moves.iter().step_by(4).cloned().collect();
@@ -619,7 +619,7 @@ fn serve_phases(run: &flow3d_bench::CaseRun, profile: &mut flow3d_obs::Profile) 
         .expect("commit_total");
     assert!(
         reseeded * 10 < total,
-        "commit must re-resolve < 10% of seeds, got {reseeded}/{total}"
+        "commit must re-seed < 10% of cells, got {reseeded}/{total}"
     );
     profile.end("serve");
     let reply = server.process(3 + ECO_REQUESTS, Request::Shutdown);

@@ -31,7 +31,30 @@ use flow3d_gp::{GlobalPlacer, GpConfig};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
+/// [`print!`] for console output that may be cut off: writes to stdout
+/// and ignores a failure, so a closed stdout (`flow3d … | head`) ends the
+/// console output only, and the command still writes its files and exits
+/// normally.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::console(format_args!($($arg)*))
+    };
+}
+
+/// [`println!`] through [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
 mod serve_cmd;
+
+/// Writes console output to stdout, ignoring write errors (see [`out!`]).
+fn console(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let _ = std::io::stdout().lock().write_fmt(args);
+}
 
 fn main() -> ExitCode {
     match run() {
@@ -126,7 +149,7 @@ fn run() -> Result<(), String> {
         "eco" => serve_cmd::cmd_eco(&args),
         "serve" => serve_cmd::cmd_serve(&args),
         "--help" | "help" => {
-            println!("{}", usage());
+            outln!("{}", usage());
             Ok(())
         }
         other => Err(format!("unknown command `{other}`\n{}", usage())),
@@ -211,7 +234,7 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
     flow3d_io::write_case(&generated.design, &mut text).map_err(|e| e.to_string())?;
     let out = args.require("out")?;
     write(out, &text)?;
-    println!(
+    outln!(
         "wrote {out}: {} cells, {} macros, {} nets",
         generated.design.num_cells(),
         generated.design.num_macros(),
@@ -225,7 +248,7 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
         flow3d_io::write_placement3d(&generated.design, &placed, &mut text)
             .map_err(|e| e.to_string())?;
         write(gp_path, &text)?;
-        println!("wrote {gp_path}: global placement");
+        outln!("wrote {gp_path}: global placement");
     }
     Ok(())
 }
@@ -287,7 +310,7 @@ fn cmd_legalize(args: &Args) -> Result<(), String> {
 
     let stats = flow3d_metrics::displacement_stats(&design, &global, &outcome.placement);
     let dhpwl = flow3d_metrics::delta_hpwl_pct(&design, &global, &outcome.placement);
-    println!(
+    outln!(
         "{}: avg disp {:.3} rows, max disp {:.2} rows, dHPWL {:+.2}%, {} cross-die moves, {:.2}s",
         legalizer.name(),
         stats.avg,
@@ -309,29 +332,29 @@ fn cmd_legalize(args: &Args) -> Result<(), String> {
             report = report.with_peak_rss(rss);
         }
         write(path, &report.to_json())?;
-        print!("{}", report.to_pretty());
-        println!("wrote {path}");
+        out!("{}", report.to_pretty());
+        outln!("wrote {path}");
     }
     if let (Some(path), Some(profile)) = (trace_path, &profile) {
         let trace = profile
             .to_chrome_trace(&format!("flow3d {} {}", legalizer.name(), design.name()))
             .expect("tracing was enabled");
         write(path, &trace)?;
-        println!(
+        outln!(
             "wrote {path} ({} trace events)",
             profile.trace_events().len()
         );
     }
     if let (Some(path), Some(profile)) = (heatmaps_path, &profile) {
         write(path, &flow3d_obs::heatmaps_to_json(profile.heatmaps()))?;
-        println!("wrote {path} ({} heatmaps)", profile.heatmaps().len());
+        outln!("wrote {path} ({} heatmaps)", profile.heatmaps().len());
     }
 
     let mut text = String::new();
     flow3d_io::write_legal(&design, &outcome.placement, &mut text).map_err(|e| e.to_string())?;
     let out = args.require("out")?;
     write(out, &text)?;
-    println!("wrote {out}");
+    outln!("wrote {out}");
     Ok(())
 }
 
@@ -340,12 +363,12 @@ fn cmd_check(args: &Args) -> Result<(), String> {
     let legal_path = args.require("legal")?;
     let legal = flow3d_io::parse_legal(&design, &read(legal_path)?).map_err(|e| e.to_string())?;
     let report = flow3d_metrics::check_legal(&design, &legal);
-    println!("{report}");
+    outln!("{report}");
     if let Some(gp_path) = args.get("gp") {
         let global =
             flow3d_io::parse_placement3d(&design, &read(gp_path)?).map_err(|e| e.to_string())?;
         let stats = flow3d_metrics::displacement_stats(&design, &global, &legal);
-        println!(
+        outln!(
             "avg disp {:.3} rows, max disp {:.2} rows (cell {})",
             stats.avg,
             stats.max,
@@ -364,13 +387,13 @@ fn cmd_check(args: &Args) -> Result<(), String> {
 
 fn cmd_stats(args: &Args) -> Result<(), String> {
     let design = load_design(args)?;
-    println!("design  : {}", design.name());
-    println!("cells   : {}", design.num_cells());
-    println!("macros  : {}", design.num_macros());
-    println!("nets    : {}", design.num_nets());
+    outln!("design  : {}", design.name());
+    outln!("cells   : {}", design.num_cells());
+    outln!("macros  : {}", design.num_macros());
+    outln!("nets    : {}", design.num_nets());
     for (idx, die) in design.dies().iter().enumerate() {
         let die_id = DieId::new(idx);
-        println!(
+        outln!(
             "die {:<7}: outline {}, rows {} x {} DBU, site {}, max util {:.0}%, free area {}",
             die.name,
             die.outline,
@@ -389,7 +412,7 @@ fn load_report(path: &str) -> Result<flow3d_obs::RunReport, String> {
 }
 
 fn cmd_report_show(path: &str) -> Result<(), String> {
-    print!("{}", load_report(path)?.to_pretty());
+    out!("{}", load_report(path)?.to_pretty());
     Ok(())
 }
 
@@ -410,9 +433,9 @@ fn cmd_report_diff(baseline_path: &str, current_path: &str, args: &Args) -> Resu
     };
     let diff = flow3d_obs::diff_reports_phase(&baseline, &current, &tol, args.get("phase"));
     if let Some(phase) = args.get("phase") {
-        println!("phase filter: {phase}");
+        outln!("phase filter: {phase}");
     }
-    print!("{}", diff.to_pretty());
+    out!("{}", diff.to_pretty());
     match diff.worst() {
         flow3d_obs::DiffStatus::Fail => Err(format!(
             "regression beyond tolerance vs {baseline_path} (see FAIL rows above)"
@@ -437,7 +460,7 @@ fn cmd_viz_heatmaps(args: &Args, sidecar: &str) -> Result<(), String> {
     };
     let out = args.require("out")?;
     write(out, &flow3d_viz::heatmap_svg(map))?;
-    println!("wrote {out} ({})", map.name);
+    outln!("wrote {out} ({})", map.name);
     Ok(())
 }
 
@@ -458,7 +481,7 @@ fn cmd_viz(args: &Args) -> Result<(), String> {
     let svg = flow3d_viz::DisplacementPlot::new(&design, &global, &legal, die).to_svg();
     let out = args.require("out")?;
     write(out, &svg)?;
-    println!("wrote {out}");
+    outln!("wrote {out}");
     Ok(())
 }
 
@@ -466,11 +489,11 @@ fn cmd_viz(args: &Args) -> Result<(), String> {
 /// over the workspace (same engine as `cargo run -p flow3d-lint`).
 fn cmd_tidy(args: &Args) -> Result<(), String> {
     if args.flag("list") {
-        println!("{:<4} {:<24} rationale", "id", "name");
+        outln!("{:<4} {:<24} rationale", "id", "name");
         for lint in flow3d_lint::ALL_LINTS {
-            println!("{:<4} {:<24} {}", lint.id(), lint.name(), lint.rationale());
+            outln!("{:<4} {:<24} {}", lint.id(), lint.name(), lint.rationale());
         }
-        println!(
+        outln!(
             "\nsuppression: // flow3d-tidy: allow(<name>) — <reason>   (reason required; \
              covers the same line and the next)"
         );
@@ -486,7 +509,7 @@ fn cmd_tidy(args: &Args) -> Result<(), String> {
     };
     let report = flow3d_lint::run(&root, args.flag("fix")).map_err(|e| format!("tidy: {e}"))?;
     if args.flag("json") {
-        print!(
+        out!(
             "{}",
             flow3d_lint::render_json(
                 &report.violations,

@@ -42,7 +42,7 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), String> {
     let local = listener.local_addr().map_err(|e| e.to_string())?;
     // Printed before accepting so scripts binding port 0 can discover
     // the real port.
-    println!("flow3d-serve listening on {local}");
+    outln!("flow3d-serve listening on {local}");
     server
         .serve_listener(listener)
         .map_err(|e| format!("{local}: {e}"))
@@ -50,7 +50,7 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), String> {
 
 #[cfg(unix)]
 fn serve_unix(server: &Server, path: &str) -> Result<(), String> {
-    println!("flow3d-serve listening on unix:{path}");
+    outln!("flow3d-serve listening on unix:{path}");
     server
         .serve_unix(std::path::Path::new(path))
         .map_err(|e| format!("unix:{path}: {e}"))
@@ -137,7 +137,7 @@ pub(crate) fn cmd_request(argv: &[String]) -> Result<(), String> {
     }
     match args.get("out") {
         Some(path) => write(path, &out)?,
-        None => print!("{out}"),
+        None => out!("{out}"),
     }
     if failures > 0 && !args.flag("allow-errors") {
         return Err(format!(
@@ -259,7 +259,7 @@ pub(crate) fn cmd_eco(args: &Args) -> Result<(), String> {
     let outcome = legalizer
         .legalize_incremental_observed(&design, &base, &moves, profile.as_mut())
         .map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "eco: {} moves requested, {} cells moved, {} cross-die, {} augmentations",
         moves.len(),
         outcome.stats.cells_moved,
@@ -272,12 +272,12 @@ pub(crate) fn cmd_eco(args: &Args) -> Result<(), String> {
             report = report.with_peak_rss(rss);
         }
         write(path, &report.to_json())?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     let mut text = String::new();
     flow3d_io::write_legal(&design, &outcome.placement, &mut text).map_err(|e| e.to_string())?;
     let out = args.require("out")?;
     write(out, &text)?;
-    println!("wrote {out}");
+    outln!("wrote {out}");
     Ok(())
 }

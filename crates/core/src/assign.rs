@@ -3,7 +3,7 @@
 
 use crate::error::LegalizeError;
 use crate::grid::BinGrid;
-use crate::state::{FlowState, GeomSource};
+use crate::state::{FlowState, GeomSource, Seed};
 use flow3d_db::{CellId, Design, DieId, Placement3d, RowLayout};
 use flow3d_geom::Point;
 
@@ -158,31 +158,23 @@ pub fn build_state_with_geom<'a>(
         });
     }
     let anchor = anchors(design, global);
-    let mut state = FlowState::with_geom(design, layout, grid, anchor.clone(), geom);
-    for i in 0..design.num_cells() {
-        let cell = CellId::new(i);
-        let a = anchor[i];
-        let mut placed = false;
-        // Assigned die first, then the others.
-        let mut order: Vec<DieId> = vec![dies[i]];
-        order.extend(
-            (0..design.num_dies())
-                .map(DieId::new)
-                .filter(|&d| d != dies[i]),
-        );
-        for die in order {
-            let w = state.cell_width(cell, die);
-            if let Some((seg, x)) = layout.nearest_position(design, die, a.x, a.y, w) {
-                let hint = grid.bin_at(seg.id, x);
-                state.insert_cell(cell, hint, x);
-                dies[i] = die;
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            return Err(LegalizeError::NoPosition { cell });
-        }
+    let seeds: Vec<Seed> = anchor
+        .iter()
+        .zip(dies.iter())
+        .enumerate()
+        .map(|(i, (&at, &die))| Seed {
+            cell: CellId::new(i),
+            die,
+            at,
+            any_die: true,
+        })
+        .collect();
+    let mut state = FlowState::with_geom(design, layout, grid, anchor, geom);
+    if let Some(&cell) = state.seed(&seeds).first() {
+        return Err(LegalizeError::NoPosition { cell });
+    }
+    for (i, die) in dies.iter_mut().enumerate() {
+        *die = state.cell_die(CellId::new(i));
     }
     Ok(state)
 }

@@ -7,16 +7,23 @@
 //! overflow is drained by another (incremental) flow pass on a finer bin
 //! grid (`5·w̄_c`), followed by `PlaceRow`. Passes repeat while the
 //! maximum displacement improves.
+//!
+//! The flow formulation makes this incremental (§III-E): one state,
+//! seeded once at the current placement, serves every pass. A pass
+//! re-seeds only its selected cells under the state's undo journal, and
+//! re-runs `PlaceRow` only on segments a journaled cell left or entered;
+//! then it rolls back. An accepted pass re-seeds only the cells it moved.
 
 use crate::assign;
 use crate::config::Flow3dConfig;
-use crate::driver::{bin_widths, flow_pass_threaded, placerow_all_threaded};
+use crate::driver::{bin_widths, flow_pass_threaded_pooled, placerow_segments};
 use crate::error::LegalizeError;
 use crate::grid::BinGrid;
-use crate::search::SearchParams;
-use crate::state::{FlowState, GeomSource};
+use crate::search::{SearchParams, SearchPool};
+use crate::state::{FlowState, GeomSource, Seed};
 use crate::traits::LegalizeStats;
 use flow3d_db::{CellId, Design, LegalPlacement, Placement3d, RowLayout};
+use flow3d_geom::Point;
 use flow3d_obs::{keys, Obs, ObsExt};
 
 /// Runs up to `config.post_passes` cycle-canceling passes, replacing
@@ -54,8 +61,8 @@ pub fn post_optimize(
     )
 }
 
-/// [`post_optimize`] with an explicit geometry source shared by every
-/// pass's re-seeded [`FlowState`] (the driver passes its prebuilt view).
+/// [`post_optimize`] with an explicit geometry source for the passes'
+/// shared [`FlowState`] (the driver passes its prebuilt view).
 ///
 /// # Errors
 ///
@@ -94,80 +101,97 @@ pub fn post_optimize_with_geom(
     };
     let max_disp =
         |pl: &LegalPlacement| (0..n).map(|i| disp(pl, CellId::new(i))).max().unwrap_or(0);
+    let at = |pl: &LegalPlacement, c: CellId| Seed {
+        cell: c,
+        die: pl.die(c),
+        at: pl.pos(c),
+        any_die: false,
+    };
 
+    // One state for every pass, seeded at the current placement. A pass
+    // runs under the undo journal and rolls back, so between passes only
+    // the cells an accepted pass moved are re-seeded.
+    let mut state = FlowState::with_geom(design, layout, &grid, anchors.clone(), geom.clone());
+    let all: Vec<Seed> = (0..n).map(|i| at(placement, CellId::new(i))).collect();
+    let failed = state.seed(&all);
+    drop(all);
+    if !failed.is_empty() {
+        return Ok(()); // cannot re-seed (pathological layout); keep current
+    }
+    let mut pool = SearchPool::new();
     let mut current_max = max_disp(placement);
     for _pass in 0..config.post_passes {
         let threshold = (5 * h_max).max(current_max / 2);
-        let selected: Vec<CellId> = (0..n)
+        // Selected cells move to the midpoint toward their origin.
+        let selected: Vec<Seed> = (0..n)
             .map(CellId::new)
             .filter(|&c| disp(placement, c) > threshold)
+            .map(|c| {
+                let (p, a) = (placement.pos(c), anchors[c.index()]);
+                Seed {
+                    at: Point::new((p.x + a.x) / 2, (p.y + a.y) / 2),
+                    ..at(placement, c)
+                }
+            })
             .collect();
         if selected.is_empty() {
             break;
         }
-
-        // Re-seed: selected cells at the midpoint toward their origin,
-        // everything else at its current legal position.
-        let mut state = FlowState::with_geom(design, layout, &grid, anchors.clone(), geom.clone());
-        let mut is_selected = vec![false; n];
-        for &c in &selected {
-            is_selected[c.index()] = true;
-        }
-        let mut seeded = true;
-        for i in 0..n {
-            let c = CellId::new(i);
-            let die = placement.die(c);
-            let p = placement.pos(c);
-            let (x, y) = if is_selected[i] {
-                let a = anchors[i];
-                ((p.x + a.x) / 2, (p.y + a.y) / 2)
-            } else {
-                (p.x, p.y)
-            };
-            let w = state.cell_width(c, die);
-            match layout.nearest_position(design, die, x, y, w) {
-                Some((seg, sx)) => {
-                    let hint = state.grid.bin_at(seg.id, sx);
-                    state.insert_cell(c, hint, sx);
-                }
-                None => {
-                    seeded = false;
-                    break;
-                }
-            }
-        }
-        if !seeded {
+        state.checkpoint();
+        if !state.seed(&selected).is_empty() {
             break; // cannot re-seed (pathological layout); keep current
         }
 
         // Accumulate the pass's counters into a scratch first: a rejected
         // pass's placement is discarded, so its augmentations/moves must
         // not pollute the reported run totals either. The observability
-        // counters (bumped inside flow_pass_threaded) still record the
-        // work — telemetry measures work done, stats the accepted outcome.
+        // counters (bumped inside the flow pass) still record the work —
+        // telemetry measures work done, stats the accepted outcome.
         let mut pass_stats = LegalizeStats::default();
         obs.begin("flow_pass");
-        let flowed = flow_pass_threaded(
+        let flowed = flow_pass_threaded_pooled(
             &mut state,
             base_params,
             threads,
             &mut pass_stats,
             obs.reborrow(),
+            &mut pool,
         );
         obs.end("flow_pass");
         flowed?;
+        // Only segments a re-seeded or flow-moved cell left or entered
+        // can place differently from `placement`.
+        let mut candidate = placement.clone();
         obs.begin("placerow");
-        let placed = placerow_all_threaded(&state, config.row_algo, threads, obs.reborrow());
+        let placed = placerow_segments(
+            &state,
+            config.row_algo,
+            &state.journal_segments(),
+            threads,
+            obs.reborrow(),
+            &mut candidate,
+        );
         obs.end("placerow");
-        let candidate = placed?;
+        placed?;
+        state.rollback();
         let new_max = max_disp(&candidate);
         if new_max < current_max {
+            let moved: Vec<Seed> = (0..n)
+                .map(CellId::new)
+                .filter(|&c| {
+                    candidate.pos(c) != placement.pos(c) || candidate.die(c) != placement.die(c)
+                })
+                .map(|c| at(&candidate, c))
+                .collect();
             *placement = candidate;
             current_max = new_max;
             stats.absorb(&pass_stats);
             stats.post_passes += 1;
             obs.bump(keys::CYCLE_RELEGALIZATIONS, 1);
             obs.instant("cycle_pass_accepted");
+            if !state.seed(&moved).is_empty() {
+                break;
+            }
         } else {
             obs.instant("cycle_pass_rejected");
             break;

@@ -14,10 +14,12 @@ use crate::search::{
 use crate::selection::SelectionParams;
 use crate::state::{FlowState, GeomSource};
 use crate::traits::{LegalizeOutcome, LegalizeStats, Legalizer};
-use flow3d_db::{CellId, Design, DieId, LegalPlacement, Placement3d, RowLayout, SoaView};
+use flow3d_db::{
+    CellId, Design, DieId, LegalPlacement, Placement3d, RowLayout, Segment, SegmentId, SoaView,
+};
 use flow3d_geom::Point;
 use flow3d_obs::{hist_keys, keys, Heatmap, Obs, ObsExt, Profile};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Per-die nominal bin widths: `factor · w̄_c(die)`, snapped up to the
 /// die's site grid (§III-F).
@@ -604,10 +606,10 @@ pub fn placerow_all_observed(
 ///
 /// Segments are independent once the flow phase fixed the cell→bin
 /// assignment: a cell's fragments always sit inside a single segment
-/// (enforced by `FlowState::check_invariants`), so the straddling-cell
-/// dedup is segment-local and no two workers ever touch the same cell.
-/// Results merge in segment order, making the output — placements *and*
-/// the first reported error — identical for every thread count.
+/// (enforced by `FlowState::check_invariants`), so no two workers ever
+/// touch the same cell. Results merge in segment order, making the
+/// output — placements *and* the first reported error — identical for
+/// every thread count.
 ///
 /// # Errors
 ///
@@ -616,53 +618,51 @@ pub fn placerow_all_threaded(
     state: &FlowState<'_>,
     algo: RowAlgo,
     threads: usize,
-    mut obs: Obs<'_>,
+    obs: Obs<'_>,
 ) -> Result<LegalPlacement, LegalizeError> {
-    let design = state.design;
-    let segs = state.layout.segments();
+    let all: Vec<SegmentId> = state.layout.segments().iter().map(|s| s.id).collect();
+    let mut placement = LegalPlacement::new(state.design.num_cells());
+    placerow_segments(state, algo, &all, threads, obs, &mut placement)?;
+    Ok(placement)
+}
+
+/// Runs `PlaceRow` on each of `segments` (ascending ids) and writes their
+/// cells into `placement`; every other cell keeps its position there.
+/// The main pass passes every segment. Post-optimization and the ECO
+/// engine pass only the segments whose membership changed, because the
+/// `PlaceRow` of a segment depends only on which cells are in it.
+/// Workers and result order are those of [`placerow_all_threaded`], and
+/// [`keys::PLACEROW_CALLS`] counts one per non-empty segment placed.
+///
+/// # Errors
+///
+/// Same as [`placerow_all`], for the first failing segment in
+/// `segments` order; `placement` is then partly written.
+pub(crate) fn placerow_segments(
+    state: &FlowState<'_>,
+    algo: RowAlgo,
+    segments: &[SegmentId],
+    threads: usize,
+    mut obs: Obs<'_>,
+    placement: &mut LegalPlacement,
+) -> Result<(), LegalizeError> {
     let observing = obs.is_some();
     let trace_epoch = obs.as_deref().and_then(Profile::tracing_epoch);
 
-    type SegmentPlacement = Result<Vec<(usize, i64)>, LegalizeError>;
     let (per_segment, worker_profiles) = flow3d_par::par_map_with(
         threads.max(1),
-        segs.len(),
+        segments.len(),
         || Profile::new_worker(trace_epoch),
-        |wprof, i| -> SegmentPlacement {
-            let seg = &segs[i];
-            let die = design.die(seg.die);
-            let mut items: Vec<RowItem> = Vec::new();
-            let mut seen: BTreeSet<usize> = BTreeSet::new();
-            for &bid in state.grid.bins_in_segment(seg.id) {
-                for frag in state.frags_in(bid) {
-                    if !seen.insert(frag.cell.index()) {
-                        continue; // other fragment of a straddling cell
-                    }
-                    let w = state.cell_width(frag.cell, seg.die);
-                    // The flow phase decides the *segment*; within it,
-                    // trust PlaceRow's quadratic optimum from the raw
-                    // anchor (the total width fits by construction).
-                    let anchor = state.anchor(frag.cell);
-                    let desired = anchor.x.clamp(seg.span.lo, seg.span.hi - w);
-                    items.push(RowItem {
-                        key: frag.cell.index(),
-                        desired,
-                        width: w,
-                        weight: w as f64,
-                    });
-                }
-            }
+        |wprof, i| {
+            let seg = state.layout.segment(segments[i]);
+            let items = segment_items(state, seg);
             if items.is_empty() {
                 return Ok(Vec::new());
             }
             if observing {
                 wprof.begin("segment");
             }
-            let placed = place_row_with(algo, &items, seg.span, die.outline.xlo, die.site_width)
-                .map_err(|e| LegalizeError::SegmentOverflow {
-                    die: seg.die,
-                    excess: e.total_width - e.segment_width,
-                });
+            let placed = place_items(state, algo, seg, &items);
             if observing {
                 wprof.end("segment");
             }
@@ -677,9 +677,8 @@ pub fn placerow_all_threaded(
         }
     }
 
-    let mut placement = LegalPlacement::new(design.num_cells());
-    for (i, result) in per_segment.into_iter().enumerate() {
-        let seg = &segs[i];
+    for (&seg_id, result) in segments.iter().zip(per_segment) {
+        let seg = state.layout.segment(seg_id);
         let placed = result?; // first failing segment in segment order
         if placed.is_empty() {
             continue;
@@ -692,7 +691,78 @@ pub fn placerow_all_threaded(
             placement.place(CellId::new(key), Point::new(x, seg.y), seg.die);
         }
     }
-    Ok(placement)
+    Ok(())
+}
+
+/// `PlaceRow` of one segment: `(cell index, x)` per member cell.
+///
+/// # Errors
+///
+/// [`LegalizeError::SegmentOverflow`] if the members do not fit.
+pub(crate) fn place_segment(
+    state: &FlowState<'_>,
+    algo: RowAlgo,
+    seg: &Segment,
+) -> Result<Vec<(usize, i64)>, LegalizeError> {
+    place_items(state, algo, seg, &segment_items(state, seg))
+}
+
+/// The row items of one segment: every member cell once, counted at the
+/// first bin of its fragments.
+fn segment_items(state: &FlowState<'_>, seg: &Segment) -> Vec<RowItem> {
+    let mut items: Vec<RowItem> = Vec::new();
+    for &bid in state.grid.bins_in_segment(seg.id) {
+        for frag in state.frags_in(bid) {
+            if state.cell_frags(frag.cell)[0].0 != bid {
+                continue; // other fragment of a straddling cell
+            }
+            let w = state.cell_width(frag.cell, seg.die);
+            // The flow phase decides the *segment*; within it, trust
+            // PlaceRow's quadratic optimum from the raw anchor (the total
+            // width fits by construction).
+            let anchor = state.anchor(frag.cell);
+            let desired = anchor.x.clamp(seg.span.lo, seg.span.hi - w);
+            items.push(RowItem {
+                key: frag.cell.index(),
+                desired,
+                width: w,
+                weight: w as f64,
+            });
+        }
+    }
+    items
+}
+
+fn place_items(
+    state: &FlowState<'_>,
+    algo: RowAlgo,
+    seg: &Segment,
+    items: &[RowItem],
+) -> Result<Vec<(usize, i64)>, LegalizeError> {
+    let die = state.design.die(seg.die);
+    place_row_with(algo, items, seg.span, die.outline.xlo, die.site_width).map_err(|e| {
+        LegalizeError::SegmentOverflow {
+            die: seg.die,
+            excess: e.total_width - e.segment_width,
+        }
+    })
+}
+
+/// The search parameters every 3D-Flow pass uses: `α` from the config,
+/// the smallest row height as the pruning slack, the largest as the D2D
+/// crossing penalty, and signed move costs.
+pub(crate) fn search_params(design: &Design, cfg: &Flow3dConfig) -> SearchParams {
+    let heights = || design.dies().iter().map(|d| d.row_height);
+    SearchParams {
+        alpha: cfg.alpha,
+        slack: heights().min().unwrap_or(1) as f64,
+        dijkstra: false,
+        selection: SelectionParams {
+            clamp_negative: false,
+            d2d_congestion_cost: cfg.d2d_congestion_cost,
+            d2d_penalty: heights().max().unwrap_or(1) as f64,
+        },
+    }
 }
 
 /// The 3D-Flow legalizer (paper Algorithm 2).
@@ -790,28 +860,7 @@ impl Flow3dLegalizer {
         obs.end("assign");
         let mut state = state?;
 
-        let slack = design
-            .dies()
-            .iter()
-            .map(|d| d.row_height)
-            .min()
-            .unwrap_or(1) as f64;
-        let d2d_penalty = design
-            .dies()
-            .iter()
-            .map(|d| d.row_height)
-            .max()
-            .unwrap_or(1) as f64;
-        let params = SearchParams {
-            alpha: cfg.alpha,
-            slack,
-            dijkstra: false,
-            selection: SelectionParams {
-                clamp_negative: false,
-                d2d_congestion_cost: cfg.d2d_congestion_cost,
-                d2d_penalty,
-            },
-        };
+        let params = search_params(design, cfg);
 
         let mut stats = LegalizeStats::default();
         obs.begin("flow_pass");
@@ -823,6 +872,8 @@ impl Flow3dLegalizer {
         let placed = placerow_all_threaded(&state, cfg.row_algo, threads, obs.reborrow());
         obs.end("placerow");
         let mut placement = placed?;
+        // Post-optimization seeds a state of its own on a finer grid.
+        drop(state);
 
         if cfg.post_opt {
             obs.begin("post_opt");

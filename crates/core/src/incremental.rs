@@ -14,19 +14,13 @@
 //! positions. A fine bin grid (the post-optimization width `5·w̄_c`) keeps
 //! the cost model precise for the localized overflow.
 
-use crate::config::Flow3dConfig;
-use crate::driver::{
-    bin_widths, flow_pass_threaded_pooled, placerow_all_threaded, Flow3dLegalizer,
-};
+use crate::driver::Flow3dLegalizer;
 use crate::error::LegalizeError;
-use crate::grid::{BinGrid, BinId};
-use crate::search::{SearchParams, SearchPool};
-use crate::selection::SelectionParams;
-use crate::state::{FlowState, GeomSource};
-use crate::traits::{LegalizeOutcome, LegalizeStats};
-use flow3d_db::{CellId, Design, DieId, LegalPlacement, RowLayout};
+use crate::resident::EcoEngine;
+use crate::traits::LegalizeOutcome;
+use flow3d_db::{CellId, Design, DieId, LegalPlacement};
 use flow3d_geom::Point;
-use flow3d_obs::{Obs, ObsExt};
+use flow3d_obs::Obs;
 
 /// One requested cell change in an ECO.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,6 +62,8 @@ impl Flow3dLegalizer {
     /// `"placerow"` phases plus the usual search counters into `obs` when
     /// it is `Some` (see [`flow3d_obs`]).
     ///
+    /// This is a resident [`EcoEngine`] built for one request.
+    ///
     /// # Errors
     ///
     /// Same as [`legalize_incremental`](Self::legalize_incremental).
@@ -78,208 +74,9 @@ impl Flow3dLegalizer {
         moves: &[CellMove],
         obs: Obs<'_>,
     ) -> Result<LegalizeOutcome, LegalizeError> {
-        let n = design.num_cells();
-        if base.num_cells() != n {
-            return Err(LegalizeError::PlacementMismatch {
-                design_cells: n,
-                placement_cells: base.num_cells(),
-            });
-        }
-        let cfg = self.config();
-        let layout = RowLayout::build(design);
-        let widths = bin_widths(design, cfg.post_bin_width_factor);
-        let grid = BinGrid::build(design, &layout, &widths, cfg.allow_d2d);
-        let threads = flow3d_par::resolve_threads(cfg.threads);
-        let mut pool = SearchPool::new();
-        let geom = if cfg.soa_view {
-            GeomSource::Owned(flow3d_db::SoaView::geometry(design))
-        } else {
-            GeomSource::IdMap
-        };
-        let ctx = EcoContext {
-            design,
-            layout: &layout,
-            grid: &grid,
-            cfg,
-            base,
-            seed_cache: None,
-            threads,
-            geom,
-        };
-        run_eco(&ctx, moves, &mut pool, obs)
+        EcoEngine::new(self.config().clone(), design.clone(), base.clone())?
+            .eco_observed(moves, obs)
     }
-}
-
-/// Everything one ECO run reads but does not own: the design-derived
-/// structures (resident in [`crate::EcoEngine`], rebuilt per call by
-/// [`Flow3dLegalizer::legalize_incremental`]) plus the run knobs.
-pub(crate) struct EcoContext<'a> {
-    /// The design being legalized.
-    pub design: &'a Design,
-    /// Row layout of `design`.
-    pub layout: &'a RowLayout,
-    /// Bin grid built at the post-optimization width.
-    pub grid: &'a BinGrid,
-    /// Legalizer configuration (alpha, row algorithm, …).
-    pub cfg: &'a Flow3dConfig,
-    /// The legal placement the ECO perturbs; anchors and the cross-die
-    /// counter are relative to it.
-    pub base: &'a LegalPlacement,
-    /// Pre-resolved seed slot per cell at its *base* anchor and die
-    /// (`None` entry = the base cell fits nowhere on its die). A resident
-    /// engine computes this once so unmoved cells skip
-    /// `nearest_position`; `None` resolves every cell fresh.
-    pub seed_cache: Option<&'a [Option<(BinId, i64)>]>,
-    /// Worker count for the flow and PlaceRow phases.
-    pub threads: usize,
-    /// Geometry source for the seeded state (a resident engine borrows
-    /// its long-lived view; one-shot ECOs own a fresh one).
-    pub geom: GeomSource<'a>,
-}
-
-/// Resolves the seed slot for `cell` anchored at `a` on `die`: the
-/// nearest legal position and the bin that contains it.
-pub(crate) fn resolve_seed(
-    design: &Design,
-    layout: &RowLayout,
-    grid: &BinGrid,
-    geom: &GeomSource<'_>,
-    die: DieId,
-    a: Point,
-    cell: CellId,
-) -> Option<(BinId, i64)> {
-    let w = geom.cell_width(design, cell, die);
-    layout
-        .nearest_position(design, die, a.x, a.y, w)
-        .map(|(seg, x)| (grid.bin_at(seg.id, x), x))
-}
-
-/// The shared ECO pipeline: seed a fresh [`FlowState`] from `ctx.base`
-/// with `moves` applied, drain the overflow, and run PlaceRow.
-///
-/// Both the one-shot [`Flow3dLegalizer::legalize_incremental`] and the
-/// resident [`crate::EcoEngine`] funnel through this function, which is
-/// what makes their placements bit-identical by construction: the state
-/// is always built by the same insert loop in cell order (cached seeds
-/// replay exactly what `resolve_seed` would recompute), and everything
-/// downstream is deterministic in the seeded state.
-pub(crate) fn run_eco(
-    ctx: &EcoContext<'_>,
-    moves: &[CellMove],
-    pool: &mut SearchPool,
-    mut obs: Obs<'_>,
-) -> Result<LegalizeOutcome, LegalizeError> {
-    let (design, layout, grid, cfg) = (ctx.design, ctx.layout, ctx.grid, ctx.cfg);
-    let n = design.num_cells();
-
-    // Anchors: base positions, overridden by the requested targets.
-    obs.begin("eco_seed");
-    let mut anchors: Vec<Point> = (0..n).map(|i| ctx.base.pos(CellId::new(i))).collect();
-    let mut target_die: Vec<DieId> = (0..n).map(|i| ctx.base.die(CellId::new(i))).collect();
-    let mut is_moved = vec![false; n];
-    for mv in moves {
-        anchors[mv.cell.index()] = mv.target;
-        is_moved[mv.cell.index()] = true;
-        if let Some(die) = mv.die {
-            target_die[mv.cell.index()] = die;
-        }
-    }
-
-    let mut state = FlowState::with_geom(design, layout, grid, anchors.clone(), ctx.geom.clone());
-    for i in 0..n {
-        let cell = CellId::new(i);
-        let seeded = if !is_moved[i] {
-            // Unmoved cell: its anchor and die are exactly the base's, so
-            // a resident seed cache replays the same resolution. No die
-            // fallback — an unmoved cell that fails to seed means the
-            // base placement is not legal on its own die; silently
-            // relocating it would hide the corruption, so let it surface
-            // as `NoPosition` below.
-            match ctx.seed_cache {
-                Some(cache) => cache[i],
-                None => resolve_seed(
-                    design,
-                    layout,
-                    grid,
-                    &ctx.geom,
-                    target_die[i],
-                    anchors[i],
-                    cell,
-                ),
-            }
-        } else {
-            // Moved cell: resolve the requested target fresh; if the
-            // requested die cannot host the cell at all, fall back to any
-            // die that can.
-            resolve_seed(
-                design,
-                layout,
-                grid,
-                &ctx.geom,
-                target_die[i],
-                anchors[i],
-                cell,
-            )
-            .or_else(|| {
-                (0..design.num_dies()).map(DieId::new).find_map(|d| {
-                    resolve_seed(design, layout, grid, &ctx.geom, d, anchors[i], cell)
-                })
-            })
-        };
-        match seeded {
-            Some((hint, x)) => state.insert_cell(cell, hint, x),
-            None => {
-                obs.end("eco_seed");
-                return Err(LegalizeError::NoPosition { cell });
-            }
-        }
-    }
-    obs.end("eco_seed");
-
-    let slack = design
-        .dies()
-        .iter()
-        .map(|d| d.row_height)
-        .min()
-        .unwrap_or(1) as f64;
-    let d2d_penalty = design
-        .dies()
-        .iter()
-        .map(|d| d.row_height)
-        .max()
-        .unwrap_or(1) as f64;
-    let params = SearchParams {
-        alpha: cfg.alpha,
-        slack,
-        dijkstra: false,
-        selection: SelectionParams {
-            clamp_negative: false,
-            d2d_congestion_cost: cfg.d2d_congestion_cost,
-            d2d_penalty,
-        },
-    };
-    let mut stats = LegalizeStats::default();
-    obs.begin("flow_pass");
-    let flowed = flow_pass_threaded_pooled(
-        &mut state,
-        &params,
-        ctx.threads,
-        &mut stats,
-        obs.reborrow(),
-        pool,
-    );
-    obs.end("flow_pass");
-    flowed?;
-    obs.begin("placerow");
-    let placed = placerow_all_threaded(&state, cfg.row_algo, ctx.threads, obs.reborrow());
-    obs.end("placerow");
-    let placement = placed?;
-
-    // Cross-die counter relative to the *base* placement here.
-    stats.cross_die_moves = (0..n)
-        .filter(|&i| placement.die(CellId::new(i)) != ctx.base.die(CellId::new(i)))
-        .count();
-    Ok(LegalizeOutcome { placement, stats })
 }
 
 #[cfg(test)]

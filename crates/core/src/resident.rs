@@ -1,48 +1,60 @@
-//! Resident ECO engine: warm-cache lifecycle for repeated incremental
-//! legalization.
+//! Resident ECO engine: one seeded flow state kept warm across
+//! incremental-legalization requests.
 //!
-//! [`Flow3dLegalizer::legalize_incremental`](crate::Flow3dLegalizer::legalize_incremental) re-derives everything on
-//! every call: it re-parses nothing, but it does rebuild the
-//! [`RowLayout`], the [`BinGrid`], re-resolves a seed position for every
-//! cell, and allocates fresh search scratch — the wrong shape for a
-//! service that replays small ECO batches against one design. This
-//! module hoists all of that into an [`EcoEngine`] that owns the design
-//! and keeps resident, across requests:
+//! An [`EcoEngine`] owns the design and keeps resident, across requests:
 //!
 //! * the **row layout** and **bin grid** (CSR adjacency) of the design,
-//! * a **seed cache**: the resolved `(bin, x)` slot of every cell at its
-//!   base position, so unmoved cells skip `nearest_position` entirely,
+//!   at the post-optimization bin width;
+//! * the **seeded state**: the flow-state columns with every cell seeded
+//!   at, and anchored to, its base position;
 //! * the **search pool**: per-worker [`SearchScratch`](crate::search::SearchScratch)
 //!   arenas (node arena, heap, selection buffer), which keep their
 //!   allocations across requests.
 //!
-//! # Bit-identity with the one-shot path
+//! A request opens the state's undo journal, re-anchors and re-seeds only
+//! the moved cells, runs the flow pass, and re-runs `PlaceRow` only on the
+//! segments whose membership changed, patching a copy of the base. Then
+//! it rolls the journal back, on every exit path, so the state is the
+//! seeded base again. [`EcoEngine::commit`] re-seeds only the cells whose
+//! position or die changed.
 //!
-//! [`EcoEngine::eco`] and [`Flow3dLegalizer::legalize_incremental`](crate::Flow3dLegalizer::legalize_incremental) run
-//! the *same* pipeline (`crate::incremental::run_eco`): the per-request
-//! [`FlowState`](crate::state::FlowState) is rebuilt by the same insert loop in cell
-//! order, with cached seeds replaying exactly what fresh resolution
-//! would compute. Every downstream phase is deterministic in the seeded
-//! state, so the engine's placements are bit-identical to the one-shot
-//! API for every request — the caches carry capacity, never decisions.
-//! Nothing a request computes survives into the next one except through
-//! [`EcoEngine::commit`], which changes the base on purpose.
+//! # Bit-identity with a fresh seed
+//!
+//! Every placement equals what a fresh whole-design seed of the same
+//! request followed by `PlaceRow` on every segment would produce:
+//!
+//! * the rolled-back state holds the same fragments as a fresh seed of
+//!   the base; only the order of fragments inside a bin differs, and
+//!   nothing downstream depends on it (selection sorts by
+//!   `(unit, cell)`, `PlaceRow` by `(desired, key)`, the teleport
+//!   fallback by `(width, cell)`);
+//! * the `PlaceRow` of a segment depends only on which cells are in it,
+//!   and a segment no journaled cell left or entered holds the seeded
+//!   base's cells, whose rows `PlaceRow` leaves as they are in a legal
+//!   base. Segments where it would not (an illegal base) are found when
+//!   the base is seeded and re-placed by every request.
+//!
+//! `tests/stage_properties.rs` checks this against the fresh-seed
+//! pipeline on random designs and request streams with commits.
 
 use crate::config::Flow3dConfig;
-use crate::driver::bin_widths;
+use crate::driver::{
+    bin_widths, flow_pass_threaded_pooled, place_segment, placerow_segments, search_params,
+};
 use crate::error::LegalizeError;
-use crate::grid::{BinGrid, BinId};
-use crate::incremental::{resolve_seed, run_eco, CellMove, EcoContext};
+use crate::grid::BinGrid;
+use crate::incremental::CellMove;
 use crate::search::SearchPool;
-use crate::state::GeomSource;
-use crate::traits::LegalizeOutcome;
-use flow3d_db::{CellId, Design, LegalPlacement, RowLayout, SoaView};
-use flow3d_obs::Obs;
+use crate::state::{FlowColumns, FlowState, GeomSource, Seed};
+use crate::traits::{LegalizeOutcome, LegalizeStats};
+use flow3d_db::{CellId, Design, LegalPlacement, RowLayout, SegmentId, SoaView};
+use flow3d_geom::Point;
+use flow3d_obs::{Obs, ObsExt};
 
 /// A resident incremental-legalization engine: one design, one base
-/// placement, warm caches across ECO requests.
+/// placement, one seeded flow state kept warm across ECO requests.
 ///
-/// See the [module docs](self) for the cache lifecycle and the
+/// See the [module docs](self) for the state lifecycle and the
 /// bit-identity argument. Typical use:
 ///
 /// ```
@@ -64,11 +76,16 @@ pub struct EcoEngine {
     layout: RowLayout,
     grid: BinGrid,
     base: LegalPlacement,
-    /// Resolved `(bin, x)` seed of every cell at its base anchor/die;
-    /// `None` = the base cell fits nowhere on its own die (surfaces as
-    /// [`LegalizeError::NoPosition`] on the next request, exactly like
-    /// the one-shot path).
-    seed_cache: Vec<Option<(BinId, i64)>>,
+    /// The flow state seeded at `base`, anchors at the base positions.
+    /// A request borrows it under the undo journal and rolls it back.
+    cols: FlowColumns,
+    /// Base cells that fit nowhere on their own die, ascending. A request
+    /// that does not move them fails with [`LegalizeError::NoPosition`].
+    unseedable: Vec<CellId>,
+    /// Segments whose base rows differ from `PlaceRow` of the seeded
+    /// state (or fail it), ascending. Only an illegal base has them;
+    /// every request re-places them.
+    irregular: Vec<SegmentId>,
     /// Resident geometry columns (`None` when `cfg.soa_view` is off):
     /// built once with the layout/grid and borrowed by every request.
     soa: Option<SoaView>,
@@ -82,16 +99,15 @@ impl EcoEngine {
     /// legal placement.
     ///
     /// Builds the row layout and bin grid (at the post-optimization bin
-    /// width, like [`Flow3dLegalizer::legalize_incremental`](crate::Flow3dLegalizer::legalize_incremental)) and
-    /// resolves the seed cache. Cheap relative to a legalization but not
-    /// free — the point is to pay it once.
+    /// width) and seeds every cell at its base position. Costs about one
+    /// whole-design ECO; the point is to pay it once.
     ///
     /// # Errors
     ///
     /// [`LegalizeError::PlacementMismatch`] if `base` has the wrong cell
     /// count. A base cell that fits nowhere on its die is *not* an error
     /// here; it surfaces as [`LegalizeError::NoPosition`] on the next
-    /// [`eco`](Self::eco), matching the one-shot API's error order.
+    /// [`eco`](Self::eco) that does not move it.
     pub fn new(
         cfg: Flow3dConfig,
         design: Design,
@@ -108,47 +124,26 @@ impl EcoEngine {
         let widths = bin_widths(&design, cfg.post_bin_width_factor);
         let grid = BinGrid::build(&design, &layout, &widths, cfg.allow_d2d);
         let soa = cfg.soa_view.then(|| SoaView::geometry(&design));
-        let seed_cache = Self::resolve_cache(&design, &layout, &grid, &soa, &base);
+        let anchors: Vec<Point> = (0..n).map(|i| base.pos(CellId::new(i))).collect();
+        let cols = FlowColumns::new(&design, &grid, anchors);
         let threads = flow3d_par::resolve_threads(cfg.threads);
-        Ok(Self {
+        let mut engine = Self {
             cfg,
             design,
             layout,
             grid,
             base,
-            seed_cache,
+            cols,
+            unseedable: Vec::new(),
+            irregular: Vec::new(),
             soa,
             pool: SearchPool::new(),
             threads,
             requests: 0,
-        })
-    }
-
-    fn resolve_cache(
-        design: &Design,
-        layout: &RowLayout,
-        grid: &BinGrid,
-        soa: &Option<SoaView>,
-        base: &LegalPlacement,
-    ) -> Vec<Option<(BinId, i64)>> {
-        let geom = match soa {
-            Some(view) => GeomSource::Soa(view),
-            None => GeomSource::IdMap,
         };
-        (0..design.num_cells())
-            .map(|i| {
-                let cell = CellId::new(i);
-                resolve_seed(
-                    design,
-                    layout,
-                    grid,
-                    &geom,
-                    base.die(cell),
-                    base.pos(cell),
-                    cell,
-                )
-            })
-            .collect()
+        let all: Vec<CellId> = (0..n).map(CellId::new).collect();
+        engine.rebase(&all);
+        Ok(engine)
     }
 
     /// The resident design.
@@ -191,50 +186,144 @@ impl EcoEngine {
     /// recording `"eco_seed"`, `"flow_pass"` and `"placerow"` phases plus
     /// the usual search counters into `obs` when it is `Some`.
     ///
-    /// The placement is bit-identical to
-    /// [`Flow3dLegalizer::legalize_incremental`](crate::Flow3dLegalizer::legalize_incremental) on `(design, base,
-    /// moves)` with the same configuration. A failed request leaves
-    /// nothing a later request reads: the search pool keeps only buffer
-    /// capacity.
+    /// Every cell not listed in `moves` stays anchored to its base
+    /// position; a listed cell is anchored to its target and seeded on the
+    /// requested die (its base die when `die` is `None`), or on the first
+    /// die that fits it when that one cannot. A cell listed twice takes
+    /// its last target and its last requested die.
+    ///
+    /// A request leaves nothing a later one reads, failed or not: the
+    /// state is rolled back to the seeded base on every exit path, and
+    /// the search pool keeps only buffer capacity.
     ///
     /// # Errors
     ///
     /// Same as [`Flow3dLegalizer::legalize_incremental`](crate::Flow3dLegalizer::legalize_incremental).
+    /// A seeding failure names the lowest cell id among the moved cells
+    /// that fit no die and the unmoved base cells that fit nowhere on
+    /// their own die.
     pub fn eco_observed(
         &mut self,
         moves: &[CellMove],
         obs: Obs<'_>,
     ) -> Result<LegalizeOutcome, LegalizeError> {
-        let ctx = EcoContext {
-            design: &self.design,
-            layout: &self.layout,
-            grid: &self.grid,
-            cfg: &self.cfg,
-            base: &self.base,
-            seed_cache: Some(&self.seed_cache),
-            threads: self.threads,
-            geom: match &self.soa {
-                Some(view) => GeomSource::Soa(view),
-                None => GeomSource::IdMap,
-            },
-        };
-        let out = run_eco(&ctx, moves, &mut self.pool, obs);
+        let mut pool = std::mem::take(&mut self.pool);
+        let cols = std::mem::take(&mut self.cols);
+        let mut state = FlowState::from_columns(
+            &self.design,
+            &self.layout,
+            &self.grid,
+            cols,
+            geom(&self.soa),
+        );
+        state.checkpoint();
+        let out = self.serve(&mut state, moves, &mut pool, obs);
+        state.rollback();
+        self.cols = state.into_columns();
+        self.pool = pool;
         if out.is_ok() {
             self.requests += 1;
         }
         out
     }
 
-    /// Adopts `placement` as the new base, re-resolving **only the seeds
-    /// that can have changed**: a cell whose `(position, die)` equals the
-    /// old base's would resolve to the identical slot (`resolve_seed` is
-    /// a pure function of the die, the anchor, and the cell's width on
-    /// that die), so its cached entry is kept. Call with an accepted ECO
-    /// outcome to make follow-up requests relative to it.
+    /// One request on the journaled state (see the [module docs](self)).
+    fn serve(
+        &self,
+        state: &mut FlowState<'_>,
+        moves: &[CellMove],
+        pool: &mut SearchPool,
+        mut obs: Obs<'_>,
+    ) -> Result<LegalizeOutcome, LegalizeError> {
+        obs.begin("eco_seed");
+        let seeds = self.move_seeds(moves);
+        for s in &seeds {
+            state.set_anchor(s.cell, s.at);
+        }
+        let failed = state.seed(&seeds);
+        // An unmoved cell that fits nowhere on its die means the base is
+        // not legal there; relocating it silently would hide that.
+        let stranded = self
+            .unseedable
+            .iter()
+            .find(|&&c| seeds.binary_search_by_key(&c, |s| s.cell).is_err());
+        obs.end("eco_seed");
+        if let Some(&cell) = failed.first().into_iter().chain(stranded).min() {
+            return Err(LegalizeError::NoPosition { cell });
+        }
+
+        let params = search_params(&self.design, &self.cfg);
+        let mut stats = LegalizeStats::default();
+        obs.begin("flow_pass");
+        let flowed = flow_pass_threaded_pooled(
+            state,
+            &params,
+            self.threads,
+            &mut stats,
+            obs.reborrow(),
+            pool,
+        );
+        obs.end("flow_pass");
+        flowed?;
+
+        let mut segments = state.journal_segments();
+        segments.extend_from_slice(&self.irregular);
+        segments.sort_unstable();
+        segments.dedup();
+        let mut placement = self.base.clone();
+        obs.begin("placerow");
+        let placed = placerow_segments(
+            state,
+            self.cfg.row_algo,
+            &segments,
+            self.threads,
+            obs.reborrow(),
+            &mut placement,
+        );
+        obs.end("placerow");
+        placed?;
+
+        // Cross-die counter relative to the *base* placement. A cell the
+        // journal never saw is still on its base die.
+        stats.cross_die_moves = state
+            .journal_cells()
+            .filter(|&c| placement.die(c) != self.base.die(c))
+            .count();
+        Ok(LegalizeOutcome { placement, stats })
+    }
+
+    /// One seed per moved cell, ascending by cell: the last target wins,
+    /// and so does the last requested die (the base die if none is).
+    fn move_seeds(&self, moves: &[CellMove]) -> Vec<Seed> {
+        let mut order: Vec<usize> = (0..moves.len()).collect();
+        order.sort_by_key(|&k| moves[k].cell); // stable: request order per cell
+        let mut seeds: Vec<Seed> = Vec::with_capacity(moves.len());
+        for k in order {
+            let mv = &moves[k];
+            match seeds.last_mut() {
+                Some(s) if s.cell == mv.cell => {
+                    s.at = mv.target;
+                    s.die = mv.die.unwrap_or(s.die);
+                }
+                _ => seeds.push(Seed {
+                    cell: mv.cell,
+                    die: mv.die.unwrap_or(self.base.die(mv.cell)),
+                    at: mv.target,
+                    any_die: true,
+                }),
+            }
+        }
+        seeds
+    }
+
+    /// Adopts `placement` as the new base, re-anchoring and re-seeding
+    /// **only the cells whose position or die changed**: every other cell
+    /// already sits in the resident state exactly where a fresh seed of
+    /// `placement` would put it. Call with an accepted ECO outcome to make
+    /// follow-up requests relative to it.
     ///
-    /// Returns how many seeds were refreshed out of how many cells, so
-    /// callers (the serve layer, benches) can report the delta's
-    /// effectiveness.
+    /// Returns how many cells were re-seeded out of how many, so callers
+    /// (the serve layer, benches) can report the delta's effectiveness.
     ///
     /// # Errors
     ///
@@ -248,44 +337,94 @@ impl EcoEngine {
                 placement_cells: placement.num_cells(),
             });
         }
-        let geom = match &self.soa {
-            Some(view) => GeomSource::Soa(view),
-            None => GeomSource::IdMap,
-        };
-        let mut reseeded = 0;
-        for i in 0..n {
-            let cell = CellId::new(i);
-            if placement.pos(cell) == self.base.pos(cell)
-                && placement.die(cell) == self.base.die(cell)
-            {
-                continue;
-            }
-            reseeded += 1;
-            self.seed_cache[i] = resolve_seed(
-                &self.design,
-                &self.layout,
-                &self.grid,
-                &geom,
-                placement.die(cell),
-                placement.pos(cell),
-                cell,
-            );
-        }
+        let changed: Vec<CellId> = (0..n)
+            .map(CellId::new)
+            .filter(|&c| {
+                placement.pos(c) != self.base.pos(c) || placement.die(c) != self.base.die(c)
+            })
+            .collect();
         self.base = placement;
-        Ok(CommitStats { reseeded, total: n })
+        self.rebase(&changed);
+        Ok(CommitStats {
+            reseeded: changed.len(),
+            total: n,
+        })
+    }
+
+    /// Re-anchors and re-seeds `cells` (ascending) at their base position
+    /// and die, then re-checks the segments they left or entered against
+    /// the base rows.
+    fn rebase(&mut self, cells: &[CellId]) {
+        let cols = std::mem::take(&mut self.cols);
+        let mut state = FlowState::from_columns(
+            &self.design,
+            &self.layout,
+            &self.grid,
+            cols,
+            geom(&self.soa),
+        );
+        let mut segments: Vec<SegmentId> = cells
+            .iter()
+            .filter_map(|&c| state.cell_segment(c))
+            .collect();
+        let seeds: Vec<Seed> = cells
+            .iter()
+            .map(|&cell| Seed {
+                cell,
+                die: self.base.die(cell),
+                at: self.base.pos(cell),
+                any_die: false,
+            })
+            .collect();
+        for s in &seeds {
+            state.set_anchor(s.cell, s.at);
+        }
+        let failed = state.seed(&seeds);
+        segments.extend(cells.iter().filter_map(|&c| state.cell_segment(c)));
+        segments.sort_unstable();
+        segments.dedup();
+
+        self.unseedable.retain(|c| cells.binary_search(c).is_err());
+        self.unseedable.extend(failed);
+        self.unseedable.sort_unstable();
+        self.irregular
+            .retain(|s| segments.binary_search(s).is_err());
+        for &id in &segments {
+            let seg = self.layout.segment(id);
+            let regular = place_segment(&state, self.cfg.row_algo, seg).is_ok_and(|placed| {
+                placed.iter().all(|&(key, x)| {
+                    let cell = CellId::new(key);
+                    self.base.pos(cell) == Point::new(x, seg.y) && self.base.die(cell) == seg.die
+                })
+            });
+            if !regular {
+                self.irregular.push(id);
+            }
+        }
+        self.irregular.sort_unstable();
+        self.cols = state.into_columns();
     }
 }
 
-/// What one [`EcoEngine::commit`] actually refreshed: the seed-cache
-/// delta's effectiveness, reported so serve stats and benches can verify
-/// that commits after small ECOs stay incremental.
+/// The geometry source of an engine: its resident SoA view, or the id
+/// maps when the view is off.
+fn geom(soa: &Option<SoaView>) -> GeomSource<'_> {
+    match soa {
+        Some(view) => GeomSource::Soa(view),
+        None => GeomSource::IdMap,
+    }
+}
+
+/// What one [`EcoEngine::commit`] actually refreshed: the re-seed delta's
+/// effectiveness, reported so serve stats and benches can verify that
+/// commits after small ECOs stay incremental.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 // flow3d-tidy: allow(dead-pub) — cross-crate via return-value field access (flow3d-serve reads reseeded/total off EcoEngine::commit), which the ref scan cannot see
 pub struct CommitStats {
-    /// Seeds re-resolved because the cell's `(position, die)` changed
-    /// against the previous base.
+    /// Cells re-seeded because their `(position, die)` changed against
+    /// the previous base.
     pub reseeded: usize,
-    /// Seed-cache entries examined (= design cells).
+    /// Cells examined (= design cells).
     pub total: usize,
 }
 
@@ -410,16 +549,86 @@ mod tests {
             cs.reseeded,
             cs.total
         );
-        // … and the resulting cache is bit-identical to resolving every
-        // seed from scratch against the new base.
-        let full = EcoEngine::resolve_cache(
-            &engine.design,
-            &engine.layout,
-            &engine.grid,
-            &engine.soa,
-            &moved,
+        // … and the resulting state is the one a fresh seed of the new
+        // base builds: same fragments, usage, anchors and die areas.
+        let fresh = EcoEngine::new(Flow3dConfig::default(), engine.design.clone(), moved).unwrap();
+        assert_eq!(engine.cols.canonical(), fresh.cols.canonical());
+        assert_eq!(engine.unseedable, fresh.unseedable);
+        assert_eq!(engine.irregular, fresh.irregular);
+        assert!(
+            engine.irregular.is_empty(),
+            "an ECO outcome is a legal base"
         );
-        assert_eq!(engine.seed_cache, full);
+    }
+
+    #[test]
+    fn failed_request_leaves_the_engine_as_fresh() {
+        // Cell 0 sits on a die too narrow to host it. A request that moves
+        // other cells seeds them, then fails on cell 0; one that also
+        // moves cell 0 succeeds, and must match a fresh engine.
+        let d = narrow_top_design(12);
+        let legal = base_placement(&design(12));
+        let mut base = LegalPlacement::new(12);
+        for i in 0..12 {
+            let c = CellId::new(i);
+            base.place(c, legal.pos(c), legal.die(c));
+        }
+        base.place(CellId::new(0), Point::new(0, 0), DieId::new(1));
+        let mut engine = EcoEngine::new(Flow3dConfig::default(), d.clone(), base.clone()).unwrap();
+        let seeded = engine.cols.canonical();
+        let pile = pileup(&base, &[1, 2, 3, 4], 5);
+        let err = engine.eco(&pile).unwrap_err();
+        assert!(matches!(err, LegalizeError::NoPosition { cell } if cell == CellId::new(0)));
+        assert_eq!(
+            engine.cols.canonical(),
+            seeded,
+            "a failed request must roll back"
+        );
+
+        let mut good = pile.clone();
+        good.push(CellMove {
+            cell: CellId::new(0),
+            target: Point::new(0, 0),
+            die: None,
+        });
+        let warm = engine.eco(&good).unwrap();
+        let cold = EcoEngine::new(Flow3dConfig::default(), d, base)
+            .unwrap()
+            .eco(&good)
+            .unwrap();
+        assert_eq!(warm.placement, cold.placement);
+        assert_eq!(warm.stats, cold.stats);
+        assert_eq!(engine.cols.canonical(), seeded);
+        assert_eq!(engine.requests_served(), 1);
+    }
+
+    /// Two-die design whose top die is too narrow to host a single
+    /// width-30 cell.
+    fn narrow_top_design(n: usize) -> Design {
+        let mut b = DesignBuilder::new("t")
+            .technology(TechnologySpec::new("T").lib_cell(LibCellSpec::std_cell("C", 30, 10)))
+            .die(DieSpec::new("bottom", "T", (0, 0, 400, 40), 10, 1, 1.0))
+            .die(DieSpec::new("top", "T", (0, 0, 20, 40), 10, 1, 1.0));
+        for i in 0..n {
+            b = b.cell(format!("u{i}"), "C");
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn illegal_base_rows_are_re_placed_by_every_request() {
+        // Cells 0 and 1 overlap in the base. Their segment is irregular,
+        // so even a no-op request re-places it, as a fresh seed would.
+        let d = design(12);
+        let mut base = base_placement(&d);
+        let (p1, d1) = (base.pos(CellId::new(1)), base.die(CellId::new(1)));
+        base.place(CellId::new(0), p1, d1);
+        let engine = EcoEngine::new(Flow3dConfig::default(), d.clone(), base.clone()).unwrap();
+        assert_eq!(engine.irregular.len(), 1);
+        let mut engine = engine;
+        let out = engine.eco(&[]).unwrap();
+        assert!(flow3d_metrics::check_legal(&d, &out.placement).is_legal());
+        assert_ne!(out.placement, base);
     }
 
     #[test]

@@ -1,9 +1,15 @@
 //! Mutable flow state: fractional cell-to-bin assignment Γ(v), bin usage,
 //! supply/demand (Eqs. 1–2), displacement costs (Eqs. 4–5), and per-die
 //! area accounting for the utilization constraint (§III-F).
+//!
+//! The state owns its columns and borrows the design, layout and grid,
+//! so a resident engine can keep a seeded state across requests. An undo
+//! journal makes a pass reversible at the cost of the cells it touched:
+//! post-optimization and the ECO engine re-seed only what changed, run
+//! the flow under a checkpoint, and roll back.
 
 use crate::grid::{Bin, BinGrid, BinId};
-use flow3d_db::{CellId, Design, DieId, RowLayout, SoaView};
+use flow3d_db::{CellId, Design, DieId, RowLayout, SegmentId, SoaView};
 use flow3d_geom::Point;
 
 /// A fragment: part (or all) of a cell's width assigned to one bin.
@@ -58,6 +64,129 @@ impl GeomSource<'_> {
     }
 }
 
+/// The owned columns of a [`FlowState`]: every per-bin and per-cell value
+/// a flow pass mutates, plus the undo journal.
+///
+/// Split from the borrowed design, layout and grid so that the owner of
+/// those (the resident [`crate::EcoEngine`]) can keep a seeded state
+/// alive between requests: it moves the columns into a [`FlowState`] for
+/// each request and takes them back afterwards.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FlowColumns {
+    /// Γ(v): fragments per bin.
+    frags: Vec<Vec<Frag>>,
+    /// Fragments per cell, ordered left-to-right (all in one segment).
+    cell_frags: Vec<Vec<(BinId, i64)>>,
+    /// Total fragment width per bin.
+    usage: Vec<i64>,
+    /// Displacement anchor `(x'_c, y'_c)` of Eq. 4 per cell: the rounded
+    /// global-placement position, or the base position in an ECO.
+    anchor: Vec<Point>,
+    /// Standard-cell area currently on each die.
+    used_area: Vec<i64>,
+    /// Utilization cap per die (`max_util · free_area`).
+    allowed_area: Vec<i64>,
+    /// Undo log since the last [`FlowState::checkpoint`].
+    journal: Journal,
+}
+
+impl FlowColumns {
+    /// Empty columns (no cell assigned) for `design` on `grid`.
+    pub(crate) fn new(design: &Design, grid: &BinGrid, anchor: Vec<Point>) -> Self {
+        assert_eq!(anchor.len(), design.num_cells());
+        let allowed_area = (0..design.num_dies())
+            .map(|d| {
+                let die = DieId::new(d);
+                (design.die(die).max_util * design.free_area(die) as f64).floor() as i64
+            })
+            .collect();
+        Self {
+            frags: vec![Vec::new(); grid.num_bins()],
+            cell_frags: vec![Vec::new(); design.num_cells()],
+            usage: vec![0; grid.num_bins()],
+            anchor,
+            used_area: vec![0; design.num_dies()],
+            allowed_area,
+            journal: Journal::default(),
+        }
+    }
+}
+
+/// A [`FlowColumns`] as order-free values, for comparing two states:
+/// per-bin fragments sorted by cell, plus every other column verbatim.
+#[cfg(test)]
+#[derive(Debug, PartialEq)]
+pub(crate) struct Canonical {
+    frags: Vec<Vec<(CellId, i64)>>,
+    cell_frags: Vec<Vec<(BinId, i64)>>,
+    usage: Vec<i64>,
+    anchor: Vec<Point>,
+    used_area: Vec<i64>,
+}
+
+#[cfg(test)]
+impl FlowColumns {
+    /// See [`Canonical`].
+    pub(crate) fn canonical(&self) -> Canonical {
+        Canonical {
+            frags: self
+                .frags
+                .iter()
+                .map(|list| {
+                    let mut v: Vec<(CellId, i64)> =
+                        list.iter().map(|f| (f.cell, f.width)).collect();
+                    v.sort_unstable();
+                    v
+                })
+                .collect(),
+            cell_frags: self.cell_frags.clone(),
+            usage: self.usage.clone(),
+            anchor: self.anchor.clone(),
+            used_area: self.used_area.clone(),
+        }
+    }
+}
+
+/// Undo log of a [`FlowState`]: the fragments and anchor each cell had at
+/// the checkpoint, saved just before its first mutation after it. All
+/// buffers keep their allocations across checkpoints, and only the marks
+/// of saved cells are ever set, so a checkpoint and a rollback both cost
+/// O(touched cells), not O(n).
+#[derive(Debug, Clone, Default)]
+struct Journal {
+    /// Whether mutations are being recorded.
+    active: bool,
+    /// Per cell: already saved since the checkpoint.
+    marked: Vec<bool>,
+    /// Saved cells in first-touch order.
+    saved: Vec<Saved>,
+    /// The saved fragments of every saved cell, back to back.
+    frags: Vec<(BinId, i64)>,
+}
+
+/// One cell as it was at the checkpoint.
+#[derive(Debug, Clone)]
+struct Saved {
+    cell: CellId,
+    anchor: Point,
+    /// Its fragments: a range of [`Journal::frags`].
+    frags: std::ops::Range<usize>,
+}
+
+/// Where to seed one cell (see [`FlowState::seed`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Seed {
+    /// The cell.
+    pub cell: CellId,
+    /// The die to look on first.
+    pub die: DieId,
+    /// The point whose nearest legal position the cell takes.
+    pub at: Point,
+    /// Whether the other dies (in index order) may host the cell when
+    /// `die` cannot.
+    pub any_die: bool,
+}
+
 /// The mutable state of a flow-based legalization pass.
 #[derive(Debug, Clone)]
 pub struct FlowState<'a> {
@@ -67,19 +196,8 @@ pub struct FlowState<'a> {
     pub layout: &'a RowLayout,
     /// The 3D grid graph.
     pub grid: &'a BinGrid,
-    /// Γ(v): fragments per bin.
-    frags: Vec<Vec<Frag>>,
-    /// Fragments per cell, ordered left-to-right (all in one segment).
-    cell_frags: Vec<Vec<(BinId, i64)>>,
-    /// Total fragment width per bin.
-    usage: Vec<i64>,
-    /// Rounded global-placement position per cell (the displacement
-    /// anchor `(x'_c, y'_c)` of Eq. 4).
-    anchor: Vec<Point>,
-    /// Standard-cell area currently on each die.
-    used_area: Vec<i64>,
-    /// Utilization cap per die (`max_util · free_area`).
-    allowed_area: Vec<i64>,
+    /// Everything the state owns and mutates.
+    cols: FlowColumns,
     /// Geometry source for the hot path (SoA columns or id maps).
     geom: GeomSource<'a>,
 }
@@ -110,25 +228,39 @@ impl<'a> FlowState<'a> {
         anchor: Vec<Point>,
         geom: GeomSource<'a>,
     ) -> Self {
-        assert_eq!(anchor.len(), design.num_cells());
-        let allowed_area = (0..design.num_dies())
-            .map(|d| {
-                let die = DieId::new(d);
-                (design.die(die).max_util * design.free_area(die) as f64).floor() as i64
-            })
-            .collect();
+        let cols = FlowColumns::new(design, grid, anchor);
+        Self::from_columns(design, layout, grid, cols, geom)
+    }
+
+    /// Wraps columns built for the same design and grid (see
+    /// [`into_columns`](Self::into_columns)).
+    pub(crate) fn from_columns(
+        design: &'a Design,
+        layout: &'a RowLayout,
+        grid: &'a BinGrid,
+        cols: FlowColumns,
+        geom: GeomSource<'a>,
+    ) -> Self {
+        assert_eq!(cols.cell_frags.len(), design.num_cells());
+        assert_eq!(cols.frags.len(), grid.num_bins());
         Self {
             design,
             layout,
             grid,
-            frags: vec![Vec::new(); grid.num_bins()],
-            cell_frags: vec![Vec::new(); design.num_cells()],
-            usage: vec![0; grid.num_bins()],
-            anchor,
-            used_area: vec![0; design.num_dies()],
-            allowed_area,
+            cols,
             geom,
         }
+    }
+
+    /// The owned columns.
+    #[cfg(test)]
+    pub(crate) fn columns(&self) -> &FlowColumns {
+        &self.cols
+    }
+
+    /// Releases the borrowed structures and returns the owned columns.
+    pub(crate) fn into_columns(self) -> FlowColumns {
+        self.cols
     }
 
     /// Width of `cell` on `die`, read through the configured geometry
@@ -147,37 +279,37 @@ impl<'a> FlowState<'a> {
     /// The displacement anchor of `cell`.
     #[inline]
     pub fn anchor(&self, cell: CellId) -> Point {
-        self.anchor[cell.index()]
+        self.cols.anchor[cell.index()]
     }
 
     /// Supply of `bin` (Eq. 1): overflow beyond capacity.
     #[inline]
     pub fn sup(&self, bin: BinId) -> i64 {
-        (self.usage[bin.index()] - self.grid.bin(bin).cap()).max(0)
+        (self.cols.usage[bin.index()] - self.grid.bin(bin).cap()).max(0)
     }
 
     /// Demand of `bin` (Eq. 2): remaining free capacity.
     #[inline]
     pub fn dem(&self, bin: BinId) -> i64 {
-        (self.grid.bin(bin).cap() - self.usage[bin.index()]).max(0)
+        (self.grid.bin(bin).cap() - self.cols.usage[bin.index()]).max(0)
     }
 
     /// Total fragment width currently in `bin`.
     #[inline]
     pub fn usage(&self, bin: BinId) -> i64 {
-        self.usage[bin.index()]
+        self.cols.usage[bin.index()]
     }
 
     /// Fragments currently assigned to `bin`.
     #[inline]
     pub fn frags_in(&self, bin: BinId) -> &[Frag] {
-        &self.frags[bin.index()]
+        &self.cols.frags[bin.index()]
     }
 
     /// Fragments of `cell`, ordered left-to-right.
     #[inline]
     pub fn cell_frags(&self, cell: CellId) -> &[(BinId, i64)] {
-        &self.cell_frags[cell.index()]
+        &self.cols.cell_frags[cell.index()]
     }
 
     /// Die the cell currently sits on.
@@ -186,7 +318,7 @@ impl<'a> FlowState<'a> {
     ///
     /// Panics if the cell has no fragments.
     pub fn cell_die(&self, cell: CellId) -> DieId {
-        let (bin, _) = self.cell_frags[cell.index()]
+        let (bin, _) = self.cols.cell_frags[cell.index()]
             .first()
             // flow3d-tidy: allow(panic-unwrap) — documented # Panics: every placed cell keeps at least one fragment
             .expect("cell has no fragments");
@@ -196,27 +328,27 @@ impl<'a> FlowState<'a> {
     /// Area headroom of `die` in DBU² under its utilization cap.
     #[inline]
     pub fn area_headroom(&self, die: DieId) -> i64 {
-        self.allowed_area[die.index()] - self.used_area[die.index()]
+        self.cols.allowed_area[die.index()] - self.cols.used_area[die.index()]
     }
 
     /// Standard-cell area currently on `die`.
     #[inline]
     pub fn used_area(&self, die: DieId) -> i64 {
-        self.used_area[die.index()]
+        self.cols.used_area[die.index()]
     }
 
     /// Estimated displacement of `cell` if assigned to `bin` (Eq. 4 with
     /// the bin-local snap of §III-A): the anchor's x clamped into the bin,
     /// y at the bin's row.
     pub fn disp_to(&self, cell: CellId, bin: &Bin) -> i64 {
-        let a = self.anchor[cell.index()];
+        let a = self.cols.anchor[cell.index()];
         (bin.span.clamp_point(a.x) - a.x).abs() + (bin.y - a.y).abs()
     }
 
     /// Current estimated displacement of `cell`: fragment-width-weighted
     /// average of [`disp_to`](Self::disp_to) over its bins.
     pub fn disp_current(&self, cell: CellId) -> f64 {
-        let frags = &self.cell_frags[cell.index()];
+        let frags = &self.cols.cell_frags[cell.index()];
         let total: i64 = frags.iter().map(|&(_, w)| w).sum();
         if total == 0 {
             return 0.0;
@@ -226,6 +358,14 @@ impl<'a> FlowState<'a> {
             .map(|&(bin, w)| self.disp_to(cell, self.grid.bin(bin)) as f64 * w as f64)
             .sum::<f64>()
             / total as f64
+    }
+
+    /// Segment the cell currently sits in, or `None` if it has no
+    /// fragments.
+    pub(crate) fn cell_segment(&self, cell: CellId) -> Option<SegmentId> {
+        self.cols.cell_frags[cell.index()]
+            .first()
+            .map(|&(bin, _)| self.grid.bin(bin).segment)
     }
 
     /// Inserts `cell` into the segment containing `bin_hint`'s bins, with
@@ -238,10 +378,12 @@ impl<'a> FlowState<'a> {
     /// segment.
     pub fn insert_cell(&mut self, cell: CellId, bin_hint: BinId, desired_x: i64) {
         assert!(
-            self.cell_frags[cell.index()].is_empty(),
+            self.cols.cell_frags[cell.index()].is_empty(),
             "cell {cell} already assigned"
         );
-        let seg_id = self.grid.bin(bin_hint).segment;
+        self.save(cell);
+        let grid = self.grid;
+        let seg_id = grid.bin(bin_hint).segment;
         let seg = self.layout.segment(seg_id);
         let die = seg.die;
         let w = self.cell_width(cell, die);
@@ -251,13 +393,21 @@ impl<'a> FlowState<'a> {
             // flow3d-tidy: allow(panic-unwrap) — invariant: callers only target segments at least as wide as the cell
             .unwrap_or_else(|| panic!("cell {cell} wider than segment {seg_id}"));
         let span = flow3d_geom::Interval::with_len(x, w);
-        for &bid in self.grid.bins_in_segment(seg_id) {
-            let overlap = self.grid.bin(bid).span.overlap_len(&span);
+        // Bins are sorted by x: binary-search the first one the interval
+        // reaches, like `BinGrid::bin_at`.
+        let bins = grid.bins_in_segment(seg_id);
+        let first = bins.partition_point(|&b| grid.bin(b).span.hi <= span.lo);
+        for &bid in &bins[first..] {
+            let bin_span = grid.bin(bid).span;
+            if bin_span.lo >= span.hi {
+                break;
+            }
+            let overlap = bin_span.overlap_len(&span);
             if overlap > 0 {
                 self.add_frag(cell, bid, overlap);
             }
         }
-        self.used_area[die.index()] += w * self.cell_height(die);
+        self.cols.used_area[die.index()] += w * self.cell_height(die);
     }
 
     /// Inserts the whole cell into one bin (whole-cell moves across rows
@@ -268,13 +418,14 @@ impl<'a> FlowState<'a> {
     /// Panics if the cell already has fragments.
     pub fn insert_cell_whole(&mut self, cell: CellId, bin: BinId) {
         assert!(
-            self.cell_frags[cell.index()].is_empty(),
+            self.cols.cell_frags[cell.index()].is_empty(),
             "cell {cell} already assigned"
         );
+        self.save(cell);
         let die = self.grid.bin(bin).die;
         let w = self.cell_width(cell, die);
         self.add_frag(cell, bin, w);
-        self.used_area[die.index()] += w * self.cell_height(die);
+        self.cols.used_area[die.index()] += w * self.cell_height(die);
     }
 
     /// Removes every fragment of `cell`, returning its former die.
@@ -284,10 +435,11 @@ impl<'a> FlowState<'a> {
     /// Panics if the cell has no fragments.
     pub fn remove_cell(&mut self, cell: CellId) -> DieId {
         let die = self.cell_die(cell);
-        let frags = std::mem::take(&mut self.cell_frags[cell.index()]);
+        self.save(cell);
+        let frags = std::mem::take(&mut self.cols.cell_frags[cell.index()]);
         for (bin, width) in frags {
-            self.usage[bin.index()] -= width;
-            let list = &mut self.frags[bin.index()];
+            self.cols.usage[bin.index()] -= width;
+            let list = &mut self.cols.frags[bin.index()];
             let pos = list
                 .iter()
                 .position(|f| f.cell == cell)
@@ -296,7 +448,7 @@ impl<'a> FlowState<'a> {
             list.swap_remove(pos);
         }
         let w = self.cell_width(cell, die);
-        self.used_area[die.index()] -= w * self.cell_height(die);
+        self.cols.used_area[die.index()] -= w * self.cell_height(die);
         die
     }
 
@@ -314,8 +466,9 @@ impl<'a> FlowState<'a> {
             self.grid.bin(to).segment,
             "fractional moves stay within a segment"
         );
+        self.save(cell);
         // Shrink in `from`.
-        let cf = &mut self.cell_frags[cell.index()];
+        let cf = &mut self.cols.cell_frags[cell.index()];
         let idx = cf
             .iter()
             .position(|&(b, _)| b == from)
@@ -327,7 +480,7 @@ impl<'a> FlowState<'a> {
         if emptied {
             cf.remove(idx);
         }
-        let list = &mut self.frags[from.index()];
+        let list = &mut self.cols.frags[from.index()];
         let pos = list
             .iter()
             .position(|f| f.cell == cell)
@@ -338,33 +491,179 @@ impl<'a> FlowState<'a> {
         } else {
             list[pos].width -= width;
         }
-        self.usage[from.index()] -= width;
+        self.cols.usage[from.index()] -= width;
         // Grow in `to`.
         self.add_frag(cell, to, width);
         self.keep_frags_sorted(cell);
     }
 
+    /// Moves the displacement anchor of `cell` (an ECO target).
+    pub(crate) fn set_anchor(&mut self, cell: CellId, anchor: Point) {
+        self.save(cell);
+        self.cols.anchor[cell.index()] = anchor;
+    }
+
     fn add_frag(&mut self, cell: CellId, bin: BinId, width: i64) {
         debug_assert!(width > 0);
-        let list = &mut self.frags[bin.index()];
+        let list = &mut self.cols.frags[bin.index()];
         if let Some(f) = list.iter_mut().find(|f| f.cell == cell) {
             f.width += width;
         } else {
             list.push(Frag { cell, width });
         }
-        let cf = &mut self.cell_frags[cell.index()];
+        let cf = &mut self.cols.cell_frags[cell.index()];
         if let Some(e) = cf.iter_mut().find(|(b, _)| *b == bin) {
             e.1 += width;
         } else {
             cf.push((bin, width));
         }
-        self.usage[bin.index()] += width;
+        self.cols.usage[bin.index()] += width;
         self.keep_frags_sorted(cell);
     }
 
     fn keep_frags_sorted(&mut self, cell: CellId) {
         let grid = self.grid;
-        self.cell_frags[cell.index()].sort_by_key(|&(b, _)| grid.bin(b).span.lo);
+        self.cols.cell_frags[cell.index()].sort_by_key(|&(b, _)| grid.bin(b).span.lo);
+    }
+
+    /// Seeds every cell of `seeds` at the legal position nearest its
+    /// point, on its die or, when the seed allows it and that die has no
+    /// room, on the first other die in index order that has. A cell that
+    /// already has fragments is removed first.
+    ///
+    /// Every slot is resolved before anything is inserted, and the cells
+    /// are then inserted in bin order, which is `(die, y, x)` order. Cell
+    /// ids are scattered over the dies, so inserting in id order would
+    /// miss cache on nearly every insert; nothing downstream depends on
+    /// the order of the fragments inside a bin.
+    ///
+    /// Returns the cells no allowed die can host, in ascending id order;
+    /// they are left without fragments.
+    pub(crate) fn seed(&mut self, seeds: &[Seed]) -> Vec<CellId> {
+        let mut slots: Vec<(BinId, i64, CellId)> = Vec::with_capacity(seeds.len());
+        let mut failed = Vec::new();
+        for s in seeds {
+            match self.resolve(s) {
+                Some((bin, x)) => slots.push((bin, x, s.cell)),
+                None => failed.push(s.cell),
+            }
+        }
+        slots.sort_unstable();
+        for &(bin, x, cell) in &slots {
+            if !self.cols.cell_frags[cell.index()].is_empty() {
+                self.remove_cell(cell);
+            }
+            self.insert_cell(cell, bin, x);
+        }
+        failed.sort_unstable();
+        for &cell in &failed {
+            if !self.cols.cell_frags[cell.index()].is_empty() {
+                self.remove_cell(cell);
+            }
+        }
+        failed
+    }
+
+    /// The slot `(bin, x)` of one seed: see [`seed`](Self::seed).
+    fn resolve(&self, seed: &Seed) -> Option<(BinId, i64)> {
+        let on = |die: DieId| {
+            let w = self.cell_width(seed.cell, die);
+            self.layout
+                .nearest_position(self.design, die, seed.at.x, seed.at.y, w)
+                .map(|(seg, x)| (self.grid.bin_at(seg.id, x), x))
+        };
+        on(seed.die).or_else(|| {
+            (0..self.design.num_dies())
+                .map(DieId::new)
+                .filter(|&d| seed.any_die && d != seed.die)
+                .find_map(on)
+        })
+    }
+
+    /// Starts recording an undo journal: every cell's fragments and
+    /// anchor are saved before its first mutation from here on, so that
+    /// [`rollback`](Self::rollback) can restore them. A checkpoint taken
+    /// while one is open keeps the changes made since the older one.
+    pub(crate) fn checkpoint(&mut self) {
+        let n = self.cols.cell_frags.len();
+        let j = &mut self.cols.journal;
+        for s in &j.saved {
+            j.marked[s.cell.index()] = false;
+        }
+        j.saved.clear();
+        j.frags.clear();
+        j.marked.resize(n, false);
+        j.active = true;
+    }
+
+    /// Restores every cell mutated since the [`checkpoint`](Self::checkpoint)
+    /// to its fragments and anchor there, and stops journaling. Costs
+    /// O(touched cells): the per-bin lists, usage and die areas follow
+    /// from the restored cells. Only the order of the fragments inside a
+    /// bin may differ from the checkpoint.
+    pub(crate) fn rollback(&mut self) {
+        let mut j = std::mem::take(&mut self.cols.journal);
+        for s in &j.saved {
+            let cell = s.cell;
+            if !self.cols.cell_frags[cell.index()].is_empty() {
+                self.remove_cell(cell);
+            }
+            let frags = &j.frags[s.frags.clone()];
+            for &(bin, width) in frags {
+                self.add_frag(cell, bin, width);
+            }
+            if let Some(&(bin, _)) = frags.first() {
+                let die = self.grid.bin(bin).die;
+                self.cols.used_area[die.index()] +=
+                    self.cell_width(cell, die) * self.cell_height(die);
+            }
+            self.cols.anchor[cell.index()] = s.anchor;
+            j.marked[cell.index()] = false;
+        }
+        j.saved.clear();
+        j.frags.clear();
+        j.active = false;
+        self.cols.journal = j;
+    }
+
+    /// Cells mutated since the checkpoint, in first-touch order.
+    pub(crate) fn journal_cells(&self) -> impl Iterator<Item = CellId> + '_ {
+        self.cols.journal.saved.iter().map(|s| s.cell)
+    }
+
+    /// Segments the cells mutated since the checkpoint sat in at the
+    /// checkpoint or sit in now, ascending and deduplicated: the only
+    /// segments whose membership can have changed.
+    pub(crate) fn journal_segments(&self) -> Vec<SegmentId> {
+        let j = &self.cols.journal;
+        let mut segs = Vec::with_capacity(2 * j.saved.len());
+        for s in &j.saved {
+            if let Some(&(bin, _)) = j.frags[s.frags.clone()].first() {
+                segs.push(self.grid.bin(bin).segment);
+            }
+            segs.extend(self.cell_segment(s.cell));
+        }
+        segs.sort_unstable();
+        segs.dedup();
+        segs
+    }
+
+    /// Saves `cell` into the open journal before its first mutation.
+    #[inline]
+    fn save(&mut self, cell: CellId) {
+        let j = &mut self.cols.journal;
+        if !j.active || j.marked[cell.index()] {
+            return;
+        }
+        j.marked[cell.index()] = true;
+        let start = j.frags.len();
+        j.frags
+            .extend_from_slice(&self.cols.cell_frags[cell.index()]);
+        j.saved.push(Saved {
+            cell,
+            anchor: self.cols.anchor[cell.index()],
+            frags: start..j.frags.len(),
+        });
     }
 
     /// Total overflow across all bins (0 when the flow phase is done).
@@ -387,17 +686,17 @@ impl<'a> FlowState<'a> {
     /// cell's width on its die.
     pub fn check_invariants(&self) -> Result<(), String> {
         for i in 0..self.grid.num_bins() {
-            let sum: i64 = self.frags[i].iter().map(|f| f.width).sum();
-            if sum != self.usage[i] {
+            let sum: i64 = self.cols.frags[i].iter().map(|f| f.width).sum();
+            if sum != self.cols.usage[i] {
                 return Err(format!(
                     "bin {i}: usage {} != fragment sum {sum}",
-                    self.usage[i]
+                    self.cols.usage[i]
                 ));
             }
         }
         for c in 0..self.design.num_cells() {
             let cell = CellId::new(c);
-            let frags = &self.cell_frags[c];
+            let frags = &self.cols.cell_frags[c];
             if frags.is_empty() {
                 continue;
             }
@@ -687,6 +986,111 @@ mod prop_tests {
                     .map(|c| design.cell_width(c, die) * design.cell_height(die))
                     .sum();
                 prop_assert_eq!(st.used_area(die), expected);
+            }
+        });
+    }
+
+    /// Applies one random operation (the mutators a flow pass, a seed
+    /// and an ECO use) when it is valid in the current state.
+    fn random_op(st: &mut FlowState<'_>, (cell_idx, op, x, bin_sel): (usize, u8, i64, usize)) {
+        let (design, layout, grid) = (st.design, st.layout, st.grid);
+        let cell = CellId::new(cell_idx);
+        let placed = !st.cell_frags(cell).is_empty();
+        match op {
+            0 if !placed => {
+                let seg = &layout.segments()[bin_sel % layout.num_segments()];
+                if seg.width() >= design.cell_width(cell, seg.die) {
+                    st.insert_cell(cell, grid.bins_in_segment(seg.id)[0], x);
+                }
+            }
+            1 if !placed => {
+                let bin = crate::grid::BinId::new(bin_sel % grid.num_bins());
+                let b = grid.bin(bin);
+                if layout.segment(b.segment).width() >= design.cell_width(cell, b.die) {
+                    st.insert_cell_whole(cell, bin);
+                }
+            }
+            2 if placed => {
+                st.remove_cell(cell);
+            }
+            3 if placed => {
+                let frags = st.cell_frags(cell).to_vec();
+                let (from, _) = frags[bin_sel % frags.len()];
+                let to = grid
+                    .neighbors(from)
+                    .iter()
+                    .find(|&&(_, k)| k == crate::grid::EdgeKind::Horizontal)
+                    .map(|&(b, _)| b);
+                if let Some(to) = to {
+                    let movable = crate::selection::test_support::max_fractional_for_tests(
+                        st, cell, from, to,
+                    );
+                    if movable > 0 {
+                        st.move_fraction(cell, from, to, movable);
+                    }
+                }
+            }
+            4 => st.set_anchor(cell, flow3d_geom::Point::new(x, bin_sel as i64)),
+            5 => {
+                let die = DieId::new(bin_sel % 2);
+                let at = flow3d_geom::Point::new(x, (bin_sel % 40) as i64);
+                st.seed(&[Seed {
+                    cell,
+                    die,
+                    at,
+                    any_die: bin_sel % 3 == 0,
+                }]);
+            }
+            _ => {}
+        }
+    }
+
+    /// Any mutation sequence after a checkpoint, rolled back, restores
+    /// the checkpointed state exactly: per-bin fragment multisets,
+    /// usage, die areas, anchors and per-cell fragment lists. Several
+    /// checkpoint/rollback rounds run on one state, so a round's marks
+    /// must not leak into the next.
+    #[test]
+    fn rollback_restores_the_checkpoint_exactly() {
+        let mut b = DesignBuilder::new("t")
+            .technology(TechnologySpec::new("TA").lib_cell(LibCellSpec::std_cell("C", 30, 10)))
+            .technology(TechnologySpec::new("TB").lib_cell(LibCellSpec::std_cell("C", 24, 8)))
+            .die(DieSpec::new("bottom", "TA", (0, 0, 300, 30), 10, 1, 1.0))
+            .die(DieSpec::new("top", "TB", (0, 0, 300, 24), 8, 1, 1.0));
+        for i in 0..8 {
+            b = b.cell(format!("u{i}"), "C");
+        }
+        let design = b.build().unwrap();
+        let layout = RowLayout::build(&design);
+        let grid = BinGrid::build(&design, &layout, &[60, 60], true);
+        let op = || (0usize..8, 0u8..6, -20i64..320, 0usize..64);
+
+        proptest!(ProptestConfig::with_cases(64), |(
+            setup in proptest::collection::vec(op(), 0..24),
+            rounds in proptest::collection::vec(proptest::collection::vec(op(), 0..32), 1..4),
+            keep in 0usize..4,
+        )| {
+            let mut st = FlowState::new(
+                &design,
+                &layout,
+                &grid,
+                vec![flow3d_geom::Point::ORIGIN; 8],
+            );
+            for o in setup {
+                random_op(&mut st, o);
+            }
+            for (r, ops) in rounds.into_iter().enumerate() {
+                st.checkpoint();
+                let before = st.columns().canonical();
+                for o in ops {
+                    random_op(&mut st, o);
+                }
+                if r == keep {
+                    // A checkpoint over an open journal keeps the changes.
+                    continue;
+                }
+                st.rollback();
+                prop_assert_eq!(st.columns().canonical(), before, "round {}", r);
             }
         });
     }

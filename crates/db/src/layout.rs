@@ -11,7 +11,6 @@ use flow3d_geom::{Interval, Rect};
 
 /// A maximal macro-free stretch of one placement row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// flow3d-tidy: allow(dead-pub) — design-database model type, part of the flow3d::db facade surface
 pub struct Segment {
     /// Globally unique segment id within a [`RowLayout`].
     pub id: SegmentId,

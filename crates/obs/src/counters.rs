@@ -31,7 +31,9 @@ pub mod keys {
     pub const SEARCH_RETRIES: &str = "search_retries";
     /// Whole cells moved while realizing augmenting paths.
     pub const CELLS_MOVED: &str = "cells_moved";
-    /// Abacus `PlaceRow` invocations during final row legalization.
+    /// Abacus `PlaceRow` invocations during row legalization: one per
+    /// non-empty segment placed. Post-optimization passes and ECO
+    /// requests place only the segments whose membership changed.
     pub const PLACEROW_CALLS: &str = "placerow_calls";
     /// Cycle-canceling post-optimization passes that re-ran legalization.
     pub const CYCLE_RELEGALIZATIONS: &str = "cycle_relegalizations";

@@ -26,7 +26,8 @@ pub mod keys {
     pub const SEARCH_NODES: &str = "search_nodes_per_source";
     /// Steps in each *applied* augmenting path.
     pub const SEARCH_DEPTH: &str = "search_path_depth";
-    /// Cells per non-empty PlaceRow segment.
+    /// Cells per non-empty PlaceRow segment placed (see
+    /// [`PLACEROW_CALLS`](crate::keys::PLACEROW_CALLS)).
     pub const SEGMENT_CELLS: &str = "placerow_segment_cells";
     /// End-to-end serve-mode request latency in microseconds (admission
     /// to response), one sample per request; recorded by `flow3d-serve`

@@ -64,5 +64,7 @@ pub mod server;
 
 pub use client::{Client, ClientError};
 pub use flow3d_obs::Json;
-pub use protocol::{read_frame, write_frame, FrameError, MoveSpec, Request, MAX_FRAME};
+pub use protocol::{
+    read_frame, write_frame, FrameError, MoveSpec, Request, MAX_CONNECTIONS, MAX_FRAME,
+};
 pub use server::{Server, ServerConfig};

@@ -23,7 +23,6 @@ use std::io::{Read, Write};
 
 /// Maximum accepted frame payload, in bytes (64 MiB). Large enough for
 /// a full case file, small enough to bound a malicious length prefix.
-// flow3d-tidy: allow(dead-pub) — wire-protocol API (flow3d::serve) for out-of-tree clients
 pub const MAX_FRAME: usize = 64 << 20;
 
 /// Most engine worker threads a `load` request may ask for. An engine
@@ -31,6 +30,11 @@ pub const MAX_FRAME: usize = 64 << 20;
 /// search scratch per thread for its lifetime, so the wire must not be
 /// able to ask for thousands.
 const MAX_LOAD_THREADS: usize = 64;
+
+/// Most connections a listener serves at once. Each one holds an OS
+/// thread; a connection over the limit is answered with one
+/// [`codes::OVERLOADED`] error frame and closed.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// Error codes carried by `{"error": {"code": …}}` responses.
 pub mod codes {
@@ -58,7 +62,6 @@ pub mod codes {
 /// A framing-layer error: the byte stream could not produce a JSON
 /// value.
 #[derive(Debug)]
-// flow3d-tidy: allow(dead-pub) — wire-protocol API (flow3d::serve) for out-of-tree clients
 pub enum FrameError {
     /// The underlying transport failed.
     Io(std::io::Error),

@@ -24,19 +24,19 @@
 
 use crate::protocol::{
     codes, error_response, ok_response, read_frame, request_id, write_frame, FrameError, MoveSpec,
-    Request,
+    Request, MAX_CONNECTIONS,
 };
 use flow3d_core::{CellMove, EcoEngine, Flow3dConfig, Flow3dLegalizer, LegalizeStats, Legalizer};
-use flow3d_db::DieId;
+use flow3d_db::{Design, DieId};
 use flow3d_geom::Point;
 use flow3d_obs::{
     hist_keys, keys, log_record, peak_rss_bytes, EventLog, FlightRecorder, Json, LogLevel, Profile,
     RequestSample, RollingWindow, RunReport,
 };
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -174,6 +174,18 @@ struct Shared {
     /// (see [`Answering`]).
     answering: Mutex<usize>,
     answered_cv: Condvar,
+    /// Connections the listeners are serving (see [`MAX_CONNECTIONS`]).
+    connections: AtomicUsize,
+}
+
+/// Holds one of the [`MAX_CONNECTIONS`] listener slots until the
+/// connection thread ends.
+struct ConnectionSlot(Server);
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.shared.connections.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 /// Counts one connection request as unanswered from the moment its
@@ -261,6 +273,7 @@ impl Server {
                 dispatcher: Mutex::new(None),
                 answering: Mutex::new(0),
                 answered_cv: Condvar::new(),
+                connections: AtomicUsize::new(0),
             }),
         };
         let worker = server.clone();
@@ -355,7 +368,8 @@ impl Server {
 
     /// Serves connections from `listener` until shutdown. Each
     /// connection gets its own thread running
-    /// [`handle_connection`](Self::handle_connection).
+    /// [`handle_connection`](Self::handle_connection), up to
+    /// [`MAX_CONNECTIONS`] at once; one over the limit is refused.
     ///
     /// # Errors
     ///
@@ -375,8 +389,7 @@ impl Server {
             if self.is_done() {
                 return Ok(());
             }
-            let server = self.clone();
-            std::thread::spawn(move || server.handle_connection(stream));
+            self.admit_connection(stream);
         }
     }
 
@@ -410,9 +423,29 @@ impl Server {
                 std::fs::remove_file(path).ok();
                 return Ok(());
             }
-            let server = self.clone();
-            std::thread::spawn(move || server.handle_connection(stream));
+            self.admit_connection(stream);
         }
+    }
+
+    /// Serves an accepted stream on a thread of its own, or, with
+    /// [`MAX_CONNECTIONS`] connections already open, answers it with one
+    /// [`codes::OVERLOADED`] error frame and closes it.
+    fn admit_connection<S: Read + Write + Send + 'static>(&self, mut stream: S) {
+        if self.shared.connections.fetch_add(1, Ordering::AcqRel) >= MAX_CONNECTIONS {
+            self.shared.connections.fetch_sub(1, Ordering::AcqRel);
+            let message = format!("{MAX_CONNECTIONS} connections are open already");
+            let response = error_response(0, codes::OVERLOADED, &message);
+            self.note_outcome(&response);
+            self.emit(
+                LogLevel::Warn,
+                "connection_refused",
+                vec![("message".into(), Json::Str(message))],
+            );
+            let _ = write_frame(&mut stream, &response);
+            return;
+        }
+        let slot = ConnectionSlot(self.clone());
+        std::thread::spawn(move || slot.0.handle_connection(stream));
     }
 
     /// Speaks the frame protocol over `stream` until the peer closes,
@@ -984,7 +1017,7 @@ impl Server {
             return fail(codes::UNKNOWN_CASE, &format!("no resident case `{name}`"));
         };
         let mut slot = lock(&slot);
-        let cell_moves = match resolve_moves(&slot.engine, moves) {
+        let cell_moves = match resolve_moves(slot.engine.design(), moves) {
             Ok(m) => m,
             Err(msg) => return fail(codes::BAD_REQUEST, &msg),
         };
@@ -1093,16 +1126,20 @@ impl Server {
 }
 
 /// Resolves wire move specs against the resident design. Any unknown
-/// cell or out-of-range die fails the whole request — a partial ECO
-/// would silently diverge from what the client asked for.
-fn resolve_moves(engine: &EcoEngine, moves: &[MoveSpec]) -> Result<Vec<CellMove>, String> {
-    let design = engine.design();
+/// cell, out-of-range die or cell listed twice (as in the move-file
+/// grammar) fails the whole request — a partial ECO would silently
+/// diverge from what the client asked for.
+fn resolve_moves(design: &Design, moves: &[MoveSpec]) -> Result<Vec<CellMove>, String> {
+    let mut seen = BTreeSet::new();
     moves
         .iter()
         .map(|m| {
             let cell = design
                 .cell_by_name(&m.cell)
                 .ok_or_else(|| format!("unknown cell `{}`", m.cell))?;
+            if !seen.insert(cell) {
+                return Err(format!("cell `{}` moved twice", m.cell));
+            }
             let die = match m.die {
                 None => None,
                 Some(d) if d < design.num_dies() => Some(DieId::new(d)),
@@ -1161,4 +1198,41 @@ fn stats_json(stats: &LegalizeStats) -> Json {
 /// valid at rest (counters, maps, queues).
 fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flow3d_db::{DesignBuilder, DieSpec, LibCellSpec, TechnologySpec};
+
+    fn spec(cell: &str, die: Option<usize>) -> MoveSpec {
+        MoveSpec {
+            cell: cell.to_string(),
+            x: 10,
+            y: 0,
+            die,
+        }
+    }
+
+    #[test]
+    fn wire_moves_reject_a_cell_listed_twice() {
+        let design = DesignBuilder::new("t")
+            .technology(TechnologySpec::new("T").lib_cell(LibCellSpec::std_cell("C", 30, 10)))
+            .die(DieSpec::new("bottom", "T", (0, 0, 400, 40), 10, 1, 1.0))
+            .die(DieSpec::new("top", "T", (0, 0, 400, 40), 10, 1, 1.0))
+            .cell("u0", "C")
+            .cell("u1", "C")
+            .build()
+            .unwrap();
+        let ok = resolve_moves(&design, &[spec("u0", None), spec("u1", Some(1))]).unwrap();
+        assert_eq!(ok.len(), 2);
+        let err = resolve_moves(
+            &design,
+            &[spec("u1", None), spec("u0", None), spec("u1", Some(0))],
+        )
+        .unwrap_err();
+        assert_eq!(err, "cell `u1` moved twice");
+        let err = resolve_moves(&design, &[spec("u0", Some(2))]).unwrap_err();
+        assert!(err.starts_with("die 2 out of range"), "{err}");
+    }
 }

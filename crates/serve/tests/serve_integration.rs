@@ -11,7 +11,7 @@ use flow3d_db::{
 };
 use flow3d_geom::{FPoint, Point};
 use flow3d_obs::RunReport;
-use flow3d_serve::{Client, Json, Server, ServerConfig};
+use flow3d_serve::{Client, Json, Server, ServerConfig, MAX_CONNECTIONS};
 
 // ---------------------------------------------------------------- fixtures
 
@@ -243,8 +243,8 @@ fn eco_batch_is_bit_identical_and_legal() {
         assert_served_legal(&d, result_str(result, "legal"));
     }
 
-    // Commit the last outcome: the response reports the seed-cache
-    // delta, which for a small ECO refreshes only a fraction of seeds.
+    // Commit the last outcome: the response reports the re-seed delta,
+    // which for a small ECO re-seeds only a fraction of the cells.
     {
         let mut req = eco_request("demo", &sets[0]);
         if let Json::Obj(pairs) = &mut req {
@@ -488,6 +488,61 @@ fn tcp_listener_round_trips_and_stops() {
         .unwrap();
     assert_ok(&resp);
     shutdown_and_join(&mut client, &server);
+    accept_thread.join().unwrap().unwrap();
+}
+
+/// A listener serves at most `MAX_CONNECTIONS` connections at once: one
+/// more gets a single `overloaded` frame and is closed, the open ones
+/// keep being served, and a closed one frees its slot.
+#[test]
+fn connections_over_the_cap_are_refused() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = Server::new(ServerConfig::default()).unwrap();
+    let acceptor = server.clone();
+    let accept_thread = std::thread::spawn(move || acceptor.serve_listener(listener));
+    let ping = obj(vec![("cmd", Json::Str("ping".into()))]);
+
+    // A served ping proves the connection holds a slot.
+    let mut clients: Vec<Client<std::net::TcpStream>> = (0..MAX_CONNECTIONS)
+        .map(|_| {
+            let mut c = Client::connect_tcp(addr).unwrap();
+            assert_ok(&c.request(&ping).unwrap());
+            c
+        })
+        .collect();
+
+    let mut extra = std::net::TcpStream::connect(addr).unwrap();
+    let refused = flow3d_serve::read_frame(&mut extra).unwrap().unwrap();
+    let code = refused
+        .get("error")
+        .and_then(|e| e.get("code"))
+        .and_then(Json::as_str);
+    assert_eq!(code, Some("overloaded"), "{refused}");
+    assert!(flow3d_serve::read_frame(&mut extra).unwrap().is_none());
+
+    for c in &mut clients {
+        assert_ok(&c.request(&ping).unwrap());
+    }
+
+    // Closing one connection frees its slot (released asynchronously,
+    // when the server thread sees the close).
+    drop(clients.pop());
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let mut replacement = loop {
+        // A refused attempt may also surface as a reset: the server
+        // closes it with the ping unread.
+        let mut c = Client::connect_tcp(addr).unwrap();
+        if let Ok(reply) = c.request(&ping) {
+            if reply.get("ok") == Some(&Json::Bool(true)) {
+                break c;
+            }
+        }
+        assert!(std::time::Instant::now() < deadline, "slot never freed");
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    };
+    shutdown_and_join(&mut replacement, &server);
+    drop(clients);
     accept_thread.join().unwrap().unwrap();
 }
 

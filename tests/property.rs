@@ -206,3 +206,91 @@ proptest! {
         }
     }
 }
+
+/// A macro-pocket design: a full-width wall macro covers row `wall` of
+/// the bottom die, so rows below it form a pocket no grid path leaves
+/// (there are no die-to-die edges). Every cell is anchored in the pocket
+/// and together they overfill it, so only the teleport fallback can
+/// legalize the design.
+fn pocket_design(
+    width: i64,
+    rows: i64,
+    wall: i64,
+    widths: &[i64],
+    xs: &[i64],
+) -> (flow3d::db::Design, Placement3d) {
+    const H: i64 = 12;
+    let mut tech = TechnologySpec::new("T").lib_cell(LibCellSpec::macro_cell("WALL", width, H));
+    for w in [20, 30, 40] {
+        tech = tech.lib_cell(LibCellSpec::std_cell(format!("W{w}"), w, H));
+    }
+    let mut b = DesignBuilder::new("pocket")
+        .technology(tech)
+        .die(DieSpec::new(
+            "bottom",
+            "T",
+            (0, 0, width, rows * H),
+            H,
+            1,
+            1.0,
+        ))
+        .die(DieSpec::new("top", "T", (0, 0, width, rows * H), H, 1, 1.0))
+        .macro_inst("wall", "WALL", "bottom", 0, wall * H);
+    for (i, &w) in widths.iter().enumerate() {
+        b = b.cell(format!("u{i}"), format!("W{w}"));
+    }
+    let design = b.build().unwrap();
+    let mut gp = Placement3d::new(widths.len());
+    for (i, &x) in xs.iter().enumerate() {
+        let c = flow3d::db::CellId::new(i);
+        gp.set_pos(c, FPoint::new(x as f64, ((i as i64 % wall) * H) as f64));
+        gp.set_die_affinity(c, 0.0);
+    }
+    (design, gp)
+}
+
+/// Random macro pockets with no augmenting path out: the teleport
+/// fallback must produce a legal placement, must actually run, and must
+/// keep every displacement within the die's half-perimeter.
+#[test]
+fn teleport_fallback_output_is_legal_and_bounded() {
+    let mut ran = 0usize;
+    proptest!(ProptestConfig::with_cases(32), |(
+        (width, rows, wall) in (8i64..20, 3i64..7, 1i64..3)
+            .prop_map(|(w, r, k)| (w * 20, r, k.min(r - 2))),
+        picks in proptest::collection::vec((0usize..3, 0i64..1000), 48),
+        extra in 1i64..60,
+    )| {
+        // Fill the pocket (rows below the wall) past its capacity by
+        // `extra` DBU; the rows above the wall have room to spare.
+        let pocket = wall * width;
+        let mut widths = Vec::new();
+        let mut xs = Vec::new();
+        let mut total = 0;
+        for &(w, x) in &picks {
+            if total >= pocket + extra {
+                break;
+            }
+            let w = [20, 30, 40][w];
+            widths.push(w);
+            xs.push(x % (width - w + 1));
+            total += w;
+        }
+        prop_assume!(total > pocket && total <= (rows - wall - 1) * width / 2 + pocket);
+        let (design, gp) = pocket_design(width, rows, wall, &widths, &xs);
+        let outcome = Flow3dLegalizer::new(Flow3dConfig::without_d2d())
+            .legalize(&design, &gp)
+            .expect("room above the wall");
+        let report = check_legal(&design, &outcome.placement);
+        prop_assert!(report.is_legal(), "{report}");
+        prop_assert!(outcome.stats.fallback_moves > 0);
+        let half_perimeter = width + rows * 12;
+        for i in 0..widths.len() {
+            let c = flow3d::db::CellId::new(i);
+            let d = outcome.placement.pos(c).manhattan(gp.pos(c).round());
+            prop_assert!(d <= half_perimeter, "cell {} moved {} > {}", i, d, half_perimeter);
+        }
+        ran += 1;
+    });
+    assert!(ran >= 24, "only {ran}/32 random pockets ran");
+}

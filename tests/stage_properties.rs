@@ -18,7 +18,7 @@ use flow3d_core::driver::{bin_widths, flow_pass_threaded, placerow_all_threaded}
 use flow3d_core::grid::BinGrid;
 use flow3d_core::search::SearchParams;
 use flow3d_core::selection::SelectionParams;
-use flow3d_core::{assign, cycle, LegalizeStats};
+use flow3d_core::{assign, cycle, CellMove, EcoEngine, LegalizeStats};
 use flow3d_db::{CellId, DieId, LegalPlacement, RowLayout};
 use flow3d_geom::FPoint;
 use proptest::prelude::*;
@@ -508,5 +508,299 @@ fn every_pipeline_stage_upholds_the_legality_invariants() {
     assert!(
         completed >= 8,
         "only {completed}/32 random cases reached the post-opt stage"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Fresh-seed references for post-optimization and ECO
+//
+// The pipelines as they ran before the resident state: every post-opt
+// pass and every ECO request builds a new whole-design `FlowState`,
+// inserts every cell in id order at its nearest legal position, runs the
+// flow pass and then `PlaceRow` on every segment. The resident engines
+// keep one seeded state, re-seed only moved cells under an undo journal
+// and re-place only segments whose membership changed; they must
+// reproduce these references exactly.
+// ---------------------------------------------------------------------
+
+/// Fresh state with every cell inserted, in id order, at the legal
+/// position nearest its `(die, point)`; `None` names the lowest cell
+/// that fits nowhere.
+fn reference_seed<'a>(
+    design: &'a flow3d::db::Design,
+    layout: &'a RowLayout,
+    grid: &'a BinGrid,
+    anchors: Vec<flow3d_geom::Point>,
+    slot: impl Fn(usize) -> Vec<(DieId, flow3d_geom::Point)>,
+) -> Result<flow3d_core::FlowState<'a>, CellId> {
+    let mut state = flow3d_core::FlowState::new(design, layout, grid, anchors);
+    for i in 0..design.num_cells() {
+        let cell = CellId::new(i);
+        let found = slot(i).into_iter().find_map(|(die, p)| {
+            let w = design.cell_width(cell, die);
+            layout.nearest_position(design, die, p.x, p.y, w)
+        });
+        let Some((seg, x)) = found else {
+            return Err(cell);
+        };
+        state.insert_cell(cell, grid.bin_at(seg.id, x), x);
+    }
+    Ok(state)
+}
+
+/// Post-optimization with a fresh seed and all-segment `PlaceRow` per
+/// pass. Returns how many passes ran a flow pass.
+fn reference_post_optimize(
+    design: &flow3d::db::Design,
+    layout: &RowLayout,
+    gp: &Placement3d,
+    cfg: &Flow3dConfig,
+    placement: &mut LegalPlacement,
+    stats: &mut LegalizeStats,
+) -> Result<usize, flow3d_core::LegalizeError> {
+    let n = design.num_cells();
+    let threads = flow3d_par::resolve_threads(cfg.threads);
+    let params = params_for(design, cfg);
+    let anchors = assign::anchors(design, gp);
+    let grid = BinGrid::build(
+        design,
+        layout,
+        &bin_widths(design, cfg.post_bin_width_factor),
+        cfg.allow_d2d,
+    );
+    let h_max = design
+        .dies()
+        .iter()
+        .map(|d| d.row_height)
+        .max()
+        .unwrap_or(1);
+    let disp = |pl: &LegalPlacement, i: usize| pl.pos(CellId::new(i)).manhattan(anchors[i]);
+    let max_disp = |pl: &LegalPlacement| (0..n).map(|i| disp(pl, i)).max().unwrap_or(0);
+    let mut current_max = max_disp(placement);
+    let mut ran = 0;
+    for _ in 0..cfg.post_passes {
+        let threshold = (5 * h_max).max(current_max / 2);
+        let selected: Vec<bool> = (0..n).map(|i| disp(placement, i) > threshold).collect();
+        if !selected.contains(&true) {
+            break;
+        }
+        let seeded = reference_seed(design, layout, &grid, anchors.clone(), |i| {
+            let c = CellId::new(i);
+            let (p, a) = (placement.pos(c), anchors[i]);
+            let at = if selected[i] {
+                flow3d_geom::Point::new((p.x + a.x) / 2, (p.y + a.y) / 2)
+            } else {
+                p
+            };
+            vec![(placement.die(c), at)]
+        });
+        let Ok(mut state) = seeded else { break };
+        let mut pass_stats = LegalizeStats::default();
+        flow_pass_threaded(&mut state, &params, threads, &mut pass_stats, None)?;
+        ran += 1;
+        let candidate = placerow_all_threaded(&state, cfg.row_algo, threads, None)?;
+        let new_max = max_disp(&candidate);
+        if new_max >= current_max {
+            break;
+        }
+        *placement = candidate;
+        current_max = new_max;
+        stats.absorb(&pass_stats);
+        stats.post_passes += 1;
+    }
+    Ok(ran)
+}
+
+/// One ECO request with a fresh seed of `base` and all-segment
+/// `PlaceRow`.
+fn reference_eco(
+    design: &flow3d::db::Design,
+    base: &LegalPlacement,
+    cfg: &Flow3dConfig,
+    moves: &[CellMove],
+) -> Result<flow3d_core::LegalizeOutcome, flow3d_core::LegalizeError> {
+    let n = design.num_cells();
+    let threads = flow3d_par::resolve_threads(cfg.threads);
+    let layout = RowLayout::build(design);
+    let grid = BinGrid::build(
+        design,
+        &layout,
+        &bin_widths(design, cfg.post_bin_width_factor),
+        cfg.allow_d2d,
+    );
+    let mut anchors: Vec<flow3d_geom::Point> = (0..n).map(|i| base.pos(CellId::new(i))).collect();
+    let mut dies: Vec<DieId> = (0..n).map(|i| base.die(CellId::new(i))).collect();
+    let mut moved = vec![false; n];
+    for mv in moves {
+        anchors[mv.cell.index()] = mv.target;
+        moved[mv.cell.index()] = true;
+        if let Some(die) = mv.die {
+            dies[mv.cell.index()] = die;
+        }
+    }
+    let seeded = reference_seed(design, &layout, &grid, anchors.clone(), |i| {
+        let mut order = vec![(dies[i], anchors[i])];
+        if moved[i] {
+            order.extend((0..design.num_dies()).map(|d| (DieId::new(d), anchors[i])));
+        }
+        order
+    });
+    let mut state = seeded.map_err(|cell| flow3d_core::LegalizeError::NoPosition { cell })?;
+    let mut stats = LegalizeStats::default();
+    flow_pass_threaded(
+        &mut state,
+        &params_for(design, cfg),
+        threads,
+        &mut stats,
+        None,
+    )?;
+    let placement = placerow_all_threaded(&state, cfg.row_algo, threads, None)?;
+    stats.cross_die_moves = (0..n)
+        .filter(|&i| placement.die(CellId::new(i)) != base.die(CellId::new(i)))
+        .count();
+    Ok(flow3d_core::LegalizeOutcome { placement, stats })
+}
+
+/// Main pass only: the placement post-optimization starts from.
+fn main_pass(
+    design: &flow3d::db::Design,
+    layout: &RowLayout,
+    gp: &Placement3d,
+    cfg: &Flow3dConfig,
+) -> Option<(LegalPlacement, LegalizeStats)> {
+    let mut dies = assign::partition_dies(design, gp).ok()?;
+    let grid = BinGrid::build(
+        design,
+        layout,
+        &bin_widths(design, cfg.bin_width_factor),
+        cfg.allow_d2d,
+    );
+    let mut state = assign::build_state(design, layout, &grid, gp, &mut dies).ok()?;
+    let mut stats = LegalizeStats::default();
+    flow_pass_threaded(&mut state, &params_for(design, cfg), 1, &mut stats, None).ok()?;
+    let placement = placerow_all_threaded(&state, cfg.row_algo, 1, None).ok()?;
+    Some((placement, stats))
+}
+
+/// Resident post-optimization (one seeded state, journaled passes,
+/// dirty-segment `PlaceRow`) equals the fresh-seed reference exactly —
+/// placement, stats and error — at 1 and 8 threads.
+#[test]
+fn resident_post_opt_matches_the_fresh_seed_reference() {
+    let mut passes = 0usize;
+    let mut accepted = 0usize;
+    proptest!(ProptestConfig::with_cases(32), |(
+        (widths, anchors) in arb_congested_instance(),
+        bin_factor in 1.0f64..6.0,
+    )| {
+        let (design, gp) = build(&widths, &anchors);
+        let layout = RowLayout::build(&design);
+        let base_cfg = Flow3dConfig {
+            post_bin_width_factor: bin_factor,
+            ..Flow3dConfig::default()
+        };
+        let Some((start, start_stats)) = main_pass(&design, &layout, &gp, &base_cfg) else {
+            return;
+        };
+        for threads in [1, 8] {
+            let cfg = Flow3dConfig { threads, ..base_cfg.clone() };
+            let (mut want, mut want_stats) = (start.clone(), start_stats);
+            let want_result =
+                reference_post_optimize(&design, &layout, &gp, &cfg, &mut want, &mut want_stats);
+            let (mut got, mut got_stats) = (start.clone(), start_stats);
+            let got_result = cycle::post_optimize(
+                &design,
+                &layout,
+                &gp,
+                &cfg,
+                &params_for(&design, &cfg),
+                &mut got,
+                &mut got_stats,
+                None,
+            );
+            prop_assert_eq!(got_result.is_ok(), want_result.is_ok(), "threads {}", threads);
+            if let (Err(g), Err(w)) = (&got_result, &want_result) {
+                prop_assert_eq!(g, w);
+            }
+            prop_assert_eq!(&got, &want, "threads {}", threads);
+            prop_assert_eq!(got_stats, want_stats, "threads {}", threads);
+            if threads == 1 {
+                passes += want_result.unwrap_or(0);
+                accepted += want_stats.post_passes;
+            }
+        }
+    });
+    assert!(
+        passes >= 16 && accepted >= 4,
+        "post-opt too rarely exercised: {passes} passes, {accepted} accepted"
+    );
+}
+
+/// The resident ECO engine equals a fresh seed of the same request on
+/// the same base, at 1 and 8 threads, over random request streams with
+/// die requests, repeated cells and commits — placements, stats and
+/// errors alike.
+#[test]
+fn resident_eco_matches_the_fresh_seed_reference() {
+    let mut served = 0usize;
+    let mut commits = 0usize;
+    proptest!(ProptestConfig::with_cases(24), |(
+        (widths, anchors) in arb_instance(),
+        stream in proptest::collection::vec(
+            (
+                proptest::collection::vec(
+                    (0usize..64, -50i64..450, -10i64..50, 0usize..4),
+                    0..8,
+                ),
+                0u8..3,
+            ),
+            1..6,
+        ),
+    )| {
+        let (design, gp) = build(&widths, &anchors);
+        let Ok(outcome) = Flow3dLegalizer::default().legalize(&design, &gp) else { return; };
+        let n = design.num_cells();
+        for threads in [1, 8] {
+            let cfg = Flow3dConfig::with_threads(threads);
+            let mut engine =
+                EcoEngine::new(cfg.clone(), design.clone(), outcome.placement.clone()).unwrap();
+            let mut base = outcome.placement.clone();
+            for (k, (raw, commit)) in stream.iter().enumerate() {
+                let moves: Vec<CellMove> = raw
+                    .iter()
+                    .map(|&(c, x, y, die)| CellMove {
+                        cell: CellId::new(c % n),
+                        target: flow3d_geom::Point::new(x, y),
+                        die: (die < 2).then(|| DieId::new(die)),
+                    })
+                    .collect();
+                let want = reference_eco(&design, &base, &cfg, &moves);
+                let got = engine.eco(&moves);
+                match (&got, &want) {
+                    (Ok(g), Ok(w)) => {
+                        prop_assert_eq!(&g.placement, &w.placement, "request {} threads {}", k, threads);
+                        prop_assert_eq!(g.stats, w.stats, "request {} threads {}", k, threads);
+                        prop_assert!(check_legal(&design, &g.placement).is_legal());
+                        if threads == 1 {
+                            served += 1;
+                        }
+                        if *commit == 0 {
+                            let cs = engine.commit(g.placement.clone()).unwrap();
+                            prop_assert_eq!(cs.total, n);
+                            base = g.placement.clone();
+                            if threads == 1 {
+                                commits += 1;
+                            }
+                        }
+                    }
+                    (Err(g), Err(w)) => prop_assert_eq!(g, w, "request {}", k),
+                    _ => prop_assert!(false, "request {}: engine {:?} vs reference {:?}", k, got.is_ok(), want.is_ok()),
+                }
+            }
+        }
+    });
+    assert!(
+        served >= 40 && commits >= 10,
+        "ECO stream too thin: {served} requests served, {commits} commits"
     );
 }
