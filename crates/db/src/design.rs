@@ -1,11 +1,13 @@
 //! The top-level design: instances, nets, dies and technologies.
 
-use crate::die::Die;
+use crate::die::{Die, MAX_ROWS_PER_DIE};
 use crate::error::DbError;
-use crate::ids::{CellId, DieId, LibCellId, MacroId, NetId, TechId};
+use crate::ids::{CellId, DieId, LibCellId, MacroId, TechId};
 use crate::tech::{LibCell, Technology, TechnologySpec};
 use flow3d_geom::{Point, Rect};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// A movable standard-cell instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,6 +51,25 @@ pub struct PinRef {
     pub pin: usize,
 }
 
+/// Instance name → id, one entry per cell and per macro: the name index
+/// a [`Design`] answers [`Design::cell_by_name`] and
+/// [`Design::macro_by_name`] from, and that a streaming parser builds as
+/// it reads (see [`ResolvedCase`]).
+///
+/// It is hashed with std's keyed SipHash (`RandomState`): instance names
+/// are long runs of shared prefixes that defeat unkeyed multiplicative
+/// hashes, and a fixed key would let a hostile case file force
+/// collisions. It serves lookups; the one walk over it, in
+/// [`Design::from_resolved`], only fills per-id slots, so its order
+/// never reaches a result.
+// flow3d-tidy: allow(unordered-map) — lookup-only name index; iteration order never reaches a result (see above)
+pub type InstIndex = std::collections::HashMap<String, InstRef>;
+
+/// Net names seen so far, for rejecting the first repeated net name
+/// without cloning any.
+// flow3d-tidy: allow(unordered-map) — duplicate-name membership test; never iterated
+type NetNameSet<'a> = std::collections::HashSet<&'a str>;
+
 /// A net connecting two or more pins.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Net {
@@ -68,9 +89,7 @@ pub struct Design {
     cells: Vec<CellInst>,
     macros: Vec<MacroInst>,
     nets: Vec<Net>,
-    cell_names: BTreeMap<String, CellId>,
-    macro_names: BTreeMap<String, MacroId>,
-    net_names: BTreeMap<String, NetId>,
+    index: InstIndex,
 }
 
 impl Design {
@@ -119,7 +138,7 @@ impl Design {
         &self.macros
     }
 
-    /// All nets, indexed by [`NetId`].
+    /// All nets, indexed by [`NetId`](crate::NetId).
     pub fn nets(&self) -> &[Net] {
         &self.nets
     }
@@ -144,17 +163,18 @@ impl Design {
 
     /// Looks up a cell id by instance name.
     pub fn cell_by_name(&self, name: &str) -> Option<CellId> {
-        self.cell_names.get(name).copied()
+        match self.index.get(name) {
+            Some(&InstRef::Cell(c)) => Some(c),
+            _ => None,
+        }
     }
 
     /// Looks up a macro id by instance name.
     pub fn macro_by_name(&self, name: &str) -> Option<MacroId> {
-        self.macro_names.get(name).copied()
-    }
-
-    /// Looks up a net id by name.
-    pub fn net_by_name(&self, name: &str) -> Option<NetId> {
-        self.net_names.get(name).copied()
+        match self.index.get(name) {
+            Some(&InstRef::Macro(m)) => Some(m),
+            _ => None,
+        }
     }
 
     /// The library-cell incarnation of `cell` on `die` (width differs per
@@ -213,19 +233,15 @@ impl Design {
     /// Placeable area of `die` in DBU²: row area minus macro blockage.
     pub fn free_area(&self, die: DieId) -> i64 {
         let d = &self.dies[die.index()];
+        // The rows tile one band of the outline without gaps (full width,
+        // stacked from the bottom edge), so the area a macro takes from
+        // the rows is its overlap with that band.
+        let top = d.outline.ylo + d.num_rows() as i64 * d.row_height;
+        let band = Rect::new(d.outline.xlo, d.outline.ylo, d.outline.xhi, top);
         let blocked: i64 = self
             .macro_rects_on(die)
             .iter()
-            .map(|r| {
-                d.rows
-                    .iter()
-                    .map(|row| {
-                        let row_rect =
-                            Rect::new(row.span.lo, row.y, row.span.hi, row.y + d.row_height);
-                        row_rect.overlap_area(r)
-                    })
-                    .sum::<i64>()
-            })
+            .map(|r| band.overlap_area(r))
             .sum();
         d.rows_area() - blocked
     }
@@ -259,7 +275,9 @@ pub struct DieSpec {
 
 impl DieSpec {
     /// Creates a die spec. `outline` is `(xlo, ylo, xhi, yhi)`; `max_util`
-    /// is a fraction in `(0, 1]`.
+    /// is a fraction in `(0, 1]`. Nothing is checked here: building the
+    /// design rejects an inverted or overflowing outline, and one with
+    /// more than [`MAX_ROWS_PER_DIE`] rows, as [`DbError::InvalidDie`].
     pub fn new(
         name: impl Into<String>,
         tech: impl Into<String>,
@@ -271,7 +289,12 @@ impl DieSpec {
         Self {
             name: name.into(),
             tech: tech.into(),
-            outline: Rect::new(outline.0, outline.1, outline.2, outline.3),
+            outline: Rect {
+                xlo: outline.0,
+                ylo: outline.1,
+                xhi: outline.2,
+                yhi: outline.3,
+            },
             row_height,
             site_width,
             max_util,
@@ -378,8 +401,8 @@ impl DesignBuilder {
                 })
         };
 
+        let mut index = InstIndex::with_capacity(self.cells.len() + self.macros.len());
         let mut cells = Vec::with_capacity(self.cells.len());
-        let mut cell_names = BTreeMap::new();
         for (name, lc) in self.cells {
             let lib_cell = lib_cell_index(&lc)?;
             if canon.lib_cells[lib_cell.index()].is_macro() {
@@ -388,17 +411,24 @@ impl DesignBuilder {
                     detail: "macro lib cell used for a movable cell instance".into(),
                 });
             }
-            if cell_names
-                .insert(name.clone(), CellId::new(cells.len()))
-                .is_some()
-            {
-                return Err(DbError::DuplicateName { kind: "cell", name });
+            match index.entry(name) {
+                Entry::Occupied(e) => {
+                    return Err(DbError::DuplicateName {
+                        kind: "cell",
+                        name: e.key().clone(),
+                    })
+                }
+                Entry::Vacant(e) => {
+                    cells.push(CellInst {
+                        name: e.key().clone(),
+                        lib_cell,
+                    });
+                    e.insert(InstRef::Cell(CellId::new(cells.len() - 1)));
+                }
             }
-            cells.push(CellInst { name, lib_cell });
         }
 
         let mut macros: Vec<MacroInst> = Vec::with_capacity(self.macros.len());
-        let mut macro_names = BTreeMap::new();
         for (name, lc, die_name, pos) in self.macros {
             let lib_cell = lib_cell_index(&lc)?;
             if !canon.lib_cells[lib_cell.index()].is_macro() {
@@ -414,41 +444,50 @@ impl DesignBuilder {
                     kind: "die",
                     name: die_name.clone(),
                 })?;
-            if cell_names.contains_key(&name)
-                || macro_names
-                    .insert(name.clone(), MacroId::new(macros.len()))
-                    .is_some()
-            {
-                return Err(DbError::DuplicateName {
-                    kind: "instance",
-                    name,
-                });
+            match index.entry(name) {
+                Entry::Occupied(e) => {
+                    return Err(DbError::DuplicateName {
+                        kind: "instance",
+                        name: e.key().clone(),
+                    })
+                }
+                Entry::Vacant(e) => {
+                    macros.push(MacroInst {
+                        name: e.key().clone(),
+                        lib_cell,
+                        die: DieId::new(die_idx),
+                        pos,
+                    });
+                    e.insert(InstRef::Macro(MacroId::new(macros.len() - 1)));
+                }
             }
-            macros.push(MacroInst {
-                name,
-                lib_cell,
-                die: DieId::new(die_idx),
-                pos,
-            });
         }
 
         validate_macro_placements(&macros, &dies, &techs)?;
 
-        // Nets.
+        // Nets. The first repeated net name is found up front, borrowing
+        // the names, so the loop below can move them; it still reports
+        // the repeat only after that net's pins, as the error order has
+        // always been.
+        let first_repeat = {
+            let mut seen = NetNameSet::with_capacity(self.nets.len());
+            self.nets
+                .iter()
+                .position(|(name, _)| !seen.insert(name.as_str()))
+        };
         let mut nets = Vec::with_capacity(self.nets.len());
-        let mut net_names = BTreeMap::new();
-        for (name, pins) in self.nets {
+        for (i, (name, pins)) in self.nets.into_iter().enumerate() {
             let mut refs = Vec::with_capacity(pins.len());
             for (inst_name, pin) in pins {
-                let (inst, lib_cell) = if let Some(&c) = cell_names.get(&inst_name) {
-                    (InstRef::Cell(c), cells[c.index()].lib_cell)
-                } else if let Some(&m) = macro_names.get(&inst_name) {
-                    (InstRef::Macro(m), macros[m.index()].lib_cell)
-                } else {
-                    return Err(DbError::UnknownName {
-                        kind: "instance",
-                        name: inst_name,
-                    });
+                let (inst, lib_cell) = match index.get(&inst_name) {
+                    Some(&InstRef::Cell(c)) => (InstRef::Cell(c), cells[c.index()].lib_cell),
+                    Some(&InstRef::Macro(m)) => (InstRef::Macro(m), macros[m.index()].lib_cell),
+                    None => {
+                        return Err(DbError::UnknownName {
+                            kind: "instance",
+                            name: inst_name,
+                        })
+                    }
                 };
                 if pin >= canon.lib_cells[lib_cell.index()].pins.len() {
                     return Err(DbError::InvalidPin {
@@ -458,10 +497,7 @@ impl DesignBuilder {
                 }
                 refs.push(PinRef { inst, pin });
             }
-            if net_names
-                .insert(name.clone(), NetId::new(nets.len()))
-                .is_some()
-            {
+            if first_repeat == Some(i) {
                 return Err(DbError::DuplicateName { kind: "net", name });
             }
             nets.push(Net { name, pins: refs });
@@ -474,9 +510,7 @@ impl DesignBuilder {
             cells,
             macros,
             nets,
-            cell_names,
-            macro_names,
-            net_names,
+            index,
         })
     }
 }
@@ -550,6 +584,29 @@ fn validate_dies(specs: Vec<DieSpec>, techs: &[Technology]) -> Result<Vec<Die>, 
                 detail: format!("max_util {} outside (0, 1]", spec.max_util),
             });
         }
+        let o = spec.outline;
+        let (Some(width), Some(height)) = (o.xhi.checked_sub(o.xlo), o.yhi.checked_sub(o.ylo))
+        else {
+            return Err(DbError::InvalidDie {
+                die: spec.name,
+                detail: format!("outline {o} overflows the coordinate range"),
+            });
+        };
+        if width < 0 || height < 0 {
+            return Err(DbError::InvalidDie {
+                die: spec.name,
+                detail: format!("outline {o} is inverted"),
+            });
+        }
+        // Every row is materialized, so the count is capped before any
+        // row is built; a zero-row die stays valid.
+        let rows = height / spec.row_height;
+        if rows > MAX_ROWS_PER_DIE as i64 {
+            return Err(DbError::InvalidDie {
+                die: spec.name,
+                detail: format!("{rows} rows exceed the limit of {MAX_ROWS_PER_DIE}"),
+            });
+        }
         dies.push(Die::with_uniform_rows(
             spec.name,
             TechId::new(tech_idx),
@@ -563,45 +620,109 @@ fn validate_dies(specs: Vec<DieSpec>, techs: &[Technology]) -> Result<Vec<Die>, 
 }
 
 /// Macro placement validity: inside die, pairwise disjoint per die.
+///
+/// Reports what checking each macro in id order would: the first macro
+/// that lies outside its die or overlaps an earlier one on the same die
+/// (containment checked first), paired with the earliest macro it
+/// overlaps. A sweep per die decides whether any overlap exists in
+/// O(m log m); only when one does, a binary search over id prefixes
+/// finds that first pair.
 fn validate_macro_placements(
     macros: &[MacroInst],
     dies: &[Die],
     techs: &[Technology],
 ) -> Result<(), DbError> {
-    let rect_of = |m: &MacroInst| {
-        let tech = dies[m.die.index()].tech;
-        let lc = &techs[tech.index()].lib_cells[m.lib_cell.index()];
-        Rect::with_size(m.pos, lc.width, lc.height)
+    let rects: Vec<Rect> = macros
+        .iter()
+        .map(|m| {
+            let tech = dies[m.die.index()].tech;
+            let lc = &techs[tech.index()].lib_cells[m.lib_cell.index()];
+            Rect::with_size(m.pos, lc.width, lc.height)
+        })
+        .collect();
+    let outside =
+        (0..macros.len()).find(|&i| !dies[macros[i].die.index()].outline.contains_rect(&rects[i]));
+    let checked = outside.unwrap_or(macros.len());
+    let prefix_overlaps = |len: usize| -> bool {
+        (0..dies.len()).any(|die| {
+            let on_die = (0..len)
+                .filter(|&i| macros[i].die.index() == die)
+                .map(|i| rects[i]);
+            any_overlap(on_die.collect())
+        })
     };
-    for (i, m) in macros.iter().enumerate() {
-        let r = rect_of(m);
-        let die = &dies[m.die.index()];
-        if !die.outline.contains_rect(&r) {
-            return Err(DbError::InvalidMacro {
-                name: m.name.clone(),
-                detail: format!("footprint {r} outside die outline {}", die.outline),
-            });
-        }
-        for other in &macros[..i] {
-            if other.die == m.die && rect_of(other).overlaps(&r) {
-                return Err(DbError::InvalidMacro {
-                    name: m.name.clone(),
-                    detail: format!("overlaps macro `{}`", other.name),
-                });
+    if prefix_overlaps(checked) {
+        // `lo` ids overlap-free, `hi` ids not: the macro at `hi - 1` is
+        // the first to overlap an earlier one.
+        let (mut lo, mut hi) = (0, checked);
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if prefix_overlaps(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
             }
         }
+        let i = hi - 1;
+        if let Some(j) =
+            (0..i).find(|&j| macros[j].die == macros[i].die && rects[j].overlaps(&rects[i]))
+        {
+            return Err(DbError::InvalidMacro {
+                name: macros[i].name.clone(),
+                detail: format!("overlaps macro `{}`", macros[j].name),
+            });
+        }
+    }
+    if let Some(i) = outside {
+        let die = &dies[macros[i].die.index()];
+        return Err(DbError::InvalidMacro {
+            name: macros[i].name.clone(),
+            detail: format!("footprint {} outside die outline {}", rects[i], die.outline),
+        });
     }
     Ok(())
+}
+
+/// `true` when the interiors of two of `rects` intersect.
+///
+/// Sweeps the rectangles left to right, keeping those whose x-span
+/// contains the sweep position. Until an overlap turns up they are
+/// pairwise disjoint, so their y-spans are disjoint too and, keyed by
+/// `ylo`, only the one reaching highest below a new rectangle's top can
+/// overlap it.
+fn any_overlap(mut rects: Vec<Rect>) -> bool {
+    // Empty rectangles overlap nothing.
+    rects.retain(|r| !r.is_empty());
+    rects.sort_unstable_by_key(|r| r.xlo);
+    let mut active: BTreeMap<i64, i64> = BTreeMap::new();
+    let mut expiry: BinaryHeap<Reverse<(i64, i64)>> = BinaryHeap::new();
+    for r in rects {
+        while let Some(&Reverse((xhi, ylo))) = expiry.peek() {
+            if xhi > r.xlo {
+                break;
+            }
+            expiry.pop();
+            active.remove(&ylo);
+        }
+        if let Some((_, &yhi)) = active.range(..r.yhi).next_back() {
+            if yhi > r.ylo {
+                return true;
+            }
+        }
+        active.insert(r.ylo, r.yhi);
+        expiry.push(Reverse((r.xhi, r.ylo)));
+    }
+    false
 }
 
 /// Resolved, id-indexed construction input for [`Design::from_resolved`].
 ///
 /// This is the handoff from a streaming parser that resolves names to
 /// ids *while reading*: cell `i` (`CellId::new(i)`) has lib cell
-/// `cell_libs[i]`, and `cell_names` is the finished name index that
-/// becomes the design's own lookup map verbatim — no instance-scale
-/// intermediate maps are rebuilt. Macros and nets arrive fully resolved
-/// ([`MacroInst`] / [`Net`] carry ids, not names).
+/// `cell_libs[i]`, and `index` is the finished instance-name index that
+/// becomes the design's own lookup map verbatim — no instance-scale map
+/// is rebuilt. Macros and nets arrive fully resolved ([`MacroInst`] /
+/// [`Net`] carry ids, not names).
 #[derive(Debug, Clone, Default)]
 pub struct ResolvedCase {
     /// Design name.
@@ -610,11 +731,11 @@ pub struct ResolvedCase {
     pub techs: Vec<TechnologySpec>,
     /// Die specs in stack order (first is [`DieId::BOTTOM`]).
     pub dies: Vec<DieSpec>,
-    /// Lib cell of cell `i`, parallel to `cell_names`'s ids.
+    /// Lib cell of cell `i`.
     pub cell_libs: Vec<LibCellId>,
-    /// Instance name → cell id; must map onto `0..cell_libs.len()`
-    /// bijectively.
-    pub cell_names: BTreeMap<String, CellId>,
+    /// Instance name → id for every cell and every macro: each cell id
+    /// in `0..cell_libs.len()` and each macro under its own name, once.
+    pub index: InstIndex,
     /// Fixed macros in id order.
     pub macros: Vec<MacroInst>,
     /// Nets in id order, pins already resolved.
@@ -630,7 +751,7 @@ impl Design {
     ///
     /// Every [`DbError`] the builder raises, plus
     /// [`DbError::InvalidResolved`] when an id is out of range or the
-    /// name index does not cover the cell list bijectively.
+    /// index does not name every cell and macro exactly once.
     pub fn from_resolved(parts: ResolvedCase) -> Result<Design, DbError> {
         if parts.techs.is_empty() || parts.dies.is_empty() {
             return Err(DbError::EmptyStack);
@@ -639,41 +760,45 @@ impl Design {
         let dies = validate_dies(parts.dies, &techs)?;
         let canon = &techs[0];
 
-        let check_lib = |id: LibCellId, owner: &dyn Fn() -> String| -> Result<(), DbError> {
+        let check_lib = |id: LibCellId, owner: &str| -> Result<(), DbError> {
             if id.index() >= canon.lib_cells.len() {
                 return Err(DbError::InvalidResolved {
-                    detail: format!("lib cell id {id} out of range for `{}`", owner()),
+                    detail: format!("lib cell id {id} out of range for `{owner}`"),
                 });
             }
             Ok(())
         };
 
-        // Cells: the name index must cover 0..n exactly once each, and
-        // every lib id must name a standard (non-macro) cell.
+        // Cells: the index must name each of 0..n exactly once. This is
+        // the one walk over the index, and it only fills slots by id; an
+        // inconsistency is reported from the slots in id order, so no
+        // result depends on the index's iteration order.
         let n = parts.cell_libs.len();
-        if parts.cell_names.len() != n {
-            return Err(DbError::InvalidResolved {
-                detail: format!("{} cell names for {} cells", parts.cell_names.len(), n),
-            });
-        }
         let mut names: Vec<Option<&String>> = vec![None; n];
-        for (name, id) in &parts.cell_names {
-            let slot = names
-                .get_mut(id.index())
-                .ok_or_else(|| DbError::InvalidResolved {
-                    detail: format!("cell id {id} out of range for `{name}`"),
-                })?;
-            if slot.replace(name).is_some() {
-                return Err(DbError::InvalidResolved {
-                    detail: format!("cell id {id} mapped twice (`{name}`)"),
-                });
+        let mut cell_entries = 0usize;
+        for (name, inst) in &parts.index {
+            if let InstRef::Cell(c) = *inst {
+                cell_entries += 1;
+                if let Some(slot) = names.get_mut(c.index()) {
+                    *slot = Some(name);
+                }
             }
         }
+        if cell_entries != n {
+            return Err(DbError::InvalidResolved {
+                detail: format!("{cell_entries} cell names for {n} cells"),
+            });
+        }
+        // n entries filling all n slots means none repeated a slot or
+        // fell out of range.
         let mut cells = Vec::with_capacity(n);
-        for (&lib_cell, slot) in parts.cell_libs.iter().zip(&names) {
-            // flow3d-tidy: allow(panic-unwrap) — invariant: the map has n entries, every id in range and none repeated, so pigeonhole fills every slot
-            let name = slot.expect("name index covers every cell id");
-            check_lib(lib_cell, &|| name.clone())?;
+        for (i, (&lib_cell, slot)) in parts.cell_libs.iter().zip(&names).enumerate() {
+            let Some(name) = *slot else {
+                return Err(DbError::InvalidResolved {
+                    detail: format!("cell id {i} is not named exactly once"),
+                });
+            };
+            check_lib(lib_cell, name)?;
             if canon.lib_cells[lib_cell.index()].is_macro() {
                 return Err(DbError::InvalidMacro {
                     name: name.clone(),
@@ -685,12 +810,11 @@ impl Design {
                 lib_cell,
             });
         }
-        let cell_names = parts.cell_names;
 
-        // Macros: unique instance names, macro-kind libs, known dies.
-        let mut macro_names = BTreeMap::new();
+        // Macros: macro-kind libs, known dies, and each indexed under its
+        // own name; a name already taken is a duplicate instance.
         for (i, m) in parts.macros.iter().enumerate() {
-            check_lib(m.lib_cell, &|| m.name.clone())?;
+            check_lib(m.lib_cell, &m.name)?;
             if !canon.lib_cells[m.lib_cell.index()].is_macro() {
                 return Err(DbError::InvalidMacro {
                     name: m.name.clone(),
@@ -702,23 +826,37 @@ impl Design {
                     detail: format!("die id {} out of range for `{}`", m.die, m.name),
                 });
             }
-            if cell_names.contains_key(&m.name)
-                || macro_names
-                    .insert(m.name.clone(), MacroId::new(i))
-                    .is_some()
-            {
-                return Err(DbError::DuplicateName {
-                    kind: "instance",
-                    name: m.name.clone(),
-                });
+            match parts.index.get(&m.name) {
+                Some(&InstRef::Macro(id)) if id.index() == i => {}
+                Some(_) => {
+                    return Err(DbError::DuplicateName {
+                        kind: "instance",
+                        name: m.name.clone(),
+                    })
+                }
+                None => {
+                    return Err(DbError::InvalidResolved {
+                        detail: format!("macro `{}` is missing from the index", m.name),
+                    })
+                }
             }
+        }
+        // Every cell and macro is named once; anything more is stray.
+        if parts.index.len() != n + parts.macros.len() {
+            return Err(DbError::InvalidResolved {
+                detail: format!(
+                    "{} index entries for {n} cells and {} macros",
+                    parts.index.len(),
+                    parts.macros.len()
+                ),
+            });
         }
         let macros = parts.macros;
         validate_macro_placements(&macros, &dies, &techs)?;
 
         // Nets: unique names, in-range instance ids and pin indices.
-        let mut net_names = BTreeMap::new();
-        for (i, net) in parts.nets.iter().enumerate() {
+        let mut seen = NetNameSet::with_capacity(parts.nets.len());
+        for net in &parts.nets {
             for pin in &net.pins {
                 let (lib_cell, inst_name) = match pin.inst {
                     InstRef::Cell(c) => match cells.get(c.index()) {
@@ -745,14 +883,13 @@ impl Design {
                     });
                 }
             }
-            if net_names.insert(net.name.clone(), NetId::new(i)).is_some() {
+            if !seen.insert(&net.name) {
                 return Err(DbError::DuplicateName {
                     kind: "net",
                     name: net.name.clone(),
                 });
             }
         }
-        let nets = parts.nets;
 
         Ok(Design {
             name: parts.name,
@@ -760,10 +897,8 @@ impl Design {
             dies,
             cells,
             macros,
-            nets,
-            cell_names,
-            macro_names,
-            net_names,
+            nets: parts.nets,
+            index: parts.index,
         })
     }
 }
@@ -952,5 +1087,340 @@ mod tests {
             d.pin_offset(InstRef::Cell(u1), 1, DieId::TOP),
             Point::new(7, 5)
         );
+    }
+
+    #[test]
+    fn hostile_die_outlines_are_rejected() {
+        let die = |outline, row_height| {
+            DesignBuilder::new("t")
+                .technology(TechnologySpec::new("T").lib_cell(LibCellSpec::std_cell("INV", 1, 1)))
+                .die(DieSpec::new("d", "T", outline, row_height, 1, 1.0))
+                .build()
+        };
+        let invalid = |outline, row_height| match die(outline, row_height) {
+            Err(DbError::InvalidDie { detail, .. }) => detail,
+            other => panic!("{outline:?}: expected InvalidDie, got {other:?}"),
+        };
+        assert_eq!(
+            invalid((0, 0, 100, 100_000_000_000), 1),
+            "100000000000 rows exceed the limit of 1048576"
+        );
+        let huge = (0, -i64::MAX, 100, i64::MAX);
+        assert!(invalid(huge, 1).contains("overflows"));
+        assert!(invalid((0, 0, -5, 10), 1).contains("inverted"));
+        assert!(invalid((0, 10, 5, 0), 1).contains("inverted"));
+        // One row over the cap is rejected, a zero-row die is not.
+        let over = MAX_ROWS_PER_DIE as i64 + 1;
+        assert!(invalid((0, 0, 10, 2 * over), 2).contains("exceed"));
+        assert_eq!(
+            die((0, 0, 100, 8), 10)
+                .unwrap()
+                .die(DieId::new(0))
+                .num_rows(),
+            0
+        );
+        assert_eq!(
+            die((0, 0, 100, 0), 10)
+                .unwrap()
+                .die(DieId::new(0))
+                .num_rows(),
+            0
+        );
+    }
+
+    #[test]
+    fn sweep_treats_abutting_macros_as_disjoint() {
+        let r = Rect::new;
+        assert!(!any_overlap(vec![r(0, 0, 10, 10), r(10, 0, 20, 10)]));
+        assert!(!any_overlap(vec![r(0, 0, 10, 10), r(0, 10, 10, 20)]));
+        assert!(!any_overlap(vec![r(0, 0, 10, 10), r(5, 5, 5, 9)]));
+        assert!(any_overlap(vec![r(0, 0, 10, 10), r(9, 9, 20, 20)]));
+        assert!(any_overlap(vec![
+            r(0, 0, 30, 2),
+            r(0, 5, 30, 7),
+            r(10, 1, 11, 6)
+        ]));
+    }
+
+    #[test]
+    fn index_serves_cells_and_macros_apart() {
+        let d = base_builder()
+            .cell("u1", "INV")
+            .macro_inst("ram0", "RAM", "bottom", 100, 0)
+            .build()
+            .unwrap();
+        assert_eq!(d.cell_by_name("u1"), Some(CellId::new(0)));
+        assert_eq!(d.macro_by_name("ram0"), Some(MacroId::new(0)));
+        assert_eq!(d.cell_by_name("ram0"), None);
+        assert_eq!(d.macro_by_name("u1"), None);
+        assert_eq!(d.cell_by_name("nope"), None);
+    }
+
+    #[test]
+    fn duplicate_instances_across_kinds_are_rejected() {
+        let err = base_builder()
+            .cell("x", "INV")
+            .macro_inst("x", "RAM", "bottom", 100, 0)
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            DbError::DuplicateName {
+                kind: "instance",
+                name: "x".into()
+            }
+        );
+        let err = base_builder()
+            .macro_inst("x", "RAM", "bottom", 0, 0)
+            .macro_inst("x", "RAM", "bottom", 400, 0)
+            .build()
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            DbError::DuplicateName {
+                kind: "instance",
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn first_repeated_net_is_reported_after_its_pins() {
+        let b = || base_builder().cell("u1", "INV").cell("u2", "INV");
+        let err = b()
+            .net("a", &[("u1", 0)])
+            .net("b", &[("u2", 0)])
+            .net("a", &[("u2", 1)])
+            .net("b", &[("u1", 1)])
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            DbError::DuplicateName {
+                kind: "net",
+                name: "a".into()
+            }
+        );
+        // A bad pin on the repeated net itself is reported first.
+        let err = b()
+            .net("a", &[("u1", 0)])
+            .net("a", &[("u2", 7)])
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, DbError::InvalidPin { pin: 7, .. }));
+    }
+
+    /// `base_builder()` with two cells, one macro and one net.
+    fn small_builder() -> DesignBuilder {
+        base_builder()
+            .cell("u1", "INV")
+            .cell("u2", "INV")
+            .macro_inst("ram0", "RAM", "bottom", 100, 0)
+            .net("n1", &[("u1", 1), ("u2", 0), ("ram0", 0)])
+    }
+
+    /// `small_builder()`'s design as a streaming parser hands it over.
+    fn resolved() -> ResolvedCase {
+        let b = small_builder();
+        let (techs, dies) = (b.techs.clone(), b.dies.clone());
+        let d = b.build().unwrap();
+        ResolvedCase {
+            name: d.name,
+            techs,
+            dies,
+            cell_libs: d.cells.iter().map(|c| c.lib_cell).collect(),
+            index: d.index,
+            macros: d.macros,
+            nets: d.nets,
+        }
+    }
+
+    #[test]
+    fn from_resolved_matches_the_builder() {
+        let built = small_builder().build().unwrap();
+        assert_eq!(Design::from_resolved(resolved()).unwrap(), built);
+    }
+
+    #[test]
+    fn from_resolved_rejects_an_inconsistent_index() {
+        let detail = |parts: ResolvedCase| match Design::from_resolved(parts) {
+            Err(DbError::InvalidResolved { detail }) => detail,
+            other => panic!("expected InvalidResolved, got {other:?}"),
+        };
+        // Two names for cell 0, none for cell 1.
+        let mut parts = resolved();
+        parts
+            .index
+            .insert("u2".into(), InstRef::Cell(CellId::new(0)));
+        assert_eq!(detail(parts), "cell id 1 is not named exactly once");
+        // A cell id out of range.
+        let mut parts = resolved();
+        parts
+            .index
+            .insert("u2".into(), InstRef::Cell(CellId::new(9)));
+        assert_eq!(detail(parts), "cell id 1 is not named exactly once");
+        // A missing cell.
+        let mut parts = resolved();
+        parts.index.remove("u1");
+        assert_eq!(detail(parts), "1 cell names for 2 cells");
+        // A missing macro, and a stray macro entry.
+        let mut parts = resolved();
+        parts.index.remove("ram0");
+        assert_eq!(detail(parts), "macro `ram0` is missing from the index");
+        let mut parts = resolved();
+        parts
+            .index
+            .insert("ghost".into(), InstRef::Macro(MacroId::new(3)));
+        assert_eq!(detail(parts), "4 index entries for 2 cells and 1 macros");
+        // A macro named like a cell is a duplicate instance.
+        let mut parts = resolved();
+        parts.macros[0].name = "u1".into();
+        assert!(matches!(
+            Design::from_resolved(parts),
+            Err(DbError::DuplicateName {
+                kind: "instance",
+                ..
+            })
+        ));
+        // A repeated net name.
+        let mut parts = resolved();
+        parts.nets.push(parts.nets[0].clone());
+        assert!(matches!(
+            Design::from_resolved(parts),
+            Err(DbError::DuplicateName { kind: "net", .. })
+        ));
+    }
+}
+
+/// The sweep macro check and the banded free area against the all-pairs
+/// and rows × macros loops they replace, kept here as references.
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use crate::tech::LibCellSpec;
+    use proptest::prelude::*;
+
+    fn naive_validate_macro_placements(
+        macros: &[MacroInst],
+        dies: &[Die],
+        techs: &[Technology],
+    ) -> Result<(), DbError> {
+        let rect_of = |m: &MacroInst| {
+            let tech = dies[m.die.index()].tech;
+            let lc = &techs[tech.index()].lib_cells[m.lib_cell.index()];
+            Rect::with_size(m.pos, lc.width, lc.height)
+        };
+        for (i, m) in macros.iter().enumerate() {
+            let r = rect_of(m);
+            let die = &dies[m.die.index()];
+            if !die.outline.contains_rect(&r) {
+                return Err(DbError::InvalidMacro {
+                    name: m.name.clone(),
+                    detail: format!("footprint {r} outside die outline {}", die.outline),
+                });
+            }
+            for other in &macros[..i] {
+                if other.die == m.die && rect_of(other).overlaps(&r) {
+                    return Err(DbError::InvalidMacro {
+                        name: m.name.clone(),
+                        detail: format!("overlaps macro `{}`", other.name),
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn naive_free_area(d: &Design, die: DieId) -> i64 {
+        let dd = &d.dies[die.index()];
+        let blocked: i64 = d
+            .macro_rects_on(die)
+            .iter()
+            .map(|r| {
+                dd.rows
+                    .iter()
+                    .map(|row| {
+                        Rect::new(row.span.lo, row.y, row.span.hi, row.y + dd.row_height)
+                            .overlap_area(r)
+                    })
+                    .sum::<i64>()
+            })
+            .sum();
+        dd.rows_area() - blocked
+    }
+
+    /// Two technologies whose macro sizes differ (zero sizes included),
+    /// two dies with different outlines and row heights, and macros
+    /// `(lib, x, y, die)`.
+    fn builder(
+        sizes: &[(i64, i64)],
+        rows: (i64, i64),
+        placed: &[(usize, i64, i64, usize)],
+    ) -> DesignBuilder {
+        let tech = |name: &str, scale: i64| {
+            let mut t = TechnologySpec::new(name);
+            for (k, &(w, h)) in sizes.iter().enumerate() {
+                t = t.lib_cell(LibCellSpec::macro_cell(format!("M{k}"), w * scale / 2, h));
+            }
+            t
+        };
+        let mut b = DesignBuilder::new("t")
+            .technology(tech("TA", 2))
+            .technology(tech("TB", 3))
+            .die(DieSpec::new("bottom", "TA", (0, 0, 90, 60), rows.0, 1, 1.0))
+            .die(DieSpec::new("top", "TB", (-10, 5, 80, 70), rows.1, 1, 1.0));
+        for (i, &(lib, x, y, die)) in placed.iter().enumerate() {
+            let die = if die == 0 { "bottom" } else { "top" };
+            b = b.macro_inst(
+                format!("m{i}"),
+                format!("M{}", lib % sizes.len()),
+                die,
+                x,
+                y,
+            );
+        }
+        b
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn sweep_reports_what_the_all_pairs_check_reports(
+            sizes in proptest::collection::vec((0i64..30, 0i64..25), 1..4),
+            placed in proptest::collection::vec((0usize..4, -15i64..95, -10i64..75, 0usize..2), 0..14),
+        ) {
+            let b = builder(&sizes, (7, 9), &placed);
+            let techs = validate_techs(b.techs).unwrap();
+            let dies = validate_dies(b.dies, &techs).unwrap();
+            let macros: Vec<MacroInst> = placed
+                .iter()
+                .enumerate()
+                .map(|(i, &(lib, x, y, die))| MacroInst {
+                    name: format!("m{i}"),
+                    lib_cell: LibCellId::new(lib % sizes.len()),
+                    die: DieId::new(die),
+                    pos: Point::new(x, y),
+                })
+                .collect();
+            prop_assert_eq!(
+                validate_macro_placements(&macros, &dies, &techs),
+                naive_validate_macro_placements(&macros, &dies, &techs)
+            );
+        }
+
+        #[test]
+        fn banded_free_area_matches_the_row_loop(
+            sizes in proptest::collection::vec((0i64..30, 0i64..25), 1..4),
+            placed in proptest::collection::vec((0usize..4, 0i64..90, 0i64..70, 0usize..2), 0..10),
+            rows in (1i64..20, 1i64..20),
+        ) {
+            // Overlapping or escaping draws fail to build; the rest count.
+            if let Ok(d) = builder(&sizes, rows, &placed).build() {
+                for die in [DieId::BOTTOM, DieId::TOP] {
+                    prop_assert_eq!(d.free_area(die), naive_free_area(&d, die));
+                }
+            }
+        }
     }
 }

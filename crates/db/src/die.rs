@@ -3,6 +3,13 @@
 use crate::ids::{RowId, TechId};
 use flow3d_geom::{Interval, Rect};
 
+/// Most placement rows one die may have. A [`Die`] stores every row, so
+/// without a cap a few bytes of die outline could demand terabytes;
+/// building a design rejects a die above it as
+/// [`DbError::InvalidDie`](crate::DbError::InvalidDie). Contest-scale
+/// dies have hundreds of rows.
+pub const MAX_ROWS_PER_DIE: usize = 1 << 20;
+
 /// One horizontal placement row of a die.
 ///
 /// Standard cells placed in the row have their lower-left y equal to the

@@ -73,22 +73,38 @@ impl RowLayout {
 
         for (die_idx, die) in design.dies().iter().enumerate() {
             let die_id = DieId::new(die_idx);
-            let blockages = design.macro_rects_on(die_id);
+            // Blocked x-intervals as (row index, interval). The rows are
+            // sorted by y and share one height, so each macro visits only
+            // the rows its y-span reaches.
+            let mut blocked: Vec<(usize, Interval)> = Vec::new();
+            for b in design.macro_rects_on(die_id) {
+                let first = die
+                    .rows
+                    .partition_point(|row| row.y + die.row_height <= b.ylo);
+                for (k, row) in die.rows.iter().enumerate().skip(first) {
+                    if row.y >= b.yhi {
+                        break;
+                    }
+                    let row_rect =
+                        Rect::new(row.span.lo, row.y, row.span.hi, row.y + die.row_height);
+                    if b.overlaps(&row_rect) {
+                        let lo = b.xlo.max(row.span.lo);
+                        blocked.push((k, Interval::new(lo, b.xhi.min(row.span.hi))));
+                    }
+                }
+            }
+            blocked.sort_unstable();
             let mut rows_vec = Vec::with_capacity(die.num_rows());
+            let mut rest = &blocked[..];
 
-            for row in &die.rows {
-                let row_rect = Rect::new(row.span.lo, row.y, row.span.hi, row.y + die.row_height);
-                // Collect blocked x-intervals for this row.
-                let mut blocked: Vec<Interval> = blockages
-                    .iter()
-                    .filter(|b| b.overlaps(&row_rect))
-                    .map(|b| Interval::new(b.xlo.max(row.span.lo), b.xhi.min(row.span.hi)))
-                    .collect();
-                blocked.sort();
+            for (k, row) in die.rows.iter().enumerate() {
+                let here = rest.partition_point(|&(r, _)| r == k);
+                let (in_row, tail) = rest.split_at(here);
+                rest = tail;
 
                 let mut free = Vec::new();
                 let mut cursor = row.span.lo;
-                for b in &blocked {
+                for (_, b) in in_row {
                     if b.lo > cursor {
                         free.push(Interval::new(cursor, b.lo));
                     }
@@ -414,7 +430,90 @@ mod prop_tests {
     use crate::tech::{LibCellSpec, TechnologySpec};
     use proptest::prelude::*;
 
+    /// The rows × macros construction `RowLayout::build` replaced, kept
+    /// as its reference.
+    fn naive_build(design: &Design) -> RowLayout {
+        let mut segments = Vec::new();
+        let mut per_die_row = Vec::new();
+        for (die_idx, die) in design.dies().iter().enumerate() {
+            let die_id = DieId::new(die_idx);
+            let blockages = design.macro_rects_on(die_id);
+            let mut rows_vec = Vec::new();
+            for row in &die.rows {
+                let row_rect = Rect::new(row.span.lo, row.y, row.span.hi, row.y + die.row_height);
+                let mut blocked: Vec<Interval> = blockages
+                    .iter()
+                    .filter(|b| b.overlaps(&row_rect))
+                    .map(|b| Interval::new(b.xlo.max(row.span.lo), b.xhi.min(row.span.hi)))
+                    .collect();
+                blocked.sort();
+                let mut free = Vec::new();
+                let mut cursor = row.span.lo;
+                for b in &blocked {
+                    if b.lo > cursor {
+                        free.push(Interval::new(cursor, b.lo));
+                    }
+                    cursor = cursor.max(b.hi);
+                }
+                if cursor < row.span.hi {
+                    free.push(Interval::new(cursor, row.span.hi));
+                }
+                let mut ids = Vec::new();
+                for f in free {
+                    let lo = flow3d_geom::snap_up(f.lo, die.outline.xlo, die.site_width);
+                    let hi = flow3d_geom::snap_down(f.hi, die.outline.xlo, die.site_width);
+                    if lo >= hi {
+                        continue;
+                    }
+                    let id = SegmentId::new(segments.len());
+                    segments.push(Segment {
+                        id,
+                        die: die_id,
+                        row: row.id,
+                        y: row.y,
+                        span: Interval::new(lo, hi),
+                    });
+                    ids.push(id);
+                }
+                rows_vec.push(ids);
+            }
+            per_die_row.push(rows_vec);
+        }
+        RowLayout {
+            segments,
+            per_die_row,
+        }
+    }
+
     proptest! {
+        /// Pushing each macro into only the rows it covers gives the same
+        /// segments as filtering every macro for every row, for random
+        /// macro sets on dies with offset outlines, partial top rows and
+        /// coarse sites.
+        #[test]
+        fn banded_blockages_match_the_row_filter(
+            sizes in proptest::collection::vec((0i64..40, 0i64..30), 1..4),
+            placed in proptest::collection::vec((0usize..4, -5i64..100, -5i64..80, 0usize..2), 0..12),
+            rows in (1i64..13, 1i64..13),
+            site in 1i64..5,
+        ) {
+            let mut t = TechnologySpec::new("T").lib_cell(LibCellSpec::std_cell("C", 2, 2));
+            for (k, &(w, h)) in sizes.iter().enumerate() {
+                t = t.lib_cell(LibCellSpec::macro_cell(format!("M{k}"), w, h));
+            }
+            let mut b = DesignBuilder::new("t")
+                .technology(t)
+                .die(DieSpec::new("bottom", "T", (0, 0, 100, 75), rows.0, site, 1.0))
+                .die(DieSpec::new("top", "T", (-3, 4, 97, 81), rows.1, site, 1.0));
+            for (i, &(lib, x, y, die)) in placed.iter().enumerate() {
+                let die = if die == 0 { "bottom" } else { "top" };
+                b = b.macro_inst(format!("m{i}"), format!("M{}", lib % sizes.len()), die, x, y);
+            }
+            if let Ok(d) = b.build() {
+                prop_assert_eq!(RowLayout::build(&d), naive_build(&d));
+            }
+        }
+
         /// For arbitrary non-overlapping macro sets, the computed segments
         /// (a) never intersect a macro, (b) never overlap each other, and
         /// (c) together with the macros account for every row's width up

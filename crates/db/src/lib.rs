@@ -12,8 +12,11 @@
 //! * [`Die`] — outline, placement rows, site grid, technology binding and a
 //!   maximum-utilization constraint.
 //! * [`Design`] — instances (standard cells and fixed macros), nets and
-//!   pins, plus name lookup tables. Built through [`DesignBuilder`] which
-//!   validates cross-references.
+//!   pins, plus one hashed instance-name index ([`InstIndex`], lookups
+//!   only) behind [`Design::cell_by_name`] and [`Design::macro_by_name`].
+//!   Built through [`DesignBuilder`] which validates cross-references,
+//!   including die outlines: inverted or overflowing ones, and dies of
+//!   more than [`MAX_ROWS_PER_DIE`] rows, are rejected.
 //! * [`RowLayout`] — the derived structure legalizers work on: placement
 //!   rows split into macro-free [`Segment`]s, with nearest-row /
 //!   nearest-segment queries.
@@ -60,9 +63,10 @@ pub mod soa;
 pub mod tech;
 
 pub use design::{
-    CellInst, Design, DesignBuilder, DieSpec, InstRef, MacroInst, Net, PinRef, ResolvedCase,
+    CellInst, Design, DesignBuilder, DieSpec, InstIndex, InstRef, MacroInst, Net, PinRef,
+    ResolvedCase,
 };
-pub use die::{Die, Row};
+pub use die::{Die, Row, MAX_ROWS_PER_DIE};
 pub use error::DbError;
 pub use ids::{CellId, DieId, LibCellId, MacroId, NetId, RowId, SegmentId, TechId};
 pub use layout::{RowLayout, Segment};

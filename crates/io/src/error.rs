@@ -7,7 +7,6 @@ use std::fmt;
 /// An error raised while parsing or writing a flow3d file.
 #[derive(Debug)]
 #[non_exhaustive]
-// flow3d-tidy: allow(dead-pub) — file-format API (flow3d::io) for external readers/writers of contest artifacts
 pub enum IoError {
     /// Syntax or semantic error at a specific line (1-based).
     Parse {

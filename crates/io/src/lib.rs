@@ -10,8 +10,9 @@
 //!   outline, per-die rows / utilization / technology binding, instances,
 //!   nets, and fixed macro positions. [`parse_case_reader`] is the
 //!   streaming variant: it consumes any [`std::io::BufRead`] source one
-//!   line at a time and resolves names to ids on the fly, so million-cell
-//!   files parse without materializing the text or intermediate name maps.
+//!   line at a time and resolves names to ids on the fly through the
+//!   design's own hashed instance index, so million-cell files parse
+//!   without materializing the text or any intermediate name map.
 //! * **Global placement files** ([`parse_placement3d`],
 //!   [`write_placement3d`]) carry continuous `(x, y, z)` positions per
 //!   cell, `z` being the die affinity.
@@ -21,6 +22,13 @@
 //!   cells an optimization step displaced with their requested positions
 //!   and dies — the input of `flow3d eco` and the serve-mode `eco`
 //!   request (an extension; the grammar is on [`parse_moves`]).
+//!
+//! All four readers share one line tokenizer (blank lines and `#`
+//! comments skipped, 1-based line numbers in every [`IoError::Parse`],
+//! no allocation per line). A global-placement file written by
+//! [`write_placement3d`] lists cells in id order, so its reader checks
+//! line `i` against cell `i` first and looks a name up only when the
+//! file was reordered.
 //!
 //! # Case grammar
 //!
@@ -84,7 +92,6 @@ mod case;
 mod error;
 mod moves;
 mod placement;
-mod reader;
 mod stream;
 
 pub use case::{parse_case, write_case};

@@ -18,7 +18,7 @@
 //! this crate.
 
 use crate::error::IoError;
-use crate::reader::LineReader;
+use crate::stream::Lines;
 use flow3d_db::{CellId, Design, DieId};
 use flow3d_geom::Point;
 use std::fmt::Write;
@@ -43,40 +43,36 @@ pub struct EcoMoveRecord {
 /// Returns [`IoError::Parse`] on syntax errors, unknown cell names,
 /// out-of-range die indices, duplicate cells, or a count mismatch.
 pub fn parse_moves(design: &Design, text: &str) -> Result<Vec<EcoMoveRecord>, IoError> {
-    let mut r = LineReader::new(text);
-    let toks = r.expect_line("NumMoves")?;
-    r.expect_keyword(&toks, "NumMoves")?;
+    let mut r = Lines::new(text.as_bytes());
+    r.expect_next("NumMoves")?;
+    let toks = r.tokens();
+    r.keyword(&toks, "NumMoves")?;
     let n: usize = r.field(&toks, 1, "move count")?;
     let mut moves = Vec::with_capacity(n);
     let mut seen = vec![false; design.num_cells()];
     for _ in 0..n {
-        let toks = r.expect_line("Move")?;
-        r.expect_keyword(&toks, "Move")?;
+        r.expect_next("Move")?;
+        let toks = r.tokens();
+        r.keyword(&toks, "Move")?;
         if toks.len() != 4 && toks.len() != 5 {
-            return Err(IoError::parse(
-                r.line_no,
-                format!("expected 4 or 5 fields, found {}", toks.len()),
-            ));
+            return Err(r.err(format!("expected 4 or 5 fields, found {}", toks.len())));
         }
         let name = toks[1];
         let cell = design
             .cell_by_name(name)
-            .ok_or_else(|| IoError::parse(r.line_no, format!("unknown cell `{name}`")))?;
+            .ok_or_else(|| r.err(format!("unknown cell `{name}`")))?;
         if std::mem::replace(&mut seen[cell.index()], true) {
-            return Err(IoError::parse(
-                r.line_no,
-                format!("cell `{name}` moved twice"),
-            ));
+            return Err(r.err(format!("cell `{name}` moved twice")));
         }
         let x: i64 = r.field(&toks, 2, "x")?;
         let y: i64 = r.field(&toks, 3, "y")?;
         let die = if toks.len() == 5 {
             let d: usize = r.field(&toks, 4, "die")?;
             if d >= design.num_dies() {
-                return Err(IoError::parse(
-                    r.line_no,
-                    format!("die {d} out of range (design has {})", design.num_dies()),
-                ));
+                return Err(r.err(format!(
+                    "die {d} out of range (design has {})",
+                    design.num_dies()
+                )));
             }
             Some(DieId::new(d))
         } else {
@@ -88,11 +84,9 @@ pub fn parse_moves(design: &Design, text: &str) -> Result<Vec<EcoMoveRecord>, Io
             die,
         });
     }
-    if let Some(extra) = r.next_line() {
-        return Err(IoError::parse(
-            r.line_no,
-            format!("unexpected trailing line `{}`", extra.join(" ")),
-        ));
+    if r.advance()? {
+        let extra: Vec<&str> = r.line().split_whitespace().collect();
+        return Err(r.err(format!("unexpected trailing line `{}`", extra.join(" "))));
     }
     Ok(moves)
 }

@@ -1,7 +1,7 @@
 //! Global-placement and legal-placement file formats.
 
 use crate::error::IoError;
-use crate::reader::LineReader;
+use crate::stream::Lines;
 use flow3d_db::{CellId, Design, DieId, LegalPlacement, Placement3d};
 use flow3d_geom::{FPoint, Point};
 use std::fmt::Write;
@@ -23,31 +23,37 @@ use std::fmt::Write;
 /// Returns [`IoError::Parse`] on syntax errors, unknown cell names, cell
 /// count mismatches, or cells placed twice.
 pub fn parse_placement3d(design: &Design, text: &str) -> Result<Placement3d, IoError> {
-    let mut r = LineReader::new(text);
-    let toks = r.expect_line("NumCells")?;
-    r.expect_keyword(&toks, "NumCells")?;
+    let mut r = Lines::new(text.as_bytes());
+    r.expect_next("NumCells")?;
+    let toks = r.tokens();
+    r.keyword(&toks, "NumCells")?;
     let n: usize = r.field(&toks, 1, "cell count")?;
     if n != design.num_cells() {
-        return Err(IoError::parse(
-            r.line_no,
-            format!("placement has {n} cells, design has {}", design.num_cells()),
-        ));
+        return Err(r.err(format!(
+            "placement has {n} cells, design has {}",
+            design.num_cells()
+        )));
     }
     let mut placement = Placement3d::new(n);
     let mut seen = vec![false; n];
-    for _ in 0..n {
-        let toks = r.expect_line("CellPos")?;
-        r.expect_keyword(&toks, "CellPos")?;
+    for (i, in_order) in design.cells().iter().enumerate() {
+        r.expect_next("CellPos")?;
+        let toks = r.tokens();
+        r.keyword(&toks, "CellPos")?;
         r.expect_len(&toks, 5)?;
         let name = toks[1];
-        let cell = design
-            .cell_by_name(name)
-            .ok_or_else(|| IoError::parse(r.line_no, format!("unknown cell `{name}`")))?;
+        // `write_placement3d` lists cells in id order, so line `i` names
+        // cell `i` unless the file was reordered; only then is the name
+        // looked up.
+        let cell = if in_order.name == name {
+            CellId::new(i)
+        } else {
+            design
+                .cell_by_name(name)
+                .ok_or_else(|| r.err(format!("unknown cell `{name}`")))?
+        };
         if std::mem::replace(&mut seen[cell.index()], true) {
-            return Err(IoError::parse(
-                r.line_no,
-                format!("cell `{name}` placed twice"),
-            ));
+            return Err(r.err(format!("cell `{name}` placed twice")));
         }
         let x: f64 = r.field(&toks, 2, "x")?;
         let y: f64 = r.field(&toks, 3, "y")?;
@@ -100,7 +106,7 @@ pub fn write_placement3d(
 /// Returns [`IoError::Parse`] on syntax errors, unknown cells, duplicate
 /// placements, or when `k + m != num_cells`.
 pub fn parse_legal(design: &Design, text: &str) -> Result<LegalPlacement, IoError> {
-    let mut r = LineReader::new(text);
+    let mut r = Lines::new(text.as_bytes());
     let mut placement = LegalPlacement::new(design.num_cells());
     let mut seen = vec![false; design.num_cells()];
     let mut total = 0usize;
@@ -109,22 +115,21 @@ pub fn parse_legal(design: &Design, text: &str) -> Result<LegalPlacement, IoErro
         ("TopDiePlacement", DieId::TOP),
         ("BottomDiePlacement", DieId::BOTTOM),
     ] {
-        let toks = r.expect_line(keyword)?;
-        r.expect_keyword(&toks, keyword)?;
+        r.expect_next(keyword)?;
+        let toks = r.tokens();
+        r.keyword(&toks, keyword)?;
         let n: usize = r.field(&toks, 1, "placement count")?;
         for _ in 0..n {
-            let toks = r.expect_line("Inst")?;
-            r.expect_keyword(&toks, "Inst")?;
+            r.expect_next("Inst")?;
+            let toks = r.tokens();
+            r.keyword(&toks, "Inst")?;
             r.expect_len(&toks, 4)?;
             let name = toks[1];
             let cell = design
                 .cell_by_name(name)
-                .ok_or_else(|| IoError::parse(r.line_no, format!("unknown cell `{name}`")))?;
+                .ok_or_else(|| r.err(format!("unknown cell `{name}`")))?;
             if std::mem::replace(&mut seen[cell.index()], true) {
-                return Err(IoError::parse(
-                    r.line_no,
-                    format!("cell `{name}` placed twice"),
-                ));
+                return Err(r.err(format!("cell `{name}` placed twice")));
             }
             let x: i64 = r.field(&toks, 2, "x")?;
             let y: i64 = r.field(&toks, 3, "y")?;
@@ -133,10 +138,10 @@ pub fn parse_legal(design: &Design, text: &str) -> Result<LegalPlacement, IoErro
         }
     }
     if total != design.num_cells() {
-        return Err(IoError::parse(
-            r.line_no,
-            format!("{total} cells placed, design has {}", design.num_cells()),
-        ));
+        return Err(r.err(format!(
+            "{total} cells placed, design has {}",
+            design.num_cells()
+        )));
     }
     Ok(placement)
 }

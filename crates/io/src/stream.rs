@@ -1,19 +1,21 @@
-//! Streaming case reader for million-cell files.
+//! Streaming case reader for million-cell files, and the one tokenizer
+//! every format in this crate reads through.
 //!
-//! [`parse_case`](crate::parse_case) works on a `&str`, which means the
-//! whole file sits in memory, and the historical implementation staged
-//! every instance through string-keyed side maps (instance → lib-cell
-//! name, plus the builder's own `(name, lib name)` pairs) before the
-//! database resolved them all over again. At contest scale (millions of
-//! instances) those intermediates dominate peak memory.
+//! [`parse_case_reader`] parses the case grammar from any [`BufRead`]
+//! source **line by line with one reusable buffer**, resolving names to
+//! ids as they stream past and handing the finished, id-indexed parts to
+//! [`Design::from_resolved`]. The only instance-scale map it builds is
+//! the design's own hashed name index ([`InstIndex`]): each instance
+//! costs one probe to insert (which is also its duplicate check) and
+//! each net pin one probe to resolve. Library-scale metadata (dozens of
+//! entries) stays in ordered maps. There is no whole-file buffer and no
+//! intermediate map.
 //!
-//! [`parse_case_reader`] parses the same grammar from any
-//! [`BufRead`] source **line by line with one reusable buffer**,
-//! resolving names to ids as they stream past and handing the finished,
-//! id-indexed parts to [`Design::from_resolved`]. The only maps it
-//! builds are the name indexes the [`Design`] itself owns plus
-//! library-scale metadata (dozens of entries) — there is no whole-file
-//! buffer and no instance-scale intermediate map.
+//! `Lines` splits each line into a fixed array of tokens instead of a
+//! `Vec`, so reading allocates nothing per line beyond the names it
+//! keeps. The global-placement, legal and move-list readers run the
+//! same `Lines` over `text.as_bytes()`, so every format skips comments,
+//! counts lines and words its errors the same way.
 //!
 //! Robustness: malformed input of any shape — truncation, oversized
 //! counts, duplicate instances, bytes that are not UTF-8 — returns a
@@ -22,10 +24,11 @@
 
 use crate::error::IoError;
 use flow3d_db::{
-    CellId, Design, DieId, DieSpec, InstRef, LibCellId, LibCellSpec, MacroId, MacroInst, Net,
-    PinRef, ResolvedCase, TechnologySpec,
+    CellId, Design, DieId, DieSpec, InstIndex, InstRef, LibCellId, LibCellSpec, MacroId, MacroInst,
+    Net, PinRef, ResolvedCase, TechnologySpec,
 };
 use flow3d_geom::Point;
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::str::FromStr;
@@ -35,10 +38,54 @@ use std::str::FromStr;
 /// huge allocation up front; the vectors still grow to the real size.
 const CAPACITY_CLAMP: usize = 1 << 20;
 
+/// Most tokens a line of any of the four formats carries (`LibCell` and
+/// the `*DieRows` lines have six). Tokens past this are counted, not
+/// stored.
+const MAX_TOKENS: usize = 8;
+
+/// The whitespace tokens of one line: the first [`MAX_TOKENS`] in a
+/// fixed array, plus the full count, so a line with too many fields
+/// still reports how many it had.
+pub(crate) struct Tokens<'a> {
+    toks: [&'a str; MAX_TOKENS],
+    count: usize,
+}
+
+impl<'a> Tokens<'a> {
+    fn stored(&self) -> &[&'a str] {
+        &self.toks[..self.count.min(MAX_TOKENS)]
+    }
+
+    /// Number of tokens on the line, stored or not.
+    pub(crate) fn len(&self) -> usize {
+        self.count
+    }
+
+    /// Token `idx`, if the line has it and it is stored.
+    pub(crate) fn get(&self, idx: usize) -> Option<&'a str> {
+        self.stored().get(idx).copied()
+    }
+
+    /// The line's keyword (first token).
+    pub(crate) fn first(&self) -> Option<&'a str> {
+        self.get(0)
+    }
+}
+
+impl<'a> std::ops::Index<usize> for Tokens<'a> {
+    type Output = &'a str;
+
+    fn index(&self, idx: usize) -> &&'a str {
+        &self.stored()[idx]
+    }
+}
+
 /// Line-oriented token source over any [`BufRead`], tracking 1-based
 /// line numbers and skipping blank and `#`-comment lines. One `String`
-/// buffer is reused for every line.
-struct Lines<R> {
+/// buffer is reused for every line, and [`Lines::tokens`] splits it
+/// without allocating. All four formats read through it: case files
+/// from any source, the others over `text.as_bytes()`.
+pub(crate) struct Lines<R> {
     src: R,
     buf: String,
     /// 1-based number of the line currently in `buf`.
@@ -46,7 +93,7 @@ struct Lines<R> {
 }
 
 impl<R: BufRead> Lines<R> {
-    fn new(src: R) -> Self {
+    pub(crate) fn new(src: R) -> Self {
         Self {
             src,
             buf: String::new(),
@@ -56,7 +103,7 @@ impl<R: BufRead> Lines<R> {
 
     /// Advances to the next significant line. `Ok(false)` at end of
     /// input; a typed error for unreadable or non-UTF-8 bytes.
-    fn advance(&mut self) -> Result<bool, IoError> {
+    pub(crate) fn advance(&mut self) -> Result<bool, IoError> {
         loop {
             self.buf.clear();
             let n = self.src.read_line(&mut self.buf).map_err(|e| {
@@ -79,7 +126,7 @@ impl<R: BufRead> Lines<R> {
 
     /// Advances, turning end-of-input into a parse error naming what was
     /// expected.
-    fn expect_next(&mut self, expected: &str) -> Result<(), IoError> {
+    pub(crate) fn expect_next(&mut self, expected: &str) -> Result<(), IoError> {
         if self.advance()? {
             Ok(())
         } else {
@@ -91,27 +138,47 @@ impl<R: BufRead> Lines<R> {
     }
 
     /// Whitespace tokens of the current line.
-    fn tokens(&self) -> Vec<&str> {
-        self.buf.split_whitespace().collect()
+    pub(crate) fn tokens(&self) -> Tokens<'_> {
+        let mut t = Tokens {
+            toks: [""; MAX_TOKENS],
+            count: 0,
+        };
+        for tok in self.buf.split_whitespace() {
+            if let Some(slot) = t.toks.get_mut(t.count) {
+                *slot = tok;
+            }
+            t.count += 1;
+        }
+        t
     }
 
-    fn err(&self, message: impl Into<String>) -> IoError {
+    /// The current line without surrounding whitespace.
+    pub(crate) fn line(&self) -> &str {
+        self.buf.trim()
+    }
+
+    pub(crate) fn err(&self, message: impl Into<String>) -> IoError {
         IoError::parse(self.line_no, message)
     }
 
     /// Asserts the first token equals `keyword`.
-    fn keyword(&self, tokens: &[&str], keyword: &str) -> Result<(), IoError> {
-        if tokens.first() != Some(&keyword) {
+    pub(crate) fn keyword(&self, tokens: &Tokens<'_>, keyword: &str) -> Result<(), IoError> {
+        if tokens.first() != Some(keyword) {
             return Err(self.err(format!(
                 "expected `{keyword}`, found `{}`",
-                tokens.first().unwrap_or(&"")
+                tokens.first().unwrap_or("")
             )));
         }
         Ok(())
     }
 
     /// Parses token `idx` as `T`.
-    fn field<T: FromStr>(&self, tokens: &[&str], idx: usize, what: &str) -> Result<T, IoError> {
+    pub(crate) fn field<T: FromStr>(
+        &self,
+        tokens: &Tokens<'_>,
+        idx: usize,
+        what: &str,
+    ) -> Result<T, IoError> {
         let tok = tokens
             .get(idx)
             .ok_or_else(|| self.err(format!("missing {what} (field {idx})")))?;
@@ -120,7 +187,7 @@ impl<R: BufRead> Lines<R> {
     }
 
     /// Checks the line has exactly `n` tokens.
-    fn expect_len(&self, tokens: &[&str], n: usize) -> Result<(), IoError> {
+    pub(crate) fn expect_len(&self, tokens: &Tokens<'_>, n: usize) -> Result<(), IoError> {
         if tokens.len() != n {
             return Err(self.err(format!("expected {n} fields, found {}", tokens.len())));
         }
@@ -160,14 +227,13 @@ pub fn parse_case_reader<R: BufRead>(src: R) -> Result<Design, IoError> {
     r.expect_next("DesignName or NumTechnologies")?;
     let mut toks = r.tokens();
     let mut design_name = String::from("case");
-    if toks.first() == Some(&"DesignName") {
+    if toks.first() == Some("DesignName") {
         design_name = r.field(&toks, 1, "design name")?;
         r.expect_next("NumTechnologies")?;
         toks = r.tokens();
     }
     r.keyword(&toks, "NumTechnologies")?;
     let num_techs: usize = r.field(&toks, 1, "technology count")?;
-    drop(toks);
 
     let mut tech_specs: Vec<TechnologySpec> = Vec::with_capacity(num_techs.min(64));
     // Canonical lib-cell metadata from the first technology; the
@@ -198,7 +264,6 @@ pub fn parse_case_reader<R: BufRead>(src: R) -> Result<Design, IoError> {
             let sx: i64 = r.field(&toks, 3, "sizeX")?;
             let sy: i64 = r.field(&toks, 4, "sizeY")?;
             let num_pins: usize = r.field(&toks, 5, "pin count")?;
-            drop(toks);
             let mut cell = if macro_flag {
                 LibCellSpec::macro_cell(&name, sx, sy)
             } else {
@@ -241,7 +306,6 @@ pub fn parse_case_reader<R: BufRead>(src: R) -> Result<Design, IoError> {
         r.field(&toks, 3, "die xhi")?,
         r.field(&toks, 4, "die yhi")?,
     );
-    drop(toks);
 
     let mut top_util = 100.0f64;
     let mut bottom_util = 100.0f64;
@@ -319,31 +383,35 @@ pub fn parse_case_reader<R: BufRead>(src: R) -> Result<Design, IoError> {
     ];
 
     // --- Instances ----------------------------------------------------------
-    // Resolved on the fly: standard cells take ids in file order and go
-    // straight into the design's own name index; macros are staged by id
-    // until their positions arrive.
+    // Resolved on the fly into the design's own name index, one probe per
+    // instance: standard cells take ids in file order, macros are staged
+    // by id until their positions arrive.
+    let mut index = InstIndex::with_capacity(num_instances.min(CAPACITY_CLAMP));
     let mut cell_libs: Vec<LibCellId> = Vec::with_capacity(num_instances.min(CAPACITY_CLAMP));
-    let mut cell_names: BTreeMap<String, CellId> = BTreeMap::new();
     let mut macro_libs: Vec<(String, LibCellId)> = Vec::new();
-    let mut macro_names: BTreeMap<String, MacroId> = BTreeMap::new();
     for _ in 0..num_instances {
         r.expect_next("Inst")?;
         let toks = r.tokens();
         r.keyword(&toks, "Inst")?;
         r.expect_len(&toks, 3)?;
-        let name: String = r.field(&toks, 1, "instance name")?;
+        let name = toks[1];
         let lib_name = toks[2];
         let &lib = lib_ids
             .get(lib_name)
             .ok_or_else(|| r.err(format!("unknown lib cell `{lib_name}`")))?;
-        if cell_names.contains_key(&name) || macro_names.contains_key(&name) {
-            return Err(r.err(format!("duplicate instance `{name}`")));
-        }
-        if libs[lib.index()].is_macro {
-            macro_names.insert(name.clone(), MacroId::new(macro_libs.len()));
-            macro_libs.push((name, lib));
+        let is_macro = libs[lib.index()].is_macro;
+        let id = if is_macro {
+            InstRef::Macro(MacroId::new(macro_libs.len()))
         } else {
-            cell_names.insert(name, CellId::new(cell_libs.len()));
+            InstRef::Cell(CellId::new(cell_libs.len()))
+        };
+        let Entry::Vacant(slot) = index.entry(name.to_owned()) else {
+            return Err(r.err(format!("duplicate instance `{name}`")));
+        };
+        slot.insert(id);
+        if is_macro {
+            macro_libs.push((name.to_owned(), lib));
+        } else {
             cell_libs.push(lib);
         }
     }
@@ -353,7 +421,6 @@ pub fn parse_case_reader<R: BufRead>(src: R) -> Result<Design, IoError> {
     let toks = r.tokens();
     r.keyword(&toks, "NumNets")?;
     let num_nets: usize = r.field(&toks, 1, "net count")?;
-    drop(toks);
     let mut nets: Vec<Net> = Vec::with_capacity(num_nets.min(CAPACITY_CLAMP));
     for _ in 0..num_nets {
         r.expect_next("Net")?;
@@ -361,7 +428,6 @@ pub fn parse_case_reader<R: BufRead>(src: R) -> Result<Design, IoError> {
         r.keyword(&toks, "Net")?;
         let net_name: String = r.field(&toks, 1, "net name")?;
         let num_pins: usize = r.field(&toks, 2, "net pin count")?;
-        drop(toks);
         let mut pins: Vec<PinRef> = Vec::with_capacity(num_pins.min(CAPACITY_CLAMP));
         for _ in 0..num_pins {
             r.expect_next("Pin")?;
@@ -372,12 +438,10 @@ pub fn parse_case_reader<R: BufRead>(src: R) -> Result<Design, IoError> {
             let (inst, pin_name) = spec
                 .split_once('/')
                 .ok_or_else(|| r.err(format!("pin `{spec}` missing `/` separator")))?;
-            let (inst, lib) = if let Some(&c) = cell_names.get(inst) {
-                (InstRef::Cell(c), cell_libs[c.index()])
-            } else if let Some(&m) = macro_names.get(inst) {
-                (InstRef::Macro(m), macro_libs[m.index()].1)
-            } else {
-                return Err(r.err(format!("pin references unknown instance `{inst}`")));
+            let (inst, lib) = match index.get(inst) {
+                Some(&InstRef::Cell(c)) => (InstRef::Cell(c), cell_libs[c.index()]),
+                Some(&InstRef::Macro(m)) => (InstRef::Macro(m), macro_libs[m.index()].1),
+                None => return Err(r.err(format!("pin references unknown instance `{inst}`"))),
             };
             let meta = &libs[lib.index()];
             let pin = *meta.pins.get(pin_name).ok_or_else(|| {
@@ -397,7 +461,6 @@ pub fn parse_case_reader<R: BufRead>(src: R) -> Result<Design, IoError> {
         let toks = r.tokens();
         r.keyword(&toks, "NumMacroPositions")?;
         let n: usize = r.field(&toks, 1, "macro position count")?;
-        drop(toks);
         for _ in 0..n {
             r.expect_next("MacroPos")?;
             let toks = r.tokens();
@@ -415,7 +478,7 @@ pub fn parse_case_reader<R: BufRead>(src: R) -> Result<Design, IoError> {
                     )));
                 }
             };
-            let Some(&m) = macro_names.get(name) else {
+            let Some(&InstRef::Macro(m)) = index.get(name) else {
                 return Err(r.err(format!("MacroPos for unknown macro `{name}`")));
             };
             // A repeated MacroPos keeps the last entry, like the
@@ -444,8 +507,57 @@ pub fn parse_case_reader<R: BufRead>(src: R) -> Result<Design, IoError> {
         techs: tech_specs,
         dies,
         cell_libs,
-        cell_names,
+        index,
         macros,
         nets,
     })?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn skips_blank_and_comment_lines() {
+        let mut r = Lines::new("\n# comment\n  a b \n\nc\n".as_bytes());
+        assert!(r.advance().unwrap());
+        let toks = r.tokens();
+        assert_eq!((toks.len(), toks[0], toks[1]), (2, "a", "b"));
+        assert_eq!(r.line_no, 3);
+        assert!(r.advance().unwrap());
+        assert_eq!(r.tokens()[0], "c");
+        assert!(!r.advance().unwrap());
+    }
+
+    #[test]
+    fn field_errors_carry_line_numbers() {
+        let mut r = Lines::new("Inst u0\n".as_bytes());
+        r.expect_next("Inst").unwrap();
+        let toks = r.tokens();
+        let err = r.field::<i64>(&toks, 1, "x").unwrap_err();
+        assert_eq!(err.to_string(), "line 1: cannot parse x from `u0`");
+        let err = r.field::<i64>(&toks, 5, "x").unwrap_err();
+        assert_eq!(err.to_string(), "line 1: missing x (field 5)");
+    }
+
+    #[test]
+    fn keyword_mismatch() {
+        let mut r = Lines::new("Foo 1\n".as_bytes());
+        r.expect_next("Foo").unwrap();
+        let toks = r.tokens();
+        assert!(r.keyword(&toks, "Bar").is_err());
+        assert!(r.keyword(&toks, "Foo").is_ok());
+    }
+
+    #[test]
+    fn tokens_past_the_array_are_counted_not_stored() {
+        let mut r = Lines::new("a b c d e f g h i j\n".as_bytes());
+        r.expect_next("a").unwrap();
+        let toks = r.tokens();
+        assert_eq!(toks.len(), 10);
+        assert_eq!(toks.get(MAX_TOKENS - 1), Some("h"));
+        assert_eq!(toks.get(MAX_TOKENS), None);
+        let err = r.expect_len(&toks, 3).unwrap_err();
+        assert_eq!(err.to_string(), "line 1: expected 3 fields, found 10");
+    }
 }

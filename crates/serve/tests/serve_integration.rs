@@ -336,6 +336,64 @@ fn malformed_frame_is_answered_then_connection_closes() {
     shutdown_and_join(&mut client, &server);
 }
 
+/// A `load` whose die outline asks for more rows than
+/// `MAX_ROWS_PER_DIE` (a few hundred bytes describing 10^11 rows) is a
+/// `parse_failed` error, not an allocation abort that would take the
+/// server and every resident design down: the same connection then gets
+/// an answer to `stats`, and a normal load still works.
+#[cfg(unix)]
+#[test]
+fn hostile_die_load_is_rejected_and_the_server_keeps_serving() {
+    let hostile = "\
+NumTechnologies 1
+Tech T 1
+LibCell N INV 1 1 0
+DieSize 0 0 100 100000000000
+TopDieMaxUtil 90
+BottomDieMaxUtil 90
+TopDieRows 0 0 100 1 100000000000
+BottomDieRows 0 0 100 1 100000000000
+TopDieTech T
+BottomDieTech T
+TerminalSize 1 1
+TerminalSpacing 1
+NumInstances 1
+Inst u0 INV
+NumNets 0
+";
+    let server = Server::new(ServerConfig::default()).unwrap();
+    let mut client = socketpair_client(&server);
+    let resp = client
+        .request(&obj(vec![
+            ("cmd", Json::Str("load".into())),
+            ("name", Json::Str("hostile".into())),
+            ("case", Json::Str(hostile.into())),
+            (
+                "legal",
+                Json::Str("TopDiePlacement 0\nBottomDiePlacement 1\nInst u0 0 0\n".into()),
+            ),
+        ]))
+        .unwrap();
+    assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{resp}");
+    let error = resp.get("error").expect("error responses carry an error");
+    assert_eq!(
+        error.get("code"),
+        Some(&Json::Str("parse_failed".into())),
+        "{resp}"
+    );
+    let message = error.get("message").and_then(Json::as_str).unwrap();
+    assert!(message.contains("invalid die"), "{message}");
+
+    let resp = client
+        .request(&obj(vec![("cmd", Json::Str("stats".into()))]))
+        .unwrap();
+    assert_ok(&resp);
+    let d = design(4);
+    let base = base_placement(&d);
+    assert_ok(&client.request(&load_request("demo", &d, &base)).unwrap());
+    shutdown_and_join(&mut client, &server);
+}
+
 /// A frame nested far past `Json::MAX_DEPTH` (a megabyte of `[`) is a
 /// `malformed_frame`, not a stack overflow that takes the process down:
 /// the server keeps answering on a fresh connection.

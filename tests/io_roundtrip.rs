@@ -227,3 +227,36 @@ fn heterogeneous_row_heights_roundtrip_exactly() {
     let reparsed = flow3d::io::parse_case(&text).unwrap();
     assert_eq!(reparsed, *d);
 }
+
+/// A few hundred bytes of die outline must not be able to demand rows
+/// by the billion or overflow the outline's extent: `parse_case` rejects
+/// both as an invalid die instead of aborting on the allocation (or, in
+/// a debug build, panicking on the subtraction).
+#[test]
+fn hostile_die_outlines_are_typed_errors() {
+    let case = |die_size: &str| {
+        format!(
+            "NumTechnologies 1\nTech T 1\nLibCell N INV 1 1 0\nDieSize {die_size}\n\
+             TopDieMaxUtil 90\nBottomDieMaxUtil 90\nTopDieRows 0 0 100 1 1\n\
+             BottomDieRows 0 0 100 1 1\nTopDieTech T\nBottomDieTech T\n\
+             NumInstances 1\nInst u0 INV\nNumNets 0\n"
+        )
+    };
+    let too_many_rows = format!("0 0 100 {}", 100_000_000_000u64);
+    let overflowing = format!("0 {} 100 {}", -i64::MAX, i64::MAX);
+    for die_size in [too_many_rows.as_str(), overflowing.as_str(), "0 0 -100 10"] {
+        match flow3d::io::parse_case(&case(die_size)) {
+            Err(flow3d::io::IoError::Db(flow3d::db::DbError::InvalidDie { .. })) => {}
+            other => panic!("DieSize {die_size}: expected an invalid die, got {other:?}"),
+        }
+    }
+    // The cap itself is a legal row count; a zero-row die stays valid.
+    let at_cap = format!("0 0 1 {}", flow3d::db::MAX_ROWS_PER_DIE);
+    let d = flow3d::io::parse_case(&case(&at_cap)).unwrap();
+    assert_eq!(
+        d.die(flow3d::db::DieId::TOP).num_rows(),
+        flow3d::db::MAX_ROWS_PER_DIE
+    );
+    let d = flow3d::io::parse_case(&case("0 0 100 0")).unwrap();
+    assert_eq!(d.die(flow3d::db::DieId::TOP).num_rows(), 0);
+}
