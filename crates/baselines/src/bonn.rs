@@ -9,7 +9,7 @@
 
 use flow3d_core::assign;
 use flow3d_core::augment::realize;
-use flow3d_core::driver::{bin_widths, placerow_all_observed, teleport_fallback};
+use flow3d_core::driver::{bin_widths, placerow_all, teleport_fallback};
 use flow3d_core::grid::{BinGrid, BinId, EdgeKind};
 use flow3d_core::placerow::RowAlgo;
 use flow3d_core::search::{AugmentingPath, PathStep};
@@ -291,7 +291,7 @@ impl BonnLegalizer {
         drained?;
 
         obs.begin("placerow");
-        let placed = placerow_all_observed(&state, RowAlgo::AbacusQuadratic, obs.reborrow());
+        let placed = placerow_all(&state, RowAlgo::AbacusQuadratic, 1, obs.reborrow());
         obs.end("placerow");
         let placement = placed?;
         stats.cross_die_moves = placement.cross_die_moves(global, design.num_dies());

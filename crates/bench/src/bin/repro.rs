@@ -15,7 +15,7 @@
 //! repro threads [scale]   # thread-scaling: flow_pass/placerow at 1/2/4/8 workers
 //! repro bench [scale] [out]  # perf-gate baseline RunReport incl. serve-mode latency rows
 //!                            # (default BENCH_legalize.json)
-//! repro scale [scale]     # million-cell family: stream read / SoA build / legalize / peak RSS
+//! repro scale [scale]     # million-cell family: stream read / legalize / peak RSS
 //! repro all   [scale]     # everything above (except bench and scale)
 //! ```
 //!
@@ -505,9 +505,8 @@ fn bench_baseline(scale: f64, out: &str) {
     let mut run = prepare(Suite::Iccad2022, "case2", scale);
     run.name = format!("iccad2022_case2@{scale}");
     // The baseline also times the streaming contest-format read as its
-    // own top-level phase (the SoA build is timed inside `legalize` as
-    // `legalize/soa_build`), so the perf gate watches the full
-    // read -> build -> legalize path, not just the solver.
+    // own top-level phase, so the perf gate watches the full
+    // read -> legalize path, not just the solver.
     let mut text = String::new();
     flow3d_io::write_case(&run.design, &mut text).expect("serialize case");
     let mut profile = flow3d_obs::Profile::new();
@@ -628,15 +627,14 @@ fn serve_phases(run: &flow3d_bench::CaseRun, profile: &mut flow3d_obs::Profile) 
 }
 
 /// Million-cell scaling: for every case of the million family, time the
-/// streaming contest-format read, the SoA view build, and the full
-/// legalization, and report the process peak RSS after each case. At
-/// the default scale this is minutes of work — use e.g. `0.05` for a
-/// quick pass.
+/// streaming contest-format read and the full legalization, and report
+/// the process peak RSS after each case. At the default scale this is
+/// minutes of work — use e.g. `0.05` for a quick pass.
 fn scale_experiment(scale: f64) {
-    println!("== million-cell scaling (streaming read + SoA view), scale {scale} ==");
+    println!("== million-cell scaling (streaming read), scale {scale} ==");
     println!(
-        "{:<14} {:>9} {:>9} {:>9} {:>10} {:>10} {:>10}",
-        "case", "#cells", "read(s)", "soa(s)", "legal(s)", "avg.disp", "rss(MiB)"
+        "{:<14} {:>9} {:>9} {:>10} {:>10} {:>10}",
+        "case", "#cells", "read(s)", "legal(s)", "avg.disp", "rss(MiB)"
     );
     for case in flow3d_gen::MILLION_CASES {
         let run = prepare(Suite::Million, case, scale);
@@ -650,27 +648,21 @@ fn scale_experiment(scale: f64) {
         assert_eq!(reparsed, run.design, "streaming reader must round-trip");
         drop((reparsed, text));
 
-        let mut profile = flow3d_obs::Profile::new();
         let start = std::time::Instant::now();
         let outcome = Flow3dLegalizer::default()
-            .legalize_observed(&run.design, &run.global, Some(&mut profile))
+            .legalize(&run.design, &run.global)
             .expect("legalization failed");
         let rt_legal = start.elapsed().as_secs_f64();
-        let rt_soa = profile
-            .phase("legalize/soa_build")
-            .map(|s| s.total.as_secs_f64())
-            .unwrap_or(0.0);
         let stats =
             flow3d_metrics::displacement_stats(&run.design, &run.global, &outcome.placement);
         let rss_mib = flow3d_obs::peak_rss_bytes()
             .map(|b| b as f64 / (1024.0 * 1024.0))
             .unwrap_or(0.0);
         println!(
-            "{:<14} {:>9} {:>9.3} {:>9.3} {:>10.2} {:>10.3} {:>10.1}",
+            "{:<14} {:>9} {:>9.3} {:>10.2} {:>10.3} {:>10.1}",
             format!("million_{case}"),
             run.design.num_cells(),
             rt_read,
-            rt_soa,
             rt_legal,
             stats.avg,
             rss_mib

@@ -3,7 +3,7 @@
 //! ```text
 //! flow3d gen --suite 2022 --case case3 [--scale 0.25] --out case.txt [--gp gp.txt]
 //! flow3d legalize --algo 3dflow|tetris|abacus|bonn --case case.txt --gp gp.txt \
-//!        --out legal.txt [--no-d2d] [--no-congestion] [--no-post] [--no-soa] \
+//!        --out legal.txt [--no-d2d] [--no-congestion] [--no-post] \
 //!        [--alpha 0.1] [--bin-width 10] [--post-bin-width 5] [--post-passes 3] \
 //!        [--row-algo abacus|isotonic] [--threads N] \
 //!        [--profile out.json] [--trace out.trace.json] [--heatmaps out.heatmaps.json]
@@ -19,6 +19,10 @@
 //! flow3d request [ping|stats|metrics|shutdown] [--script reqs.jsonl] \
 //!        [--connect HOST:PORT | --unix PATH] [--out resp.jsonl] [--text]
 //! ```
+//!
+//! Each command accepts exactly the options it lists; any other option,
+//! a valued option without its value, or a value after a bare flag is an
+//! error (exit 1), so a misspelled flag cannot silently void a run.
 //!
 //! The serve-mode commands (`serve`, `request`, `eco`) are documented in
 //! `SERVING.md`.
@@ -66,6 +70,11 @@ fn main() -> ExitCode {
     }
 }
 
+/// The options one command reads, space-separated: first those that take
+/// a value (`--key value`), then the bare flags (`--flag`).
+/// [`Args::parse`] rejects every other option.
+struct Opts(&'static str, &'static str);
+
 /// Minimal `--key value` / `--flag` argument map.
 #[derive(Debug)]
 struct Args {
@@ -74,7 +83,15 @@ struct Args {
 }
 
 impl Args {
-    fn parse(argv: &[String]) -> Result<Self, String> {
+    /// Parses `argv` against the options `opts` names.
+    ///
+    /// # Errors
+    ///
+    /// `unknown option --X` for an option `opts` does not name,
+    /// `--X needs a value` for a valued option at the end or followed by
+    /// another option, and `unexpected argument` for a bare word (a
+    /// positional, or a value after a flag).
+    fn parse(argv: &[String], opts: &Opts) -> Result<Self, String> {
         let mut values = BTreeMap::new();
         let mut flags = Vec::new();
         let mut i = 0;
@@ -83,12 +100,18 @@ impl Args {
             let key = arg
                 .strip_prefix("--")
                 .ok_or_else(|| format!("unexpected argument `{arg}`"))?;
-            if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
-                values.insert(key.to_string(), argv[i + 1].clone());
+            if opts.0.split_whitespace().any(|k| k == key) {
+                let value = argv
+                    .get(i + 1)
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("--{key} needs a value"))?;
+                values.insert(key.to_string(), value.clone());
                 i += 2;
-            } else {
+            } else if opts.1.split_whitespace().any(|k| k == key) {
                 flags.push(key.to_string());
                 i += 1;
+            } else {
+                return Err(format!("unknown option --{key}"));
             }
         }
         Ok(Self { values, flags })
@@ -138,22 +161,23 @@ fn run() -> Result<(), String> {
         // `ping`, …), so it splits positionals from flags itself.
         return serve_cmd::cmd_request(&argv[1..]);
     }
-    let args = Args::parse(&argv[1..])?;
-    match cmd.as_str() {
-        "gen" => cmd_gen(&args),
-        "legalize" => cmd_legalize(&args),
-        "check" => cmd_check(&args),
-        "stats" => cmd_stats(&args),
-        "viz" => cmd_viz(&args),
-        "tidy" => cmd_tidy(&args),
-        "eco" => serve_cmd::cmd_eco(&args),
-        "serve" => serve_cmd::cmd_serve(&args),
+    type Command = fn(&Args) -> Result<(), String>;
+    let (opts, command): (&Opts, Command) = match cmd.as_str() {
+        "gen" => (&GEN, cmd_gen),
+        "legalize" => (&LEGALIZE, cmd_legalize),
+        "check" => (&CHECK, cmd_check),
+        "stats" => (&STATS, cmd_stats),
+        "viz" => (&VIZ, cmd_viz),
+        "tidy" => (&TIDY, cmd_tidy),
+        "eco" => (&serve_cmd::ECO, serve_cmd::cmd_eco),
+        "serve" => (&serve_cmd::SERVE, serve_cmd::cmd_serve),
         "--help" | "help" => {
             outln!("{}", usage());
-            Ok(())
+            return Ok(());
         }
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
-    }
+        other => return Err(format!("unknown command `{other}`\n{}", usage())),
+    };
+    command(&Args::parse(&argv[1..], opts)?)
 }
 
 /// `report` takes positional file paths (unlike every `--key value`
@@ -164,10 +188,15 @@ fn run_report(argv: &[String]) -> Result<(), String> {
         .take_while(|a| !a.starts_with("--"))
         .map(String::as_str)
         .collect();
-    let args = Args::parse(&argv[positional.len()..])?;
+    let rest = &argv[positional.len()..];
     match positional.as_slice() {
-        ["show", path] => cmd_report_show(path),
-        ["diff", baseline, current] => cmd_report_diff(baseline, current, &args),
+        ["show", path] => {
+            Args::parse(rest, &Opts("", ""))?;
+            cmd_report_show(path)
+        }
+        ["diff", baseline, current] => {
+            cmd_report_diff(baseline, current, &Args::parse(rest, &REPORT_DIFF)?)
+        }
         _ => Err(format!(
             "usage:\n  flow3d report show <report.json>\n  \
              flow3d report diff <baseline.json> <current.json> [tolerance flags]\n\
@@ -179,7 +208,7 @@ fn run_report(argv: &[String]) -> Result<(), String> {
 fn usage() -> String {
     "usage:\n  \
      flow3d gen --suite 2022|2023|million|demo --case <name> [--scale S] [--seed N] --out case.txt [--gp gp.txt]\n  \
-     flow3d legalize --algo 3dflow|tetris|abacus|bonn --case case.txt --gp gp.txt --out legal.txt [--no-d2d] [--no-congestion] [--no-post] [--no-soa] [--alpha A] [--bin-width F] [--post-bin-width F] [--post-passes N] [--row-algo abacus|isotonic] [--threads N] [--profile out.json] [--trace out.trace.json] [--heatmaps out.heatmaps.json]\n  \
+     flow3d legalize --algo 3dflow|tetris|abacus|bonn --case case.txt --gp gp.txt --out legal.txt [--no-d2d] [--no-congestion] [--no-post] [--alpha A] [--bin-width F] [--post-bin-width F] [--post-passes N] [--row-algo abacus|isotonic] [--threads N] [--profile out.json] [--trace out.trace.json] [--heatmaps out.heatmaps.json]\n  \
      flow3d check --case case.txt --legal legal.txt [--gp gp.txt]\n  \
      flow3d stats --case case.txt\n  \
      flow3d report show <report.json>\n  \
@@ -208,6 +237,8 @@ fn load_design(args: &Args) -> Result<flow3d_db::Design, String> {
     let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
     flow3d_io::parse_case_reader(std::io::BufReader::new(file)).map_err(|e| format!("{path}: {e}"))
 }
+
+const GEN: Opts = Opts("suite case scale seed out gp", "");
 
 fn cmd_gen(args: &Args) -> Result<(), String> {
     let suite = args.require("suite")?;
@@ -253,6 +284,12 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+const LEGALIZE: Opts = Opts(
+    "case gp out algo alpha bin-width post-bin-width post-passes row-algo threads \
+     profile trace heatmaps",
+    "no-d2d no-congestion no-post",
+);
+
 fn cmd_legalize(args: &Args) -> Result<(), String> {
     let design = load_design(args)?;
     let gp_path = args.require("gp")?;
@@ -280,9 +317,6 @@ fn cmd_legalize(args: &Args) -> Result<(), String> {
             // 0 = auto: FLOW3D_THREADS, else available parallelism. The
             // result is bit-identical for every worker count.
             threads: args.get_usize("threads", 0)?,
-            // SoA off is the differential-testing reference path; the
-            // output is bit-identical either way.
-            soa_view: !args.flag("no-soa"),
         })),
         other => return Err(format!("unknown algorithm `{other}`")),
     };
@@ -358,6 +392,8 @@ fn cmd_legalize(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+const CHECK: Opts = Opts("case legal gp", "");
+
 fn cmd_check(args: &Args) -> Result<(), String> {
     let design = load_design(args)?;
     let legal_path = args.require("legal")?;
@@ -384,6 +420,8 @@ fn cmd_check(args: &Args) -> Result<(), String> {
         Err("placement is not legal".into())
     }
 }
+
+const STATS: Opts = Opts("case", "");
 
 fn cmd_stats(args: &Args) -> Result<(), String> {
     let design = load_design(args)?;
@@ -415,6 +453,12 @@ fn cmd_report_show(path: &str) -> Result<(), String> {
     out!("{}", load_report(path)?.to_pretty());
     Ok(())
 }
+
+const REPORT_DIFF: Opts = Opts(
+    "phase rt-warn-pct rt-fail-pct disp-warn-pct disp-fail-pct counter-warn-pct \
+     counter-fail-pct min-seconds",
+    "",
+);
 
 /// Compares two run reports and exits non-zero when any metric regressed
 /// beyond the failure tolerance — the CI perf gate.
@@ -464,6 +508,9 @@ fn cmd_viz_heatmaps(args: &Args, sidecar: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Both `viz` modes: a placement plot, or `--heatmaps` grids.
+const VIZ: Opts = Opts("case gp legal die out heatmaps name", "");
+
 fn cmd_viz(args: &Args) -> Result<(), String> {
     if let Some(sidecar) = args.get("heatmaps") {
         return cmd_viz_heatmaps(args, sidecar);
@@ -484,6 +531,8 @@ fn cmd_viz(args: &Args) -> Result<(), String> {
     outln!("wrote {out}");
     Ok(())
 }
+
+const TIDY: Opts = Opts("root", "json fix list");
 
 /// `flow3d tidy` — run the flow3d-tidy determinism & panic-safety lints
 /// over the workspace (same engine as `cargo run -p flow3d-lint`).
@@ -542,23 +591,21 @@ fn cmd_tidy(args: &Args) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::Args;
+    use super::{Args, Opts};
+
+    const OPTS: Opts = Opts("case out alpha dx", "no-d2d verbose");
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
     }
 
+    fn parse(s: &[&str]) -> Result<Args, String> {
+        Args::parse(&argv(s), &OPTS)
+    }
+
     #[test]
     fn parses_values_and_flags() {
-        let a = Args::parse(&argv(&[
-            "--case",
-            "c.txt",
-            "--no-d2d",
-            "--alpha",
-            "0.5",
-            "--verbose",
-        ]))
-        .unwrap();
+        let a = parse(&["--case", "c.txt", "--no-d2d", "--alpha", "0.5", "--verbose"]).unwrap();
         assert_eq!(a.get("case"), Some("c.txt"));
         assert!(a.flag("no-d2d"));
         assert!(a.flag("verbose"));
@@ -569,20 +616,20 @@ mod tests {
 
     #[test]
     fn rejects_positional_arguments() {
-        let err = Args::parse(&argv(&["case.txt"])).unwrap_err();
+        let err = parse(&["case.txt"]).unwrap_err();
         assert!(err.contains("unexpected argument"));
     }
 
     #[test]
     fn require_reports_missing_key() {
-        let a = Args::parse(&argv(&["--out", "x"])).unwrap();
+        let a = parse(&["--out", "x"]).unwrap();
         assert!(a.require("out").is_ok());
         assert!(a.require("case").unwrap_err().contains("--case"));
     }
 
     #[test]
     fn bad_number_is_an_error() {
-        let a = Args::parse(&argv(&["--alpha", "abc"])).unwrap();
+        let a = parse(&["--alpha", "abc"]).unwrap();
         assert!(a.get_f64("alpha", 0.1).is_err());
         assert!(a.get_usize("alpha", 1).is_err());
     }
@@ -591,7 +638,7 @@ mod tests {
     fn negative_numbers_are_values_not_flags() {
         // A quirk of `--key value` parsing: negative numbers do not start
         // with `--` so they parse as values.
-        let a = Args::parse(&argv(&["--dx", "-5"])).unwrap();
+        let a = parse(&["--dx", "-5"]).unwrap();
         assert_eq!(a.get("dx"), Some("-5"));
     }
 }

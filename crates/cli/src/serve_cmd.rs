@@ -3,10 +3,15 @@
 //! command the service is measured against. Protocol and operations are
 //! documented in `SERVING.md`.
 
-use crate::{read, write, Args};
+use crate::{read, write, Args, Opts};
 use flow3d_core::{CellMove, Flow3dConfig, Flow3dLegalizer};
 use flow3d_obs::LogLevel;
 use flow3d_serve::{Client, Json, Server, ServerConfig};
+
+pub(crate) const SERVE: Opts = Opts(
+    "listen unix workers queue-depth threads log log-level flight trace window-secs",
+    "",
+);
 
 /// `flow3d serve`: run the resident service until a client sends
 /// `shutdown`.
@@ -63,6 +68,8 @@ fn serve_unix(_server: &Server, path: &str) -> Result<(), String> {
     ))
 }
 
+const REQUEST: Opts = Opts("script connect unix out", "text allow-errors");
+
 /// `flow3d request`: fire requests at a running server and print each
 /// response as a JSON line. Requests come from a `--script` JSONL file
 /// (one frame per line), or from a single positional quick command —
@@ -74,7 +81,7 @@ pub(crate) fn cmd_request(argv: &[String]) -> Result<(), String> {
         .take_while(|a| !a.starts_with("--"))
         .map(String::as_str)
         .collect();
-    let args = Args::parse(&argv[positional.len()..])?;
+    let args = Args::parse(&argv[positional.len()..], &REQUEST)?;
     let requests = match positional.as_slice() {
         [] => {
             let script = read(args.require("script")?)?;
@@ -230,6 +237,8 @@ fn moves_text_to_json(text: &str) -> Result<Json, String> {
     }
     Ok(Json::Arr(moves))
 }
+
+pub(crate) const ECO: Opts = Opts("case base moves out threads profile", "");
 
 /// `flow3d eco`: one-shot incremental legalization — the golden
 /// reference the serve-mode smoke test diffs against.

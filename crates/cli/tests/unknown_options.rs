@@ -1,0 +1,55 @@
+//! Every `flow3d` command rejects an option it does not read, before it
+//! touches a file: a misspelled `--no-d2d` used to be kept and ignored,
+//! so an ablation ran with D2D movement on and exited 0.
+
+use std::process::Command;
+
+/// Runs `flow3d` on the whitespace-separated `args` and checks that it
+/// exits 1 printing exactly `error: {want}`.
+fn assert_rejected(args: &str, want: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_flow3d"))
+        .args(args.split_whitespace())
+        .output()
+        .expect("run flow3d");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args}: {stderr}");
+    assert_eq!(stderr.trim_end(), format!("error: {want}"), "{args}");
+}
+
+#[test]
+fn misspelled_legalize_options_fail_before_any_work() {
+    let run = "legalize --algo 3dflow --case missing.txt --gp missing.gp --out out.txt";
+    assert_rejected(
+        &format!("{run} --no-2d2 --threds 4 --aplha 0"),
+        "unknown option --no-2d2",
+    );
+    assert_rejected(&format!("{run} --threads"), "--threads needs a value");
+    assert_rejected(
+        &format!("{run} --threads --no-post"),
+        "--threads needs a value",
+    );
+    assert_rejected(&format!("{run} --no-d2d yes"), "unexpected argument `yes`");
+}
+
+#[test]
+fn every_command_names_its_options() {
+    for command in [
+        "gen",
+        "legalize",
+        "check",
+        "stats",
+        "viz",
+        "tidy",
+        "eco",
+        // An unknown option must stop `serve` before it binds anything;
+        // were it accepted, binding under a missing directory would fail
+        // with another message.
+        "serve --unix /nonexistent-flow3d-dir/serve.sock",
+        "request",
+        "request ping",
+        "report show r.json",
+        "report diff a.json b.json",
+    ] {
+        assert_rejected(&format!("{command} --bogus"), "unknown option --bogus");
+    }
+}

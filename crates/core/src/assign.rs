@@ -3,7 +3,7 @@
 
 use crate::error::LegalizeError;
 use crate::grid::BinGrid;
-use crate::state::{FlowState, GeomSource, Seed};
+use crate::state::{FlowState, Seed};
 use flow3d_db::{CellId, Design, DieId, Placement3d, RowLayout};
 use flow3d_geom::Point;
 
@@ -23,24 +23,9 @@ pub fn anchors(design: &Design, global: &Placement3d) -> Vec<Point> {
 ///
 /// # Errors
 ///
-/// [`LegalizeError::DieOverflow`] if no rebalance fits the cells.
+/// [`LegalizeError::DieOverflow`] if no rebalance fits the cells,
+/// [`LegalizeError::PlacementMismatch`] on cell-count mismatch.
 pub fn partition_dies(design: &Design, global: &Placement3d) -> Result<Vec<DieId>, LegalizeError> {
-    partition_dies_with(design, global, &GeomSource::IdMap)
-}
-
-/// [`partition_dies`] reading cell geometry through `geom` (the driver
-/// passes its prebuilt [`SoaView`](flow3d_db::SoaView); values are
-/// identical either way, only the access pattern differs).
-///
-/// # Errors
-///
-/// Same as [`partition_dies`].
-// flow3d-tidy: allow(dead-pub) — facade API (flow3d::core) for embedders that drive the legalizer below the Legalizer trait
-pub fn partition_dies_with(
-    design: &Design,
-    global: &Placement3d,
-    geom: &GeomSource<'_>,
-) -> Result<Vec<DieId>, LegalizeError> {
     if global.num_cells() != design.num_cells() {
         return Err(LegalizeError::PlacementMismatch {
             design_cells: design.num_cells(),
@@ -53,7 +38,7 @@ pub fn partition_dies_with(
         .collect();
 
     let area = |cell: usize, die: DieId| {
-        geom.cell_width(design, CellId::new(cell), die) * geom.cell_height(design, die)
+        design.cell_width(CellId::new(cell), die) * design.cell_height(die)
     };
     let allowed: Vec<i64> = (0..num_dies)
         .map(|d| {
@@ -125,32 +110,6 @@ pub fn build_state<'a>(
     global: &Placement3d,
     dies: &mut [DieId],
 ) -> Result<FlowState<'a>, LegalizeError> {
-    build_state_with_geom(
-        design,
-        layout,
-        grid,
-        global,
-        dies,
-        GeomSource::Owned(flow3d_db::SoaView::geometry(design)),
-    )
-}
-
-/// [`build_state`] with an explicit geometry source for the new state
-/// (the driver borrows its prebuilt full view; `GeomSource::IdMap`
-/// selects the reference path).
-///
-/// # Errors
-///
-/// Same as [`build_state`].
-// flow3d-tidy: allow(dead-pub) — facade API (flow3d::core) for embedders that drive the legalizer below the Legalizer trait
-pub fn build_state_with_geom<'a>(
-    design: &'a Design,
-    layout: &'a RowLayout,
-    grid: &'a BinGrid,
-    global: &Placement3d,
-    dies: &mut [DieId],
-    geom: GeomSource<'a>,
-) -> Result<FlowState<'a>, LegalizeError> {
     if global.num_cells() != design.num_cells() {
         return Err(LegalizeError::PlacementMismatch {
             design_cells: design.num_cells(),
@@ -169,7 +128,7 @@ pub fn build_state_with_geom<'a>(
             any_die: true,
         })
         .collect();
-    let mut state = FlowState::with_geom(design, layout, grid, anchor, geom);
+    let mut state = FlowState::new(design, layout, grid, anchor);
     if let Some(&cell) = state.seed(&seeds).first() {
         return Err(LegalizeError::NoPosition { cell });
     }

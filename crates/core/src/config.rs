@@ -35,16 +35,9 @@ pub struct Flow3dConfig {
     /// [`flow3d_par::resolve_threads`]). The legalizer's output is
     /// bit-identical for every thread count — the searches of one batch
     /// run against a frozen state snapshot and their results are applied
-    /// in a fixed order (see [`crate::driver::flow_pass_threaded`]) — so
+    /// in a fixed order (see [`crate::driver::flow_pass`]) — so
     /// this knob trades wall-clock only, never quality or reproducibility.
     pub threads: usize,
-    /// Read cell geometry through the flat [`SoaView`](flow3d_db::SoaView)
-    /// columns instead of chasing the `Design` id maps. Pure data-layout
-    /// choice: the view copies its values out of the design, so the
-    /// output is bit-identical either way (enforced by
-    /// `tests/soa_equivalence.rs`); disable only to benchmark the layout
-    /// or as the differential-testing reference path.
-    pub soa_view: bool,
 }
 
 impl Default for Flow3dConfig {
@@ -59,7 +52,6 @@ impl Default for Flow3dConfig {
             post_passes: 3,
             row_algo: RowAlgo::default(),
             threads: 0,
-            soa_view: true,
         }
     }
 }
@@ -70,15 +62,6 @@ impl Flow3dConfig {
     pub fn without_d2d() -> Self {
         Self {
             allow_d2d: false,
-            ..Self::default()
-        }
-    }
-
-    /// Greedy variant (`α = 0`): only strictly improving branches are
-    /// explored.
-    pub fn greedy() -> Self {
-        Self {
-            alpha: 0.0,
             ..Self::default()
         }
     }
@@ -113,7 +96,6 @@ mod tests {
         assert!(c.allow_d2d);
         assert!(c.post_opt);
         assert_eq!(c.threads, 0, "default is auto-sized");
-        assert!(c.soa_view, "SoA layout is pure caching, on by default");
     }
 
     #[test]
@@ -130,7 +112,6 @@ mod tests {
     #[test]
     fn ablation_presets() {
         assert!(!Flow3dConfig::without_d2d().allow_d2d);
-        assert_eq!(Flow3dConfig::greedy().alpha, 0.0);
         assert!(Flow3dConfig::exhaustive().alpha.is_infinite());
     }
 }

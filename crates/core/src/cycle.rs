@@ -16,11 +16,11 @@
 
 use crate::assign;
 use crate::config::Flow3dConfig;
-use crate::driver::{bin_widths, flow_pass_threaded_pooled, placerow_segments};
+use crate::driver::{bin_widths, flow_pass, placerow_segments};
 use crate::error::LegalizeError;
 use crate::grid::BinGrid;
 use crate::search::{SearchParams, SearchPool};
-use crate::state::{FlowState, GeomSource, Seed};
+use crate::state::{FlowState, Seed};
 use crate::traits::LegalizeStats;
 use flow3d_db::{CellId, Design, LegalPlacement, Placement3d, RowLayout};
 use flow3d_geom::Point;
@@ -46,38 +46,6 @@ pub fn post_optimize(
     base_params: &SearchParams,
     placement: &mut LegalPlacement,
     stats: &mut LegalizeStats,
-    mut obs: Obs<'_>,
-) -> Result<(), LegalizeError> {
-    post_optimize_with_geom(
-        design,
-        layout,
-        global,
-        config,
-        base_params,
-        placement,
-        stats,
-        &GeomSource::Owned(flow3d_db::SoaView::geometry(design)),
-        obs.reborrow(),
-    )
-}
-
-/// [`post_optimize`] with an explicit geometry source for the passes'
-/// shared [`FlowState`] (the driver passes its prebuilt view).
-///
-/// # Errors
-///
-/// Same as [`post_optimize`].
-#[allow(clippy::too_many_arguments)]
-// flow3d-tidy: allow(dead-pub) — facade API (flow3d::core) for embedders that drive the legalizer below the Legalizer trait
-pub fn post_optimize_with_geom(
-    design: &Design,
-    layout: &RowLayout,
-    global: &Placement3d,
-    config: &Flow3dConfig,
-    base_params: &SearchParams,
-    placement: &mut LegalPlacement,
-    stats: &mut LegalizeStats,
-    geom: &GeomSource<'_>,
     mut obs: Obs<'_>,
 ) -> Result<(), LegalizeError> {
     let n = design.num_cells();
@@ -111,7 +79,7 @@ pub fn post_optimize_with_geom(
     // One state for every pass, seeded at the current placement. A pass
     // runs under the undo journal and rolls back, so between passes only
     // the cells an accepted pass moved are re-seeded.
-    let mut state = FlowState::with_geom(design, layout, &grid, anchors.clone(), geom.clone());
+    let mut state = FlowState::new(design, layout, &grid, anchors.clone());
     let all: Vec<Seed> = (0..n).map(|i| at(placement, CellId::new(i))).collect();
     let failed = state.seed(&all);
     drop(all);
@@ -149,7 +117,7 @@ pub fn post_optimize_with_geom(
         // telemetry measures work done, stats the accepted outcome.
         let mut pass_stats = LegalizeStats::default();
         obs.begin("flow_pass");
-        let flowed = flow_pass_threaded_pooled(
+        let flowed = flow_pass(
             &mut state,
             base_params,
             threads,

@@ -12,10 +12,10 @@ use crate::search::{
     TabuList,
 };
 use crate::selection::SelectionParams;
-use crate::state::{FlowState, GeomSource};
+use crate::state::FlowState;
 use crate::traits::{LegalizeOutcome, LegalizeStats, Legalizer};
 use flow3d_db::{
-    CellId, Design, DieId, LegalPlacement, Placement3d, RowLayout, Segment, SegmentId, SoaView,
+    CellId, Design, DieId, LegalPlacement, Placement3d, RowLayout, Segment, SegmentId,
 };
 use flow3d_geom::Point;
 use flow3d_obs::{hist_keys, keys, Heatmap, Obs, ObsExt, Profile};
@@ -32,45 +32,6 @@ pub fn bin_widths(design: &Design, factor: f64) -> Vec<i64> {
             flow3d_geom::snap_up(nominal.max(site), 0, site)
         })
         .collect()
-}
-
-/// Drains every overflowed bin by successive augmenting paths (Algorithm 2
-/// lines 4–10), running the per-source searches in batched rounds:
-/// every round searches all current sources against a frozen snapshot of
-/// the state and then applies the candidate paths in a fixed
-/// `(cost, source bin)` order. The batch is what
-/// [`flow_pass_threaded`] parallelizes; with one thread the exact same
-/// rounds run inline.
-///
-/// # Errors
-///
-/// [`LegalizeError::NoAugmentingPath`] when a source cannot be drained
-/// even by the unbounded search.
-// flow3d-tidy: allow(dead-pub) — facade API (flow3d::core) for embedders that drive the legalizer below the Legalizer trait
-pub fn flow_pass(
-    state: &mut FlowState<'_>,
-    params: &SearchParams,
-    stats: &mut LegalizeStats,
-) -> Result<(), LegalizeError> {
-    flow_pass_threaded(state, params, 1, stats, None)
-}
-
-/// [`flow_pass`] with an observability hook: per-pass search counters
-/// ([`keys::NODES_EXPANDED`], [`keys::BRANCHES_PRUNED`],
-/// [`keys::AUGMENTING_PATHS`], [`keys::SEARCH_RETRIES`],
-/// [`keys::CELLS_MOVED`], …) are bumped into `obs` when it is `Some`.
-///
-/// # Errors
-///
-/// Same as [`flow_pass`].
-// flow3d-tidy: allow(dead-pub) — facade API (flow3d::core) for embedders that drive the legalizer below the Legalizer trait
-pub fn flow_pass_observed(
-    state: &mut FlowState<'_>,
-    params: &SearchParams,
-    stats: &mut LegalizeStats,
-    obs: Obs<'_>,
-) -> Result<(), LegalizeError> {
-    flow_pass_threaded(state, params, 1, stats, obs)
 }
 
 /// The result of one source's bounded-search retry ladder: the candidate
@@ -127,7 +88,24 @@ fn search_source(
     (None, counters, searches)
 }
 
-/// [`flow_pass_observed`] on a worker pool of `threads` threads.
+/// Drains every overflowed bin by successive augmenting paths (Algorithm 2
+/// lines 4–10), running the per-source searches in batched rounds on a
+/// worker pool of `threads` threads: every round searches all current
+/// sources against a frozen snapshot of the state and then applies the
+/// candidate paths in a fixed `(cost, source bin)` order.
+///
+/// `pool` holds the workers' search scratch (node arenas, heaps,
+/// selection buffers). It grows to the worker count and keeps its
+/// allocations across calls, so a caller that owns one (post-optimization,
+/// the resident ECO engine) amortizes them over many passes. It carries
+/// capacity, never data, so which slot serves which source cannot change
+/// a result.
+///
+/// When `obs` is `Some`, per-pass search counters
+/// ([`keys::NODES_EXPANDED`], [`keys::BRANCHES_PRUNED`],
+/// [`keys::AUGMENTING_PATHS`], [`keys::SEARCH_RETRIES`],
+/// [`keys::CELLS_MOVED`], …) are bumped into it and the round phases
+/// (`search_batch`, `apply`) nest under the caller's open scope.
 ///
 /// # Determinism
 ///
@@ -154,33 +132,9 @@ fn search_source(
 ///
 /// # Errors
 ///
-/// Same as [`flow_pass`].
-pub fn flow_pass_threaded(
-    state: &mut FlowState<'_>,
-    params: &SearchParams,
-    threads: usize,
-    stats: &mut LegalizeStats,
-    obs: Obs<'_>,
-) -> Result<(), LegalizeError> {
-    let mut pool = SearchPool::new();
-    flow_pass_threaded_pooled(state, params, threads, stats, obs, &mut pool)
-}
-
-/// [`flow_pass_threaded`] with a caller-owned [`SearchPool`].
-///
-/// The pool (node arenas, heaps, selection buffers) is grown to the
-/// worker count and persists across calls, so a resident engine
-/// amortizes its allocations over many requests instead of one pass.
-/// Which scratch slot serves which source is scheduling-dependent;
-/// pooled scratch never influences results (it carries capacity, not
-/// data), so the determinism contract of [`flow_pass_threaded`] is
-/// unchanged. See [`crate::EcoEngine`] for the resident lifecycle.
-///
-/// # Errors
-///
-/// Same as [`flow_pass`].
-// flow3d-tidy: allow(dead-pub) — facade API (flow3d::core) for embedders that drive the legalizer below the Legalizer trait
-pub fn flow_pass_threaded_pooled(
+/// [`LegalizeError::NoAugmentingPath`] when a source cannot be drained
+/// even by the unbounded search.
+pub fn flow_pass(
     state: &mut FlowState<'_>,
     params: &SearchParams,
     threads: usize,
@@ -526,12 +480,12 @@ pub fn teleport_fallback(
                 if !allow_cross_die && b.die != src_die {
                     continue;
                 }
-                let w_v = state.cell_width(cell, b.die);
+                let w_v = state.design.cell_width(cell, b.die);
                 if state.dem(cand) < w_v {
                     continue;
                 }
                 if b.die != src_die {
-                    let need = w_v * state.cell_height(b.die);
+                    let need = w_v * state.design.cell_height(b.die);
                     if need > state.area_headroom(b.die) {
                         continue;
                     }
@@ -560,49 +514,11 @@ pub fn teleport_fallback(
     Ok(moved_any)
 }
 
-/// Legalizes every row segment with Abacus `PlaceRow` (§III-D) and emits
-/// the final placement. Every cell's desired x is its anchor clamped into
-/// the bin range the flow phase assigned it to.
-///
-/// # Errors
-///
-/// [`LegalizeError::SegmentOverflow`] if a segment holds more cell width
-/// than it can fit — impossible after a successful [`flow_pass`].
-// flow3d-tidy: allow(dead-pub) — facade API (flow3d::core) for embedders that drive the legalizer below the Legalizer trait
-pub fn placerow_all(state: &FlowState<'_>) -> Result<LegalPlacement, LegalizeError> {
-    placerow_all_with(state, RowAlgo::AbacusQuadratic)
-}
-
-/// [`placerow_all`] with an explicit row algorithm (§III-D).
-///
-/// # Errors
-///
-/// Same as [`placerow_all`].
-// flow3d-tidy: allow(dead-pub) — facade API (flow3d::core) for embedders that drive the legalizer below the Legalizer trait
-pub fn placerow_all_with(
-    state: &FlowState<'_>,
-    algo: RowAlgo,
-) -> Result<LegalPlacement, LegalizeError> {
-    placerow_all_observed(state, algo, None)
-}
-
-/// [`placerow_all_with`] with an observability hook:
-/// [`keys::PLACEROW_CALLS`] counts one per non-empty row segment
-/// legalized when `obs` is `Some`.
-///
-/// # Errors
-///
-/// Same as [`placerow_all`].
-pub fn placerow_all_observed(
-    state: &FlowState<'_>,
-    algo: RowAlgo,
-    obs: Obs<'_>,
-) -> Result<LegalPlacement, LegalizeError> {
-    placerow_all_threaded(state, algo, 1, obs)
-}
-
-/// [`placerow_all_observed`] on a worker pool of `threads` threads: row
-/// segments fan out across the pool, one `PlaceRow` per segment.
+/// Legalizes every row segment with `PlaceRow` (§III-D) on a worker pool
+/// of `threads` threads and emits the final placement. Every cell's
+/// desired x is its anchor clamped into the bin range the flow phase
+/// assigned it to; when `obs` is `Some`, [`keys::PLACEROW_CALLS`] counts
+/// one per non-empty segment.
 ///
 /// Segments are independent once the flow phase fixed the cell→bin
 /// assignment: a cell's fragments always sit inside a single segment
@@ -613,8 +529,9 @@ pub fn placerow_all_observed(
 ///
 /// # Errors
 ///
-/// Same as [`placerow_all`].
-pub fn placerow_all_threaded(
+/// [`LegalizeError::SegmentOverflow`] if a segment holds more cell width
+/// than it can fit — impossible after a successful [`flow_pass`].
+pub fn placerow_all(
     state: &FlowState<'_>,
     algo: RowAlgo,
     threads: usize,
@@ -631,7 +548,7 @@ pub fn placerow_all_threaded(
 /// The main pass passes every segment. Post-optimization and the ECO
 /// engine pass only the segments whose membership changed, because the
 /// `PlaceRow` of a segment depends only on which cells are in it.
-/// Workers and result order are those of [`placerow_all_threaded`], and
+/// Workers and result order are those of [`placerow_all`], and
 /// [`keys::PLACEROW_CALLS`] counts one per non-empty segment placed.
 ///
 /// # Errors
@@ -716,7 +633,7 @@ fn segment_items(state: &FlowState<'_>, seg: &Segment) -> Vec<RowItem> {
             if state.cell_frags(frag.cell)[0].0 != bid {
                 continue; // other fragment of a straddling cell
             }
-            let w = state.cell_width(frag.cell, seg.die);
+            let w = state.design.cell_width(frag.cell, seg.die);
             // The flow phase decides the *segment*; within it, trust
             // PlaceRow's quadratic optimum from the raw anchor (the total
             // width fits by construction).
@@ -830,22 +747,9 @@ impl Flow3dLegalizer {
         let cfg = &self.config;
         let threads = flow3d_par::resolve_threads(cfg.threads);
 
-        // Build the flat SoA geometry columns once, up front; every later
-        // phase borrows them. Skipped (falling back to the id-map path)
-        // when disabled or when the placement is malformed — the count
-        // mismatch is then reported as an error by `partition_dies_with`.
-        obs.begin("soa_build");
-        let soa = (cfg.soa_view && global.num_cells() == design.num_cells())
-            .then(|| SoaView::build(design, global));
-        obs.end("soa_build");
-        let geom = match soa.as_ref() {
-            Some(view) => GeomSource::Soa(view),
-            None => GeomSource::IdMap,
-        };
-
         obs.begin("partition");
         let layout = RowLayout::build(design);
-        let dies = assign::partition_dies_with(design, global, &geom);
+        let dies = assign::partition_dies(design, global);
         obs.end("partition");
         let mut dies = dies?;
 
@@ -855,8 +759,7 @@ impl Flow3dLegalizer {
         obs.end("grid_build");
 
         obs.begin("assign");
-        let state =
-            assign::build_state_with_geom(design, &layout, &grid, global, &mut dies, geom.clone());
+        let state = assign::build_state(design, &layout, &grid, global, &mut dies);
         obs.end("assign");
         let mut state = state?;
 
@@ -864,12 +767,19 @@ impl Flow3dLegalizer {
 
         let mut stats = LegalizeStats::default();
         obs.begin("flow_pass");
-        let flowed = flow_pass_threaded(&mut state, &params, threads, &mut stats, obs.reborrow());
+        let flowed = flow_pass(
+            &mut state,
+            &params,
+            threads,
+            &mut stats,
+            obs.reborrow(),
+            &mut SearchPool::new(),
+        );
         obs.end("flow_pass");
         flowed?;
 
         obs.begin("placerow");
-        let placed = placerow_all_threaded(&state, cfg.row_algo, threads, obs.reborrow());
+        let placed = placerow_all(&state, cfg.row_algo, threads, obs.reborrow());
         obs.end("placerow");
         let mut placement = placed?;
         // Post-optimization seeds a state of its own on a finer grid.
@@ -877,7 +787,7 @@ impl Flow3dLegalizer {
 
         if cfg.post_opt {
             obs.begin("post_opt");
-            let post = cycle::post_optimize_with_geom(
+            let post = cycle::post_optimize(
                 design,
                 &layout,
                 global,
@@ -885,7 +795,6 @@ impl Flow3dLegalizer {
                 &params,
                 &mut placement,
                 &mut stats,
-                &geom,
                 obs.reborrow(),
             );
             obs.end("post_opt");

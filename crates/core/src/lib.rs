@@ -68,5 +68,5 @@ pub use error::LegalizeError;
 pub use incremental::CellMove;
 pub use placerow::RowAlgo;
 pub use resident::{CommitStats, EcoEngine};
-pub use state::{FlowState, GeomSource};
+pub use state::FlowState;
 pub use traits::{LegalizeOutcome, LegalizeStats, Legalizer};

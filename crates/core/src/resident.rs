@@ -38,16 +38,14 @@
 //! pipeline on random designs and request streams with commits.
 
 use crate::config::Flow3dConfig;
-use crate::driver::{
-    bin_widths, flow_pass_threaded_pooled, place_segment, placerow_segments, search_params,
-};
+use crate::driver::{bin_widths, flow_pass, place_segment, placerow_segments, search_params};
 use crate::error::LegalizeError;
 use crate::grid::BinGrid;
 use crate::incremental::CellMove;
 use crate::search::SearchPool;
-use crate::state::{FlowColumns, FlowState, GeomSource, Seed};
+use crate::state::{FlowColumns, FlowState, Seed};
 use crate::traits::{LegalizeOutcome, LegalizeStats};
-use flow3d_db::{CellId, Design, LegalPlacement, RowLayout, SegmentId, SoaView};
+use flow3d_db::{CellId, Design, LegalPlacement, RowLayout, SegmentId};
 use flow3d_geom::Point;
 use flow3d_obs::{Obs, ObsExt};
 
@@ -86,9 +84,6 @@ pub struct EcoEngine {
     /// state (or fail it), ascending. Only an illegal base has them;
     /// every request re-places them.
     irregular: Vec<SegmentId>,
-    /// Resident geometry columns (`None` when `cfg.soa_view` is off):
-    /// built once with the layout/grid and borrowed by every request.
-    soa: Option<SoaView>,
     pool: SearchPool,
     threads: usize,
     requests: u64,
@@ -123,7 +118,6 @@ impl EcoEngine {
         let layout = RowLayout::build(&design);
         let widths = bin_widths(&design, cfg.post_bin_width_factor);
         let grid = BinGrid::build(&design, &layout, &widths, cfg.allow_d2d);
-        let soa = cfg.soa_view.then(|| SoaView::geometry(&design));
         let anchors: Vec<Point> = (0..n).map(|i| base.pos(CellId::new(i))).collect();
         let cols = FlowColumns::new(&design, &grid, anchors);
         let threads = flow3d_par::resolve_threads(cfg.threads);
@@ -136,7 +130,6 @@ impl EcoEngine {
             cols,
             unseedable: Vec::new(),
             irregular: Vec::new(),
-            soa,
             pool: SearchPool::new(),
             threads,
             requests: 0,
@@ -209,13 +202,7 @@ impl EcoEngine {
     ) -> Result<LegalizeOutcome, LegalizeError> {
         let mut pool = std::mem::take(&mut self.pool);
         let cols = std::mem::take(&mut self.cols);
-        let mut state = FlowState::from_columns(
-            &self.design,
-            &self.layout,
-            &self.grid,
-            cols,
-            geom(&self.soa),
-        );
+        let mut state = FlowState::from_columns(&self.design, &self.layout, &self.grid, cols);
         state.checkpoint();
         let out = self.serve(&mut state, moves, &mut pool, obs);
         state.rollback();
@@ -255,7 +242,7 @@ impl EcoEngine {
         let params = search_params(&self.design, &self.cfg);
         let mut stats = LegalizeStats::default();
         obs.begin("flow_pass");
-        let flowed = flow_pass_threaded_pooled(
+        let flowed = flow_pass(
             state,
             &params,
             self.threads,
@@ -356,13 +343,7 @@ impl EcoEngine {
     /// the base rows.
     fn rebase(&mut self, cells: &[CellId]) {
         let cols = std::mem::take(&mut self.cols);
-        let mut state = FlowState::from_columns(
-            &self.design,
-            &self.layout,
-            &self.grid,
-            cols,
-            geom(&self.soa),
-        );
+        let mut state = FlowState::from_columns(&self.design, &self.layout, &self.grid, cols);
         let mut segments: Vec<SegmentId> = cells
             .iter()
             .filter_map(|&c| state.cell_segment(c))
@@ -403,15 +384,6 @@ impl EcoEngine {
         }
         self.irregular.sort_unstable();
         self.cols = state.into_columns();
-    }
-}
-
-/// The geometry source of an engine: its resident SoA view, or the id
-/// maps when the view is off.
-fn geom(soa: &Option<SoaView>) -> GeomSource<'_> {
-    match soa {
-        Some(view) => GeomSource::Soa(view),
-        None => GeomSource::IdMap,
     }
 }
 

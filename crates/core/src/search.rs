@@ -196,12 +196,11 @@ impl SearchScratch {
 
 /// Reusable search state for a whole flow pass (or a resident engine's
 /// lifetime): the per-worker [`SearchScratch`]es, grown to the worker
-/// count on demand by `flow_pass_threaded_pooled`. Keeping a pool
+/// count on demand by [`flow_pass`](crate::driver::flow_pass). Keeping a pool
 /// resident (see `crate::EcoEngine`) amortizes the scratch allocations
 /// over many requests; the scratches never carry results between
 /// searches.
 #[derive(Debug, Default)]
-// flow3d-tidy: allow(dead-pub) — facade API (flow3d::core) for embedders that drive the legalizer below the Legalizer trait
 pub struct SearchPool {
     pub(crate) scratches: Vec<SearchScratch>,
 }

@@ -172,7 +172,7 @@ fn select_with(
     let cross_die = kind == EdgeKind::DieToDie;
     let die_v = state.grid.bin(v).die;
     let (mut headroom, h_v) = if cross_die {
-        (state.area_headroom(die_v), state.cell_height(die_v))
+        (state.area_headroom(die_v), state.design.cell_height(die_v))
     } else {
         (i64::MAX, 0)
     };
@@ -235,7 +235,7 @@ fn rank(
             if movable <= 0 {
                 continue;
             }
-            let w_c = state.cell_width(f.cell, bin_u.die) as f64;
+            let w_c = state.design.cell_width(f.cell, bin_u.die) as f64;
             let delta = (state.disp_to(f.cell, bin_v) - state.disp_to(f.cell, bin_u)) as f64;
             let mut unit = delta / w_c;
             if params.clamp_negative {
@@ -262,7 +262,7 @@ fn rank(
             0.0
         };
         for f in state.frags_in(u) {
-            let w_v = state.cell_width(f.cell, bin_v.die);
+            let w_v = state.design.cell_width(f.cell, bin_v.die);
             if w_v > seg_width {
                 continue; // does not fit in the target segment at all
             }

@@ -9,7 +9,7 @@
 //! the flow under a checkpoint, and roll back.
 
 use crate::grid::{Bin, BinGrid, BinId};
-use flow3d_db::{CellId, Design, DieId, RowLayout, SegmentId, SoaView};
+use flow3d_db::{CellId, Design, DieId, RowLayout, SegmentId};
 use flow3d_geom::Point;
 
 /// A fragment: part (or all) of a cell's width assigned to one bin.
@@ -20,48 +20,6 @@ pub struct Frag {
     pub cell: CellId,
     /// Width of this fragment in DBU (the paper's `ρ_γ · w_c`).
     pub width: i64,
-}
-
-/// Where the legalization hot path reads cell geometry (widths and row
-/// heights) from.
-///
-/// The values are identical across variants by construction —
-/// [`SoaView`] copies them out of the [`Design`] — so switching the
-/// source never changes results, only the memory-access pattern. The
-/// id-map variant is kept as the differential-testing comparand (see
-/// `Flow3dConfig::soa_view`).
-#[derive(Debug, Clone)]
-// flow3d-tidy: allow(dead-pub) — facade API (flow3d::core) for embedders that drive the legalizer below the Legalizer trait
-pub enum GeomSource<'a> {
-    /// Borrow a prebuilt view (the driver and the resident ECO engine
-    /// build one per design and share it across passes).
-    Soa(&'a SoaView),
-    /// Own a geometry-only view built at state construction.
-    Owned(SoaView),
-    /// Reference path: chase the `Design` id maps on every lookup.
-    IdMap,
-}
-
-impl GeomSource<'_> {
-    /// Width of `cell` on `die`.
-    #[inline]
-    pub fn cell_width(&self, design: &Design, cell: CellId, die: DieId) -> i64 {
-        match self {
-            GeomSource::Soa(v) => v.cell_width(cell, die),
-            GeomSource::Owned(v) => v.cell_width(cell, die),
-            GeomSource::IdMap => design.cell_width(cell, die),
-        }
-    }
-
-    /// Row height of `die`.
-    #[inline]
-    pub fn cell_height(&self, design: &Design, die: DieId) -> i64 {
-        match self {
-            GeomSource::Soa(v) => v.cell_height(die),
-            GeomSource::Owned(v) => v.cell_height(die),
-            GeomSource::IdMap => design.cell_height(die),
-        }
-    }
 }
 
 /// The owned columns of a [`FlowState`]: every per-bin and per-cell value
@@ -198,38 +156,18 @@ pub struct FlowState<'a> {
     pub grid: &'a BinGrid,
     /// Everything the state owns and mutates.
     cols: FlowColumns,
-    /// Geometry source for the hot path (SoA columns or id maps).
-    geom: GeomSource<'a>,
 }
 
 impl<'a> FlowState<'a> {
-    /// Creates an empty state (no cells assigned) reading geometry from
-    /// an owned SoA view built here.
+    /// Creates an empty state (no cells assigned).
     pub fn new(
         design: &'a Design,
         layout: &'a RowLayout,
         grid: &'a BinGrid,
         anchor: Vec<Point>,
     ) -> Self {
-        Self::with_geom(
-            design,
-            layout,
-            grid,
-            anchor,
-            GeomSource::Owned(SoaView::geometry(design)),
-        )
-    }
-
-    /// Creates an empty state reading geometry from `geom`.
-    pub fn with_geom(
-        design: &'a Design,
-        layout: &'a RowLayout,
-        grid: &'a BinGrid,
-        anchor: Vec<Point>,
-        geom: GeomSource<'a>,
-    ) -> Self {
         let cols = FlowColumns::new(design, grid, anchor);
-        Self::from_columns(design, layout, grid, cols, geom)
+        Self::from_columns(design, layout, grid, cols)
     }
 
     /// Wraps columns built for the same design and grid (see
@@ -239,7 +177,6 @@ impl<'a> FlowState<'a> {
         layout: &'a RowLayout,
         grid: &'a BinGrid,
         cols: FlowColumns,
-        geom: GeomSource<'a>,
     ) -> Self {
         assert_eq!(cols.cell_frags.len(), design.num_cells());
         assert_eq!(cols.frags.len(), grid.num_bins());
@@ -248,7 +185,6 @@ impl<'a> FlowState<'a> {
             layout,
             grid,
             cols,
-            geom,
         }
     }
 
@@ -261,19 +197,6 @@ impl<'a> FlowState<'a> {
     /// Releases the borrowed structures and returns the owned columns.
     pub(crate) fn into_columns(self) -> FlowColumns {
         self.cols
-    }
-
-    /// Width of `cell` on `die`, read through the configured geometry
-    /// source. Hot-path replacement for `Design::cell_width`.
-    #[inline]
-    pub fn cell_width(&self, cell: CellId, die: DieId) -> i64 {
-        self.geom.cell_width(self.design, cell, die)
-    }
-
-    /// Row height of `die`, read through the configured geometry source.
-    #[inline]
-    pub fn cell_height(&self, die: DieId) -> i64 {
-        self.geom.cell_height(self.design, die)
     }
 
     /// The displacement anchor of `cell`.
@@ -386,7 +309,7 @@ impl<'a> FlowState<'a> {
         let seg_id = grid.bin(bin_hint).segment;
         let seg = self.layout.segment(seg_id);
         let die = seg.die;
-        let w = self.cell_width(cell, die);
+        let w = self.design.cell_width(cell, die);
         let x = seg
             .span
             .nearest_fit(desired_x, w)
@@ -407,7 +330,7 @@ impl<'a> FlowState<'a> {
                 self.add_frag(cell, bid, overlap);
             }
         }
-        self.cols.used_area[die.index()] += w * self.cell_height(die);
+        self.cols.used_area[die.index()] += w * self.design.cell_height(die);
     }
 
     /// Inserts the whole cell into one bin (whole-cell moves across rows
@@ -423,9 +346,9 @@ impl<'a> FlowState<'a> {
         );
         self.save(cell);
         let die = self.grid.bin(bin).die;
-        let w = self.cell_width(cell, die);
+        let w = self.design.cell_width(cell, die);
         self.add_frag(cell, bin, w);
-        self.cols.used_area[die.index()] += w * self.cell_height(die);
+        self.cols.used_area[die.index()] += w * self.design.cell_height(die);
     }
 
     /// Removes every fragment of `cell`, returning its former die.
@@ -447,8 +370,8 @@ impl<'a> FlowState<'a> {
                 .expect("fragment list out of sync");
             list.swap_remove(pos);
         }
-        let w = self.cell_width(cell, die);
-        self.cols.used_area[die.index()] -= w * self.cell_height(die);
+        let w = self.design.cell_width(cell, die);
+        self.cols.used_area[die.index()] -= w * self.design.cell_height(die);
         die
     }
 
@@ -567,7 +490,7 @@ impl<'a> FlowState<'a> {
     /// The slot `(bin, x)` of one seed: see [`seed`](Self::seed).
     fn resolve(&self, seed: &Seed) -> Option<(BinId, i64)> {
         let on = |die: DieId| {
-            let w = self.cell_width(seed.cell, die);
+            let w = self.design.cell_width(seed.cell, die);
             self.layout
                 .nearest_position(self.design, die, seed.at.x, seed.at.y, w)
                 .map(|(seg, x)| (self.grid.bin_at(seg.id, x), x))
@@ -615,7 +538,7 @@ impl<'a> FlowState<'a> {
             if let Some(&(bin, _)) = frags.first() {
                 let die = self.grid.bin(bin).die;
                 self.cols.used_area[die.index()] +=
-                    self.cell_width(cell, die) * self.cell_height(die);
+                    self.design.cell_width(cell, die) * self.design.cell_height(die);
             }
             self.cols.anchor[cell.index()] = s.anchor;
             j.marked[cell.index()] = false;
@@ -683,7 +606,9 @@ impl<'a> FlowState<'a> {
 
     /// Debug invariant: per-bin usage equals the fragment sums, and every
     /// cell's fragments are contiguous bins of one segment summing to the
-    /// cell's width on its die.
+    /// cell's width on its die. The width comes from the library
+    /// ([`Design::lib_cell_on`]), not from the width column the state
+    /// itself reads, so the check is independent of that column.
     pub fn check_invariants(&self) -> Result<(), String> {
         for i in 0..self.grid.num_bins() {
             let sum: i64 = self.cols.frags[i].iter().map(|f| f.width).sum();
@@ -703,10 +628,13 @@ impl<'a> FlowState<'a> {
             let seg = self.grid.bin(frags[0].0).segment;
             let die = self.grid.bin(frags[0].0).die;
             let total: i64 = frags.iter().map(|&(_, w)| w).sum();
-            if total != self.design.cell_width(cell, die) {
+            let width = self
+                .design
+                .lib_cell_on(self.design.cell(cell).lib_cell, die)
+                .width;
+            if total != width {
                 return Err(format!(
-                    "cell {cell}: fragment widths {total} != cell width {}",
-                    self.design.cell_width(cell, die)
+                    "cell {cell}: fragment widths {total} != cell width {width}"
                 ));
             }
             let seg_bins = self.grid.bins_in_segment(seg);

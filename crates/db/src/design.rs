@@ -90,6 +90,12 @@ pub struct Design {
     macros: Vec<MacroInst>,
     nets: Vec<Net>,
     index: InstIndex,
+    /// Width of every cell on every die, die-major
+    /// (`die * num_cells + cell`): the hot path reads a heterogeneous
+    /// stack's `w_c^+` / `w_c^-` with one load instead of chasing
+    /// `cell -> lib cell -> die tech -> lib cell table`. Built by
+    /// [`width_column`] from the fields above; never set otherwise.
+    widths: Vec<i64>,
 }
 
 impl Design {
@@ -185,10 +191,13 @@ impl Design {
     }
 
     /// Width of `cell` when placed on `die` — the paper's `w_c^+` / `w_c^-`.
+    ///
+    /// Reads the design's flat width column. Legality checkers read
+    /// [`lib_cell_on`](Self::lib_cell_on) instead, so the column is
+    /// never checked against itself.
     #[inline]
     pub fn cell_width(&self, cell: CellId, die: DieId) -> i64 {
-        self.lib_cell_on(self.cells[cell.index()].lib_cell, die)
-            .width
+        self.widths[die.index() * self.cells.len() + cell.index()]
     }
 
     /// Height of any standard cell on `die` (equals the die's row height).
@@ -503,6 +512,7 @@ impl DesignBuilder {
             nets.push(Net { name, pins: refs });
         }
 
+        let widths = width_column(&techs, &dies, &cells);
         Ok(Design {
             name: self.name,
             techs,
@@ -511,8 +521,21 @@ impl DesignBuilder {
             macros,
             nets,
             index,
+            widths,
         })
     }
+}
+
+/// The die-major width column of [`Design::cell_width`]: one pass per
+/// die resolves the die's technology once, then streams the cells'
+/// lib-cell widths.
+fn width_column(techs: &[Technology], dies: &[Die], cells: &[CellInst]) -> Vec<i64> {
+    let mut widths = Vec::with_capacity(dies.len() * cells.len());
+    for die in dies {
+        let lib_cells = &techs[die.tech.index()].lib_cells;
+        widths.extend(cells.iter().map(|c| lib_cells[c.lib_cell.index()].width));
+    }
+    widths
 }
 
 /// Technologies: unique names, aligned lib cell tables.
@@ -891,6 +914,7 @@ impl Design {
             }
         }
 
+        let widths = width_column(&techs, &dies, &cells);
         Ok(Design {
             name: parts.name,
             techs,
@@ -899,6 +923,7 @@ impl Design {
             macros,
             nets: parts.nets,
             index: parts.index,
+            widths,
         })
     }
 }

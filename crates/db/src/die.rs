@@ -10,6 +10,13 @@ use flow3d_geom::{Interval, Rect};
 /// dies have hundreds of rows.
 pub const MAX_ROWS_PER_DIE: usize = 1 << 20;
 
+/// Largest coordinate magnitude, in DBU, that a reader accepts from a
+/// placement file, a move list or a wire request. Every integer up to it
+/// is an exact `f64`, so `round() as i64` of an accepted value is exact,
+/// and sums and differences of a few coordinates stay far from `i64`
+/// overflow. Contest dies span under 10^7 DBU.
+pub const MAX_COORD: i64 = 1 << 53;
+
 /// One horizontal placement row of a die.
 ///
 /// Standard cells placed in the row have their lower-left y equal to the

@@ -13,7 +13,8 @@
 //!   maximum-utilization constraint.
 //! * [`Design`] — instances (standard cells and fixed macros), nets and
 //!   pins, plus one hashed instance-name index ([`InstIndex`], lookups
-//!   only) behind [`Design::cell_by_name`] and [`Design::macro_by_name`].
+//!   only) behind [`Design::cell_by_name`] and [`Design::macro_by_name`],
+//!   and one flat die-major width column behind [`Design::cell_width`].
 //!   Built through [`DesignBuilder`] which validates cross-references,
 //!   including die outlines: inverted or overflowing ones, and dies of
 //!   more than [`MAX_ROWS_PER_DIE`] rows, are rejected.
@@ -22,12 +23,9 @@
 //!   nearest-segment queries.
 //! * [`Placement3d`] — a continuous global placement (positions plus soft
 //!   die affinity) as produced by a true-3D analytical placer, and
-//!   [`LegalPlacement`] — the discrete output of a legalizer.
-//! * [`SoaView`] — a flat structure-of-arrays projection of the design
-//!   (parallel `Vec<i64>` columns for width / height / target / die /
-//!   row, u32-indexed) that the legalization hot path reads instead of
-//!   chasing the id maps. [`ResolvedCase`] is the mirror-image input
-//!   side: id-resolved parts a streaming parser hands to
+//!   [`LegalPlacement`] — the discrete output of a legalizer. Readers
+//!   reject coordinates above [`MAX_COORD`] in magnitude.
+//! * [`ResolvedCase`] — id-resolved parts a streaming parser hands to
 //!   [`Design::from_resolved`].
 //!
 //! # Examples
@@ -59,17 +57,15 @@ pub mod error;
 pub mod ids;
 pub mod layout;
 pub mod placement;
-pub mod soa;
 pub mod tech;
 
 pub use design::{
     CellInst, Design, DesignBuilder, DieSpec, InstIndex, InstRef, MacroInst, Net, PinRef,
     ResolvedCase,
 };
-pub use die::{Die, Row, MAX_ROWS_PER_DIE};
+pub use die::{Die, Row, MAX_COORD, MAX_ROWS_PER_DIE};
 pub use error::DbError;
 pub use ids::{CellId, DieId, LibCellId, MacroId, NetId, RowId, SegmentId, TechId};
 pub use layout::{RowLayout, Segment};
 pub use placement::{LegalPlacement, Placement3d};
-pub use soa::SoaView;
 pub use tech::{LibCell, LibCellKind, LibCellSpec, PinDef, Technology, TechnologySpec};

@@ -41,7 +41,8 @@ pub struct EcoMoveRecord {
 /// # Errors
 ///
 /// Returns [`IoError::Parse`] on syntax errors, unknown cell names,
-/// out-of-range die indices, duplicate cells, or a count mismatch.
+/// out-of-range die indices, duplicate cells, a count mismatch, or a
+/// target beyond [`MAX_COORD`](flow3d_db::MAX_COORD) in magnitude.
 pub fn parse_moves(design: &Design, text: &str) -> Result<Vec<EcoMoveRecord>, IoError> {
     let mut r = Lines::new(text.as_bytes());
     r.expect_next("NumMoves")?;
@@ -64,8 +65,8 @@ pub fn parse_moves(design: &Design, text: &str) -> Result<Vec<EcoMoveRecord>, Io
         if std::mem::replace(&mut seen[cell.index()], true) {
             return Err(r.err(format!("cell `{name}` moved twice")));
         }
-        let x: i64 = r.field(&toks, 2, "x")?;
-        let y: i64 = r.field(&toks, 3, "y")?;
+        let x = r.int_coord(&toks, 2, "x")?;
+        let y = r.int_coord(&toks, 3, "y")?;
         let die = if toks.len() == 5 {
             let d: usize = r.field(&toks, 4, "die")?;
             if d >= design.num_dies() {

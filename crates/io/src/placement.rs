@@ -21,7 +21,8 @@ use std::fmt::Write;
 /// # Errors
 ///
 /// Returns [`IoError::Parse`] on syntax errors, unknown cell names, cell
-/// count mismatches, or cells placed twice.
+/// count mismatches, cells placed twice, a non-finite `x`, `y` or `z`,
+/// or an `x`/`y` beyond [`MAX_COORD`](flow3d_db::MAX_COORD) in magnitude.
 pub fn parse_placement3d(design: &Design, text: &str) -> Result<Placement3d, IoError> {
     let mut r = Lines::new(text.as_bytes());
     r.expect_next("NumCells")?;
@@ -55,9 +56,9 @@ pub fn parse_placement3d(design: &Design, text: &str) -> Result<Placement3d, IoE
         if std::mem::replace(&mut seen[cell.index()], true) {
             return Err(r.err(format!("cell `{name}` placed twice")));
         }
-        let x: f64 = r.field(&toks, 2, "x")?;
-        let y: f64 = r.field(&toks, 3, "y")?;
-        let z: f64 = r.field(&toks, 4, "die affinity")?;
+        let x = r.coord(&toks, 2, "x")?;
+        let y = r.coord(&toks, 3, "y")?;
+        let z = r.finite(&toks, 4, "die affinity")?;
         placement.set_pos(cell, FPoint::new(x, y));
         placement.set_die_affinity(cell, z);
     }
@@ -104,7 +105,8 @@ pub fn write_placement3d(
 /// # Errors
 ///
 /// Returns [`IoError::Parse`] on syntax errors, unknown cells, duplicate
-/// placements, or when `k + m != num_cells`.
+/// placements, coordinates beyond [`MAX_COORD`](flow3d_db::MAX_COORD) in
+/// magnitude, or when `k + m != num_cells`.
 pub fn parse_legal(design: &Design, text: &str) -> Result<LegalPlacement, IoError> {
     let mut r = Lines::new(text.as_bytes());
     let mut placement = LegalPlacement::new(design.num_cells());
@@ -131,8 +133,8 @@ pub fn parse_legal(design: &Design, text: &str) -> Result<LegalPlacement, IoErro
             if std::mem::replace(&mut seen[cell.index()], true) {
                 return Err(r.err(format!("cell `{name}` placed twice")));
             }
-            let x: i64 = r.field(&toks, 2, "x")?;
-            let y: i64 = r.field(&toks, 3, "y")?;
+            let x = r.int_coord(&toks, 2, "x")?;
+            let y = r.int_coord(&toks, 3, "y")?;
             placement.place(cell, Point::new(x, y), die);
             total += 1;
         }

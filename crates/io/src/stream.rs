@@ -25,7 +25,7 @@
 use crate::error::IoError;
 use flow3d_db::{
     CellId, Design, DieId, DieSpec, InstIndex, InstRef, LibCellId, LibCellSpec, MacroId, MacroInst,
-    Net, PinRef, ResolvedCase, TechnologySpec,
+    Net, PinRef, ResolvedCase, TechnologySpec, MAX_COORD,
 };
 use flow3d_geom::Point;
 use std::collections::hash_map::Entry;
@@ -37,6 +37,10 @@ use std::str::FromStr;
 /// out of the file, so an oversized or hostile count cannot force a
 /// huge allocation up front; the vectors still grow to the real size.
 const CAPACITY_CLAMP: usize = 1 << 20;
+
+/// How the coordinate readers word a value above [`MAX_COORD`] in
+/// magnitude.
+const BEYOND_MAX_COORD: &str = "is beyond the coordinate bound 2^53";
 
 /// Most tokens a line of any of the four formats carries (`LibCell` and
 /// the `*DieRows` lines have six). Tokens past this are counted, not
@@ -184,6 +188,40 @@ impl<R: BufRead> Lines<R> {
             .ok_or_else(|| self.err(format!("missing {what} (field {idx})")))?;
         tok.parse()
             .map_err(|_| self.err(format!("cannot parse {what} from `{tok}`")))
+    }
+
+    /// Parses token `idx` as a finite `f64`.
+    pub(crate) fn finite(&self, toks: &Tokens<'_>, idx: usize, what: &str) -> Result<f64, IoError> {
+        let v: f64 = self.field(toks, idx, what)?;
+        if !v.is_finite() {
+            return Err(self.err(format!("{what} `{}` is not finite", toks[idx])));
+        }
+        Ok(v)
+    }
+
+    /// Parses token `idx` as a finite `f64` of at most [`MAX_COORD`] in
+    /// magnitude.
+    pub(crate) fn coord(&self, toks: &Tokens<'_>, idx: usize, what: &str) -> Result<f64, IoError> {
+        let v = self.finite(toks, idx, what)?;
+        if v.abs() > MAX_COORD as f64 {
+            return Err(self.err(format!("{what} `{}` {BEYOND_MAX_COORD}", toks[idx])));
+        }
+        Ok(v)
+    }
+
+    /// Parses token `idx` as an `i64` of at most [`MAX_COORD`] in
+    /// magnitude.
+    pub(crate) fn int_coord(
+        &self,
+        toks: &Tokens<'_>,
+        idx: usize,
+        what: &str,
+    ) -> Result<i64, IoError> {
+        let v: i64 = self.field(toks, idx, what)?;
+        if v.unsigned_abs() > MAX_COORD.unsigned_abs() {
+            return Err(self.err(format!("{what} `{}` {BEYOND_MAX_COORD}", toks[idx])));
+        }
+        Ok(v)
     }
 
     /// Checks the line has exactly `n` tokens.

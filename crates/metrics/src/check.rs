@@ -166,7 +166,9 @@ pub fn check_legal_with_layout(
         }
         let die = design.die(die_id);
         let pos = legal.pos(cell);
-        let w = design.cell_width(cell, die_id);
+        // From the library, not the design's width column the legalizers
+        // read, so a wrong column cannot vouch for itself.
+        let w = design.lib_cell_on(design.cell(cell).lib_cell, die_id).width;
         used_area[die_id.index()] += w * die.row_height;
 
         // Row alignment.

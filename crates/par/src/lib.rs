@@ -17,7 +17,7 @@
 //! item's result depends only on its index, the assembled output vector
 //! is identical for 1, 2, or 64 threads. Callers that need a
 //! deterministic *reduction* over the results apply it to the returned
-//! vector in index order — see `flow3d_core::driver::flow_pass_threaded`
+//! vector in index order — see `flow3d_core::driver::flow_pass`
 //! for the canonical example.
 //!
 //! # Thread-count resolution

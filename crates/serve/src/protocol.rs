@@ -18,6 +18,7 @@
 //! Everything is built on [`flow3d_obs::Json`] — std only, no external
 //! dependencies.
 
+use flow3d_db::MAX_COORD;
 use flow3d_obs::{Json, JsonError};
 use std::io::{Read, Write};
 
@@ -381,10 +382,19 @@ fn parse_move(item: &Json) -> Result<MoveSpec, String> {
         .ok_or("move missing string field `cell`")?
         .to_string();
     let coord = |key: &str| -> Result<i64, String> {
-        item.get(key)
+        let v = item
+            .get(key)
             .and_then(Json::as_f64)
-            .map(|v| v as i64)
-            .ok_or_else(|| format!("move `{cell}` missing numeric field `{key}`"))
+            .ok_or_else(|| format!("move `{cell}` missing numeric field `{key}`"))?;
+        if !v.is_finite() {
+            return Err(format!("move `{cell}` field `{key}` is not finite"));
+        }
+        if v.abs() > MAX_COORD as f64 {
+            return Err(format!(
+                "move `{cell}` field `{key}` is beyond the coordinate bound 2^53"
+            ));
+        }
+        Ok(v as i64)
     };
     Ok(MoveSpec {
         x: coord("x")?,
@@ -530,6 +540,40 @@ mod tests {
         assert!(Request::parse(&bad).is_err());
         let bad = obj(&[("cmd", Json::Str("warp".into()))]);
         assert!(Request::parse(&bad).unwrap_err().contains("unknown cmd"));
+    }
+
+    #[test]
+    fn move_coordinates_are_finite_and_bounded() {
+        let eco = |x: &str| {
+            let text = format!(
+                r#"{{"cmd": "eco", "name": "a", "moves": [{{"cell": "u0", "x": {x}, "y": 10}}]}}"#
+            );
+            match Request::parse(&Json::parse(&text).unwrap()) {
+                Ok(Request::Eco { moves, .. }) => Ok(moves[0].x),
+                Ok(other) => panic!("wrong variant {other:?}"),
+                Err(e) => Err(e),
+            }
+        };
+        let not_finite = Err("move `u0` field `x` is not finite".to_string());
+        let beyond = Err("move `u0` field `x` is beyond the coordinate bound 2^53".to_string());
+        let table: [(&str, Result<i64, String>); 9] = [
+            ("35", Ok(35)),
+            ("-35.9", Ok(-35)),
+            ("9007199254740992", Ok(1 << 53)),
+            ("-9007199254740992", Ok(-(1 << 53))),
+            ("null", not_finite.clone()),
+            ("1e400", not_finite),
+            ("9007199254740994", beyond.clone()),
+            ("9223372036854775000", beyond.clone()),
+            ("-1e300", beyond),
+        ];
+        for (x, want) in table {
+            assert_eq!(eco(x), want, "x = {x}");
+        }
+        assert_eq!(
+            eco(r#""35""#),
+            Err("move `u0` missing numeric field `x`".to_string())
+        );
     }
 
     #[test]

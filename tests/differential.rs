@@ -3,7 +3,7 @@
 //! legalizer must produce a placement *byte-identical* to the serial one
 //! (compared on the emitted `legal` file text) and identical
 //! `LegalizeStats`. This is the executable form of the determinism
-//! contract documented on `flow_pass_threaded`.
+//! contract documented on `flow3d_core::driver::flow_pass`.
 //!
 //! Regression note (flow3d-tidy D1): this matrix only catches an
 //! iteration-order bug when the hash seed cooperates, so the contract is

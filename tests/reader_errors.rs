@@ -276,7 +276,35 @@ fn malformed_placement_files_report_the_pinned_error() {
             "NumCells 2\nCellPos u0 1 y 0.5\nCellPos u1 3 4 0\n",
             "line 2: cannot parse y from `y`",
         ),
+        (
+            "infinite x",
+            "NumCells 2\nCellPos u0 inf 2 0.5\nCellPos u1 3 4 0\n",
+            "line 2: x `inf` is not finite",
+        ),
+        (
+            "NaN y",
+            "NumCells 2\nCellPos u0 1 NaN 0.5\nCellPos u1 3 4 0\n",
+            "line 2: y `NaN` is not finite",
+        ),
+        (
+            "infinite die affinity",
+            "NumCells 2\nCellPos u0 1 2 -inf\nCellPos u1 3 4 0\n",
+            "line 2: die affinity `-inf` is not finite",
+        ),
+        (
+            "x beyond the coordinate bound",
+            "NumCells 2\nCellPos u0 1e300 2 0.5\nCellPos u1 3 4 0\n",
+            "line 2: x `1e300` is beyond the coordinate bound 2^53",
+        ),
+        (
+            "y just beyond the coordinate bound",
+            "NumCells 2\nCellPos u0 1 2 0.5\nCellPos u1 3 -9007199254740994 0\n",
+            "line 3: y `-9007199254740994` is beyond the coordinate bound 2^53",
+        ),
     ];
+    let at_bound =
+        "NumCells 2\nCellPos u0 9007199254740992 -9007199254740992 1\nCellPos u1 3 4 0\n";
+    assert!(parse_placement3d(&d, at_bound).is_ok());
     for (what, text, want) in table {
         let err = parse_placement3d(&d, text).unwrap_err();
         assert_eq!(&err.to_string(), want, "{what}");
@@ -323,6 +351,11 @@ fn malformed_legal_files_report_the_pinned_error() {
             "truncated",
             "TopDiePlacement 1\nInst u0 0 0\n# end\n",
             "line 4: expected BottomDiePlacement, found end of file",
+        ),
+        (
+            "x beyond the coordinate bound",
+            "TopDiePlacement 1\nInst u0 9007199254740993 0\n",
+            "line 2: x `9007199254740993` is beyond the coordinate bound 2^53",
         ),
     ];
     for (what, text, want) in table {
@@ -379,7 +412,22 @@ fn malformed_move_lists_report_the_pinned_error() {
             "NumMoves 2\nMove u0 10 0\n",
             "line 3: expected Move, found end of file",
         ),
+        (
+            "x beyond the coordinate bound",
+            "NumMoves 1\nMove u0 9223372036854775000 0\n",
+            "line 2: x `9223372036854775000` is beyond the coordinate bound 2^53",
+        ),
+        (
+            "y just beyond the coordinate bound",
+            "NumMoves 1\nMove u0 10 -9007199254740993 1\n",
+            "line 2: y `-9007199254740993` is beyond the coordinate bound 2^53",
+        ),
     ];
+    assert!(parse_moves(
+        &d,
+        "NumMoves 1\nMove u0 9007199254740992 -9007199254740992\n"
+    )
+    .is_ok());
     for (what, text, want) in table {
         let err = parse_moves(&d, text).unwrap_err();
         assert_eq!(&err.to_string(), want, "{what}");

@@ -14,9 +14,9 @@
 
 use flow3d::db::{DesignBuilder, DieSpec, LibCellSpec, Placement3d, TechnologySpec};
 use flow3d::prelude::*;
-use flow3d_core::driver::{bin_widths, flow_pass_threaded, placerow_all_threaded};
+use flow3d_core::driver::{bin_widths, flow_pass, placerow_all};
 use flow3d_core::grid::BinGrid;
-use flow3d_core::search::SearchParams;
+use flow3d_core::search::{SearchParams, SearchPool};
 use flow3d_core::selection::SelectionParams;
 use flow3d_core::{assign, cycle, CellMove, EcoEngine, LegalizeStats};
 use flow3d_db::{CellId, DieId, LegalPlacement, RowLayout};
@@ -437,7 +437,8 @@ fn every_pipeline_stage_upholds_the_legality_invariants() {
         // Stage: flow pass.
         let params = params_for(&design, &cfg);
         let mut stats = LegalizeStats::default();
-        if flow_pass_threaded(&mut state, &params, THREADS, &mut stats, None).is_err() {
+        let mut pool = SearchPool::new();
+        if flow_pass(&mut state, &params, THREADS, &mut stats, None, &mut pool).is_err() {
             return;
         }
         prop_assert_eq!(state.check_invariants(), Ok(()), "after flow_pass");
@@ -463,7 +464,7 @@ fn every_pipeline_stage_upholds_the_legality_invariants() {
         }
 
         // Stage: placerow.
-        let Ok(placement) = placerow_all_threaded(&state, cfg.row_algo, THREADS, None)
+        let Ok(placement) = placerow_all(&state, cfg.row_algo, THREADS, None)
         else { return; };
         let report = check_legal(&design, &placement);
         prop_assert!(report.is_legal(), "placerow output illegal: {}", report);
@@ -596,9 +597,16 @@ fn reference_post_optimize(
         });
         let Ok(mut state) = seeded else { break };
         let mut pass_stats = LegalizeStats::default();
-        flow_pass_threaded(&mut state, &params, threads, &mut pass_stats, None)?;
+        flow_pass(
+            &mut state,
+            &params,
+            threads,
+            &mut pass_stats,
+            None,
+            &mut SearchPool::new(),
+        )?;
         ran += 1;
-        let candidate = placerow_all_threaded(&state, cfg.row_algo, threads, None)?;
+        let candidate = placerow_all(&state, cfg.row_algo, threads, None)?;
         let new_max = max_disp(&candidate);
         if new_max >= current_max {
             break;
@@ -647,14 +655,15 @@ fn reference_eco(
     });
     let mut state = seeded.map_err(|cell| flow3d_core::LegalizeError::NoPosition { cell })?;
     let mut stats = LegalizeStats::default();
-    flow_pass_threaded(
+    flow_pass(
         &mut state,
         &params_for(design, cfg),
         threads,
         &mut stats,
         None,
+        &mut SearchPool::new(),
     )?;
-    let placement = placerow_all_threaded(&state, cfg.row_algo, threads, None)?;
+    let placement = placerow_all(&state, cfg.row_algo, threads, None)?;
     stats.cross_die_moves = (0..n)
         .filter(|&i| placement.die(CellId::new(i)) != base.die(CellId::new(i)))
         .count();
@@ -677,8 +686,16 @@ fn main_pass(
     );
     let mut state = assign::build_state(design, layout, &grid, gp, &mut dies).ok()?;
     let mut stats = LegalizeStats::default();
-    flow_pass_threaded(&mut state, &params_for(design, cfg), 1, &mut stats, None).ok()?;
-    let placement = placerow_all_threaded(&state, cfg.row_algo, 1, None).ok()?;
+    flow_pass(
+        &mut state,
+        &params_for(design, cfg),
+        1,
+        &mut stats,
+        None,
+        &mut SearchPool::new(),
+    )
+    .ok()?;
+    let placement = placerow_all(&state, cfg.row_algo, 1, None).ok()?;
     Some((placement, stats))
 }
 
