@@ -13,10 +13,8 @@
 //! repro eco   [scale]     # §III-E    — incremental (ECO) legalization
 //! repro profile [scale]   # phase/counter profiles (+ JSON sidecars)
 //! repro threads [scale]   # thread-scaling: flow_pass/placerow at 1/2/4/8 workers
-//! repro bench [scale] [out]  # perf-gate baseline RunReport incl. serve-mode latency rows
-//!                            # (default BENCH_legalize.json)
 //! repro scale [scale]     # million-cell family: stream read / legalize / peak RSS
-//! repro all   [scale]     # everything above (except bench and scale)
+//! repro all   [scale]     # everything above (except scale)
 //! ```
 //!
 //! `scale` (default 1.0) multiplies every case's cell/net/macro counts;
@@ -27,8 +25,8 @@
 //! and all legalization results are bit-identical to serial runs.
 
 use flow3d_bench::{
-    evaluate, evaluate_profiled, evaluate_profiled_into, format_case_rows, normalized_averages,
-    prepare, prepare_all, standard_legalizers, table_header, CaseRun, Row, Suite,
+    evaluate, evaluate_profiled, format_case_rows, normalized_averages, prepare, prepare_all,
+    standard_legalizers, table_header, CaseRun, Row, Suite,
 };
 use flow3d_core::{Flow3dConfig, Flow3dLegalizer, Legalizer};
 use flow3d_db::DieId;
@@ -60,12 +58,6 @@ fn main() {
         "eco" => eco_experiment(scale),
         "profile" => profile_runs(scale),
         "threads" => threads_scaling(scale),
-        "bench" => bench_baseline(
-            scale,
-            args.get(2)
-                .map(String::as_str)
-                .unwrap_or("BENCH_legalize.json"),
-        ),
         "scale" => scale_experiment(scale),
         "all" => {
             table2();
@@ -83,7 +75,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown experiment `{other}`");
-            eprintln!("usage: repro [table2|table3|table4|table5|fig7|fig8|alpha|binwidth|rowalgo|eco|profile|threads|bench|scale|all] [scale]");
+            eprintln!("usage: repro [table2|table3|table4|table5|fig7|fig8|alpha|binwidth|rowalgo|eco|profile|threads|scale|all] [scale]");
             std::process::exit(2);
         }
     }
@@ -492,138 +484,6 @@ fn threads_scaling(scale: f64) {
         );
     }
     println!();
-}
-
-/// Perf-gate baseline: one profiled 3D-Flow run on ICCAD 2022 case2,
-/// written as a [`RunReport`](flow3d_obs::RunReport) JSON that
-/// `flow3d report diff` compares CI runs against. The case name embeds
-/// the scale (e.g. `iccad2022_case2@0.2`) so a baseline recorded at one
-/// scale can never silently gate a run at another — `diff` fails on the
-/// identity mismatch instead.
-fn bench_baseline(scale: f64, out: &str) {
-    println!("== perf-gate baseline (ICCAD 2022 case2), scale {scale} ==");
-    let mut run = prepare(Suite::Iccad2022, "case2", scale);
-    run.name = format!("iccad2022_case2@{scale}");
-    // The baseline also times the streaming contest-format read as its
-    // own top-level phase, so the perf gate watches the full
-    // read -> legalize path, not just the solver.
-    let mut text = String::new();
-    flow3d_io::write_case(&run.design, &mut text).expect("serialize case");
-    let mut profile = flow3d_obs::Profile::new();
-    profile.begin("stream_read");
-    let reparsed = flow3d_io::parse_case_reader(text.as_bytes()).expect("streaming reparse");
-    profile.end("stream_read");
-    assert_eq!(reparsed, run.design, "streaming reader must round-trip");
-    drop((reparsed, text));
-    serve_phases(&run, &mut profile);
-    let (row, report) = evaluate_profiled_into(&run, &Flow3dLegalizer::default(), &mut profile);
-    std::fs::write(out, report.to_json()).expect("write baseline report");
-    print!("{}", report.to_pretty());
-    println!("{:.2}s -> {out}", row.runtime_s);
-}
-
-/// Serve-mode latency rows for the perf-gate baseline: drive an
-/// in-process [`flow3d_serve::Server`] through a cold `load` (wire
-/// parse + base legalization), a burst of warm `eco` replays, and one
-/// committing replay, timed into the bench profile as `serve/load`,
-/// `serve/eco_request`, and `serve/commit` phases. Only these
-/// wall-clock phase rows enter the diffed report; the server's own
-/// rolling-window metrics are live gauges and stay out of it. The first
-/// eco pays the cold per-case caches, the remaining replays of the same
-/// move set measure the resident hot path the service exists for, and
-/// the commit row holds the re-seed delta honest (it asserts
-/// `commit_reseeded < 10%` of the design on top of being diffed).
-fn serve_phases(run: &flow3d_bench::CaseRun, profile: &mut flow3d_obs::Profile) {
-    use flow3d_serve::{Json, MoveSpec, Request, Server, ServerConfig};
-    const ECO_REQUESTS: u64 = 16;
-
-    let mut case_text = String::new();
-    flow3d_io::write_case(&run.design, &mut case_text).expect("serialize case");
-    let mut global_text = String::new();
-    flow3d_io::write_placement3d(&run.design, &run.global, &mut global_text)
-        .expect("serialize global placement");
-
-    let ok = |reply: &Json| reply.get("ok") == Some(&Json::Bool(true));
-    let server = Server::new(ServerConfig::default()).expect("start in-process server");
-    profile.begin("serve");
-    profile.begin("load");
-    let reply = server.process(
-        1,
-        Request::Load {
-            name: "bench".to_string(),
-            case: case_text,
-            legal: None,
-            global: Some(global_text),
-            threads: 1,
-        },
-    );
-    profile.end("load");
-    assert!(ok(&reply), "serve load failed: {reply}");
-
-    // The same deterministic move set as `eco_experiment`: every
-    // n/32-th cell requests the die center.
-    let center = run.design.die(DieId::BOTTOM).outline.center();
-    let n = run.design.num_cells();
-    let moves: Vec<MoveSpec> = (0..n)
-        .step_by((n / 32).max(1))
-        .map(|i| MoveSpec {
-            cell: run.design.cells()[i].name.clone(),
-            x: center.x,
-            y: center.y,
-            die: None,
-        })
-        .collect();
-    for id in 0..ECO_REQUESTS {
-        profile.begin("eco_request");
-        let reply = server.process(
-            2 + id,
-            Request::Eco {
-                name: "bench".to_string(),
-                moves: moves.clone(),
-                commit: false,
-                trace: false,
-            },
-        );
-        profile.end("eco_request");
-        assert!(ok(&reply), "serve eco request {id} failed: {reply}");
-    }
-    // One committing replay, timed as `serve/commit`: a small warm eco
-    // plus the re-seed delta that rebases the resident engine. The
-    // ECO-sized move list (8 cells, vs the burst's 32) models the
-    // commit-worthy traffic commits exist for, and the delta discipline
-    // is part of the row's contract — a commit that re-seeded the
-    // full design would both inflate the row and trip the reseed
-    // assertion below.
-    let commit_moves: Vec<MoveSpec> = moves.iter().step_by(4).cloned().collect();
-    profile.begin("commit");
-    let reply = server.process(
-        2 + ECO_REQUESTS,
-        Request::Eco {
-            name: "bench".to_string(),
-            moves: commit_moves,
-            commit: true,
-            trace: false,
-        },
-    );
-    profile.end("commit");
-    assert!(ok(&reply), "serve committing eco failed: {reply}");
-    let result = reply.get("result").expect("committing eco result");
-    let reseeded = result
-        .get("commit_reseeded")
-        .and_then(Json::as_u64)
-        .expect("commit_reseeded");
-    let total = result
-        .get("commit_total")
-        .and_then(Json::as_u64)
-        .expect("commit_total");
-    assert!(
-        reseeded * 10 < total,
-        "commit must re-seed < 10% of cells, got {reseeded}/{total}"
-    );
-    profile.end("serve");
-    let reply = server.process(3 + ECO_REQUESTS, Request::Shutdown);
-    assert!(ok(&reply), "serve shutdown failed: {reply}");
-    server.join();
 }
 
 /// Million-cell scaling: for every case of the million family, time the

@@ -2,8 +2,7 @@
 #![warn(missing_docs)]
 //! Shared experiment harness: generates the benchmark suites, runs the
 //! global placer, executes every legalizer, and formats the paper's
-//! tables. Used by both the `repro` binary (full-size runs) and the
-//! Criterion benches (reduced scale).
+//! tables for the `repro` binary.
 
 use flow3d_baselines::{AbacusLegalizer, BonnLegalizer, TetrisLegalizer};
 use flow3d_core::{Flow3dLegalizer, Legalizer};
@@ -156,20 +155,9 @@ pub fn evaluate(run: &CaseRun, legalizer: &dyn Legalizer) -> Row {
 /// Same as [`evaluate`].
 pub fn evaluate_profiled(run: &CaseRun, legalizer: &dyn Legalizer) -> (Row, RunReport) {
     let mut profile = Profile::new();
-    evaluate_profiled_into(run, legalizer, &mut profile)
-}
-
-/// Like [`evaluate_profiled`], but records into a caller-supplied
-/// [`Profile`], so phases timed before the legalization call (e.g. a
-/// streaming case read) land in the same [`RunReport`].
-pub fn evaluate_profiled_into(
-    run: &CaseRun,
-    legalizer: &dyn Legalizer,
-    profile: &mut Profile,
-) -> (Row, RunReport) {
     let start = Instant::now();
     let outcome = legalizer
-        .legalize_observed(&run.design, &run.global, Some(profile))
+        .legalize_observed(&run.design, &run.global, Some(&mut profile))
         .unwrap_or_else(|e| panic!("{} failed on {}: {e}", legalizer.name(), run.name));
     let runtime_s = start.elapsed().as_secs_f64();
     let report = flow3d_metrics::check_legal(&run.design, &outcome.placement);
@@ -190,7 +178,7 @@ pub fn evaluate_profiled_into(
         cross_die_moves: outcome.stats.cross_die_moves,
     };
     let report =
-        RunReport::from_profile(&run.name, legalizer.name(), profile).with_quality(Quality {
+        RunReport::from_profile(&run.name, legalizer.name(), &profile).with_quality(Quality {
             avg_disp: stats.avg_dbu,
             max_disp: stats.max_dbu,
             dhpwl_pct: dhpwl,

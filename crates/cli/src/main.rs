@@ -10,7 +10,6 @@
 //! flow3d check --case case.txt --legal legal.txt [--gp gp.txt]
 //! flow3d stats --case case.txt
 //! flow3d report show report.json
-//! flow3d report diff baseline.json current.json [--phase SUBSTR] [--rt-warn-pct P] ...
 //! flow3d viz --case case.txt --gp gp.txt --legal legal.txt --die top --out plot.svg
 //! flow3d viz --heatmaps run.heatmaps.json [--name flow_pass0/die0/overflow] --out grid.svg
 //! flow3d eco --case case.txt --base legal.txt --moves moves.txt --out out.txt [--threads N]
@@ -194,12 +193,8 @@ fn run_report(argv: &[String]) -> Result<(), String> {
             Args::parse(rest, &Opts("", ""))?;
             cmd_report_show(path)
         }
-        ["diff", baseline, current] => {
-            cmd_report_diff(baseline, current, &Args::parse(rest, &REPORT_DIFF)?)
-        }
         _ => Err(format!(
-            "usage:\n  flow3d report show <report.json>\n  \
-             flow3d report diff <baseline.json> <current.json> [tolerance flags]\n\
+            "usage:\n  flow3d report show <report.json>\n\
              got positionals: {positional:?}"
         )),
     }
@@ -212,7 +207,6 @@ fn usage() -> String {
      flow3d check --case case.txt --legal legal.txt [--gp gp.txt]\n  \
      flow3d stats --case case.txt\n  \
      flow3d report show <report.json>\n  \
-     flow3d report diff <baseline.json> <current.json> [--phase SUBSTR] [--rt-warn-pct P] [--rt-fail-pct P] [--disp-warn-pct P] [--disp-fail-pct P] [--counter-warn-pct P] [--counter-fail-pct P] [--min-seconds S]\n  \
      flow3d viz --case case.txt --gp gp.txt --legal legal.txt [--die top|bottom] --out plot.svg\n  \
      flow3d viz --heatmaps sidecar.json [--name <heatmap>] --out grid.svg\n  \
      flow3d tidy [--json] [--fix] [--list] [--root DIR]\n  \
@@ -445,47 +439,11 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn load_report(path: &str) -> Result<flow3d_obs::RunReport, String> {
-    flow3d_obs::RunReport::from_json(&read(path)?).map_err(|e| format!("{path}: {e}"))
-}
-
 fn cmd_report_show(path: &str) -> Result<(), String> {
-    out!("{}", load_report(path)?.to_pretty());
+    let report =
+        flow3d_obs::RunReport::from_json(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
+    out!("{}", report.to_pretty());
     Ok(())
-}
-
-const REPORT_DIFF: Opts = Opts(
-    "phase rt-warn-pct rt-fail-pct disp-warn-pct disp-fail-pct counter-warn-pct \
-     counter-fail-pct min-seconds",
-    "",
-);
-
-/// Compares two run reports and exits non-zero when any metric regressed
-/// beyond the failure tolerance — the CI perf gate.
-fn cmd_report_diff(baseline_path: &str, current_path: &str, args: &Args) -> Result<(), String> {
-    let baseline = load_report(baseline_path)?;
-    let current = load_report(current_path)?;
-    let defaults = flow3d_obs::DiffTolerances::default();
-    let tol = flow3d_obs::DiffTolerances {
-        rt_warn_pct: args.get_f64("rt-warn-pct", defaults.rt_warn_pct)?,
-        rt_fail_pct: args.get_f64("rt-fail-pct", defaults.rt_fail_pct)?,
-        disp_warn_pct: args.get_f64("disp-warn-pct", defaults.disp_warn_pct)?,
-        disp_fail_pct: args.get_f64("disp-fail-pct", defaults.disp_fail_pct)?,
-        counter_warn_pct: args.get_f64("counter-warn-pct", defaults.counter_warn_pct)?,
-        counter_fail_pct: args.get_f64("counter-fail-pct", defaults.counter_fail_pct)?,
-        min_seconds: args.get_f64("min-seconds", defaults.min_seconds)?,
-    };
-    let diff = flow3d_obs::diff_reports_phase(&baseline, &current, &tol, args.get("phase"));
-    if let Some(phase) = args.get("phase") {
-        outln!("phase filter: {phase}");
-    }
-    out!("{}", diff.to_pretty());
-    match diff.worst() {
-        flow3d_obs::DiffStatus::Fail => Err(format!(
-            "regression beyond tolerance vs {baseline_path} (see FAIL rows above)"
-        )),
-        _ => Ok(()),
-    }
 }
 
 /// `viz --heatmaps` mode: render telemetry grids from a sidecar instead

@@ -36,7 +36,6 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), String> {
         flight_path: args.get("flight").map(str::to_string),
         trace_dir: args.get("trace").map(str::to_string),
         window_secs: args.get_usize("window-secs", 60)? as u64,
-        ..ServerConfig::default()
     };
     let server = Server::new(config).map_err(|e| format!("starting server: {e}"))?;
     if let Some(path) = args.get("unix") {

@@ -48,8 +48,17 @@ fn every_command_names_its_options() {
         "request",
         "request ping",
         "report show r.json",
-        "report diff a.json b.json",
     ] {
         assert_rejected(&format!("{command} --bogus"), "unknown option --bogus");
     }
+}
+
+/// `report` has one subcommand, `show`; anything else prints its usage.
+#[test]
+fn report_diff_prints_the_report_usage() {
+    assert_rejected(
+        "report diff a.json b.json --rt-fail-pct 50",
+        "usage:\n  flow3d report show <report.json>\n\
+         got positionals: [\"diff\", \"a.json\", \"b.json\"]",
+    );
 }

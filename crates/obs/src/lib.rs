@@ -21,15 +21,14 @@
 //! * Telemetry — [`Histogram`]/[`HistogramSet`] for mergeable
 //!   fixed-bucket distributions (surfaced as [`HistReport`] p50/p90/p99
 //!   summaries), the [`trace`] module for Chrome `trace_event` export
-//!   with per-worker timelines, [`Heatmap`] for per-bin spatial grids,
-//!   and [`diff_reports`] + [`DiffTolerances`] for the
-//!   `flow3d report diff` regression gate.
+//!   with per-worker timelines, and [`Heatmap`] for per-bin spatial
+//!   grids.
 //! * Live-service telemetry (v3) — [`RollingWindow`] /
 //!   [`MetricsSnapshot`] for windowed latency/throughput/error-rate
 //!   gauges (JSON + Prometheus text), [`EventLog`] for structured
 //!   leveled JSONL event logging, and [`FlightRecorder`] for bounded
 //!   postmortem rings. These are gauges over wall-clock measurements
-//!   and are never part of diffed [`RunReport`]s.
+//!   and are never part of a [`RunReport`].
 //!
 //! # Example
 //!
@@ -51,7 +50,6 @@
 //! ```
 
 mod counters;
-mod diff;
 mod heatmap;
 mod hist;
 mod json;
@@ -64,10 +62,6 @@ mod rss;
 pub mod trace;
 
 pub use counters::{keys, CounterSet};
-pub use diff::{
-    diff_reports, diff_reports_phase, DiffItem, DiffStatus, DiffTolerances, ReportDiff,
-    ADVISORY_COUNTERS,
-};
 pub use heatmap::{heatmaps_from_json, heatmaps_to_json, Heatmap};
 pub use hist::{keys as hist_keys, HistSummary, Histogram, HistogramSet, DEFAULT_POW2_BOUNDS};
 pub use json::{Json, JsonError};

@@ -10,9 +10,9 @@
 //! that was slow an hour ago and is fast now reports fast.
 //!
 //! Everything here is a gauge over wall-clock measurements. Snapshots
-//! are **never** part of [`RunReport`](crate::RunReport)s and never
-//! flow into `report diff`; the deterministic surfaces stay byte-stable
-//! while these numbers move with the machine.
+//! are **never** part of [`RunReport`](crate::RunReport)s, so the
+//! deterministic surfaces stay byte-stable while these numbers move
+//! with the machine.
 //!
 //! Timestamps are plain microsecond offsets from an epoch the caller
 //! chooses (the server uses its start instant), which keeps the math

@@ -82,7 +82,7 @@ pub struct RunReport {
     pub quality: Option<Quality>,
     /// Peak resident set size of the process in bytes, when the caller
     /// sampled it (see [`peak_rss_bytes`](crate::peak_rss_bytes)).
-    /// Machine-dependent, so the report diff ignores it.
+    /// Machine-dependent, unlike the counters and histograms.
     pub peak_rss_bytes: Option<u64>,
 }
 

@@ -180,6 +180,7 @@ pub fn request_id(json: &Json) -> Option<u64> {
 
 /// One requested cell change inside an `eco` request, by cell name.
 #[derive(Debug, Clone, PartialEq)]
+// flow3d-tidy: allow(dead-pub) — wire-protocol API (flow3d::serve) for out-of-tree clients: the move list of `Request::Eco`
 pub struct MoveSpec {
     /// Instance name (resolved against the resident design).
     pub cell: String,
@@ -276,12 +277,17 @@ impl Request {
                 name: required_str(json, "name")?,
             }),
             "load" => {
-                let legal = optional_str(json, "legal");
-                let global = optional_str(json, "global");
+                let legal = optional_str(json, "legal")?;
+                let global = optional_str(json, "global")?;
                 if legal.is_some() == global.is_some() {
                     return Err("`load` needs exactly one of `legal` and `global`".into());
                 }
-                let threads = json.get("threads").and_then(Json::as_u64).unwrap_or(0);
+                let threads = match json.get("threads") {
+                    None => 0,
+                    Some(v) => v
+                        .as_u64()
+                        .ok_or("`threads` must be a non-negative integer")?,
+                };
                 if threads > MAX_LOAD_THREADS as u64 {
                     return Err(format!(
                         "`threads` is {threads}, above the limit of {MAX_LOAD_THREADS}"
@@ -298,7 +304,7 @@ impl Request {
             "legalize" => Ok(Request::Legalize {
                 name: required_str(json, "name")?,
                 global: required_str(json, "global")?,
-                commit: bool_field(json, "commit"),
+                commit: bool_field(json, "commit")?,
             }),
             "eco" => {
                 let moves = match json.get("moves") {
@@ -311,8 +317,8 @@ impl Request {
                 Ok(Request::Eco {
                     name: required_str(json, "name")?,
                     moves,
-                    commit: bool_field(json, "commit"),
-                    trace: bool_field(json, "trace"),
+                    commit: bool_field(json, "commit")?,
+                    trace: bool_field(json, "trace")?,
                 })
             }
             other => Err(format!("unknown cmd `{other}`")),
@@ -367,12 +373,24 @@ fn required_str(json: &Json, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing string field `{key}`"))
 }
 
-fn optional_str(json: &Json, key: &str) -> Option<String> {
-    json.get(key).and_then(Json::as_str).map(str::to_string)
+/// An optional field: absent is `None`, and any present value but a
+/// string (`null` included) is an error naming the field.
+fn optional_str(json: &Json, key: &str) -> Result<Option<String>, String> {
+    match json.get(key) {
+        None => Ok(None),
+        Some(Json::Str(s)) => Ok(Some(s.clone())),
+        Some(_) => Err(format!("`{key}` must be a string")),
+    }
 }
 
-fn bool_field(json: &Json, key: &str) -> bool {
-    matches!(json.get(key), Some(Json::Bool(true)))
+/// A flag: absent is `false`, and any present value but a boolean is an
+/// error naming the field.
+fn bool_field(json: &Json, key: &str) -> Result<bool, String> {
+    match json.get(key) {
+        None => Ok(false),
+        Some(Json::Bool(b)) => Ok(*b),
+        Some(_) => Err(format!("`{key}` must be true or false")),
+    }
 }
 
 fn parse_move(item: &Json) -> Result<MoveSpec, String> {
@@ -396,12 +414,17 @@ fn parse_move(item: &Json) -> Result<MoveSpec, String> {
         }
         Ok(v as i64)
     };
-    Ok(MoveSpec {
-        x: coord("x")?,
-        y: coord("y")?,
-        die: item.get("die").and_then(Json::as_u64).map(|d| d as usize),
-        cell,
-    })
+    let (x, y) = (coord("x")?, coord("y")?);
+    let die = match item.get("die") {
+        None => None,
+        Some(d) => {
+            let d = d.as_u64().ok_or_else(|| {
+                format!("move `{cell}` field `die` must be a non-negative integer")
+            })?;
+            Some(d as usize)
+        }
+    };
+    Ok(MoveSpec { cell, x, y, die })
 }
 
 #[cfg(test)]
@@ -574,6 +597,65 @@ mod tests {
             eco(r#""35""#),
             Err("move `u0` missing numeric field `x`".to_string())
         );
+    }
+
+    #[test]
+    fn mistyped_fields_are_rejected_by_name() {
+        let parse = |text: &str| Request::parse(&Json::parse(text).unwrap());
+        let eco = |fields: &str| format!(r#"{{"cmd": "eco", "name": "a"{fields}}}"#);
+        let die = |d: &str| {
+            eco(&format!(
+                r#", "moves": [{{"cell": "u0", "x": 1, "y": 2, "die": {d}}}]"#
+            ))
+        };
+        let load =
+            |fields: &str| format!(r#"{{"cmd": "load", "name": "a", "case": "..."{fields}}}"#);
+        let die_err = "move `u0` field `die` must be a non-negative integer";
+        let commit_err = "`commit` must be true or false";
+        let threads_err = "`threads` must be a non-negative integer";
+        let table = [
+            (die("-1"), die_err),
+            (die("1.5"), die_err),
+            (die(r#""top""#), die_err),
+            (die("null"), die_err),
+            (eco(r#", "commit": "true""#), commit_err),
+            (eco(r#", "commit": 1"#), commit_err),
+            (eco(r#", "commit": null"#), commit_err),
+            (eco(r#", "trace": "yes""#), "`trace` must be true or false"),
+            (
+                r#"{"cmd": "legalize", "name": "a", "global": "...", "commit": 1}"#.to_string(),
+                commit_err,
+            ),
+            (load(r#", "legal": "...", "threads": "8""#), threads_err),
+            (load(r#", "legal": "...", "threads": -1"#), threads_err),
+            (load(r#", "legal": "...", "threads": null"#), threads_err),
+            (load(r#", "legal": 7"#), "`legal` must be a string"),
+            (
+                load(r#", "legal": "...", "global": null"#),
+                "`global` must be a string",
+            ),
+            (load(r#", "global": ["..."]"#), "`global` must be a string"),
+        ];
+        for (text, want) in &table {
+            assert_eq!(parse(text).unwrap_err(), *want, "{text}");
+        }
+        // Absent fields keep their defaults.
+        match parse(&die("0")).unwrap() {
+            Request::Eco {
+                moves,
+                commit,
+                trace,
+                ..
+            } => {
+                assert_eq!(moves[0].die, Some(0));
+                assert!(!commit && !trace);
+            }
+            other => panic!("wrong variant {other:?}"),
+        }
+        match parse(&load(r#", "global": "...""#)).unwrap() {
+            Request::Load { threads, legal, .. } => assert_eq!((threads, legal), (0, None)),
+            other => panic!("wrong variant {other:?}"),
+        }
     }
 
     #[test]

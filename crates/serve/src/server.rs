@@ -73,15 +73,16 @@ pub struct ServerConfig {
     /// `<dir>/<case>_r<id>.trace.json`, span process tagged
     /// `case#r<id>`.
     pub trace_dir: Option<String>,
-    /// Sample capacity of the rolling metrics window.
-    pub window_capacity: usize,
     /// Length of the rolling metrics window, in seconds.
     pub window_secs: u64,
-    /// Flight-recorder event-ring capacity.
-    pub recorder_events: usize,
-    /// Flight-recorder per-request report-ring capacity.
-    pub recorder_reports: usize,
 }
+
+/// Sample capacity of the rolling metrics window.
+const WINDOW_CAPACITY: usize = 1024;
+/// Flight-recorder event-ring capacity.
+const RECORDER_EVENTS: usize = 256;
+/// Flight-recorder per-request report-ring capacity.
+const RECORDER_REPORTS: usize = 8;
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -93,19 +94,21 @@ impl Default for ServerConfig {
             log_level: LogLevel::Info,
             flight_path: None,
             trace_dir: None,
-            window_capacity: 1024,
             window_secs: 60,
-            recorder_events: 256,
-            recorder_reports: 8,
         }
     }
 }
 
-/// One resident case: the warm engine plus per-case request counters.
+/// One resident case: the warm engine behind its own lock, and the
+/// per-case counters outside it, so `stats` never waits on a running
+/// request.
 struct CaseSlot {
-    engine: EcoEngine,
-    ecos: u64,
-    legalizes: u64,
+    engine: Mutex<EcoEngine>,
+    cells: usize,
+    /// Successful ECOs: `stats` reports it as both `ecos` and
+    /// `requests_served`, and an `eco` reply as `requests_served`.
+    ecos: AtomicU64,
+    legalizes: AtomicU64,
 }
 
 /// A queued request together with its response channel.
@@ -157,7 +160,7 @@ struct Telemetry {
 
 struct Shared {
     config: ServerConfig,
-    registry: Mutex<BTreeMap<String, Arc<Mutex<CaseSlot>>>>,
+    registry: Mutex<BTreeMap<String, Arc<CaseSlot>>>,
     queue: Mutex<QueueState>,
     queue_cv: Condvar,
     next_id: AtomicU64,
@@ -246,10 +249,10 @@ impl Server {
         }
         let telemetry = Telemetry {
             window: RollingWindow::new(
-                config.window_capacity,
+                WINDOW_CAPACITY,
                 config.window_secs.saturating_mul(1_000_000),
             ),
-            recorder: FlightRecorder::new(config.recorder_events, config.recorder_reports),
+            recorder: FlightRecorder::new(RECORDER_EVENTS, RECORDER_REPORTS),
         };
         let server = Server {
             shared: Arc::new(Shared {
@@ -858,11 +861,12 @@ impl Server {
             Err(e) => return fail(codes::LEGALIZE_FAILED, &e.to_string()),
         };
         profile.end("load");
-        let slot = Arc::new(Mutex::new(CaseSlot {
-            engine,
-            ecos: 0,
-            legalizes: 0,
-        }));
+        let slot = Arc::new(CaseSlot {
+            engine: Mutex::new(engine),
+            cells,
+            ecos: AtomicU64::new(0),
+            legalizes: AtomicU64::new(0),
+        });
         lock(&self.shared.registry).insert(name.to_string(), slot);
         self.emit(
             LogLevel::Info,
@@ -932,7 +936,7 @@ impl Server {
         }
     }
 
-    fn case_slot(&self, name: &str) -> Option<Arc<Mutex<CaseSlot>>> {
+    fn case_slot(&self, name: &str) -> Option<Arc<CaseSlot>> {
         lock(&self.shared.registry).get(name).cloned()
     }
 
@@ -944,8 +948,8 @@ impl Server {
         let Some(slot) = self.case_slot(name) else {
             return fail(codes::UNKNOWN_CASE, &format!("no resident case `{name}`"));
         };
-        let mut slot = lock(&slot);
-        let gp = match flow3d_io::parse_placement3d(slot.engine.design(), global) {
+        let mut engine = lock(&slot.engine);
+        let gp = match flow3d_io::parse_placement3d(engine.design(), global) {
             Ok(p) => p,
             Err(e) => return fail(codes::PARSE_FAILED, &format!("global: {e}")),
         };
@@ -954,21 +958,20 @@ impl Server {
             profile.enable_tracing();
         }
         profile.begin("legalize");
-        let legalizer = Flow3dLegalizer::new(slot.engine.config().clone());
-        let outcome =
-            match legalizer.legalize_observed(slot.engine.design(), &gp, Some(&mut profile)) {
-                Ok(o) => o,
-                Err(e) => return fail(codes::LEGALIZE_FAILED, &e.to_string()),
-            };
+        let legalizer = Flow3dLegalizer::new(engine.config().clone());
+        let outcome = match legalizer.legalize_observed(engine.design(), &gp, Some(&mut profile)) {
+            Ok(o) => o,
+            Err(e) => return fail(codes::LEGALIZE_FAILED, &e.to_string()),
+        };
         profile.end("legalize");
-        slot.legalizes += 1;
-        let legal_text = match placement_text(&slot.engine, &outcome.placement) {
+        slot.legalizes.fetch_add(1, Ordering::Relaxed);
+        let legal_text = match placement_text(&engine, &outcome.placement) {
             Ok(t) => t,
             Err(e) => return fail(codes::LEGALIZE_FAILED, &e),
         };
         let commit_stats = if commit {
             profile.begin("commit");
-            let cs = match slot.engine.commit(outcome.placement.clone()) {
+            let cs = match engine.commit(outcome.placement.clone()) {
                 Ok(cs) => cs,
                 Err(e) => return fail(codes::LEGALIZE_FAILED, &e.to_string()),
             };
@@ -1016,8 +1019,8 @@ impl Server {
         let Some(slot) = self.case_slot(name) else {
             return fail(codes::UNKNOWN_CASE, &format!("no resident case `{name}`"));
         };
-        let mut slot = lock(&slot);
-        let cell_moves = match resolve_moves(slot.engine.design(), moves) {
+        let mut engine = lock(&slot.engine);
+        let cell_moves = match resolve_moves(engine.design(), moves) {
             Ok(m) => m,
             Err(msg) => return fail(codes::BAD_REQUEST, &msg),
         };
@@ -1026,19 +1029,19 @@ impl Server {
             profile.enable_tracing();
         }
         profile.begin("eco");
-        let outcome = match slot.engine.eco_observed(&cell_moves, Some(&mut profile)) {
+        let outcome = match engine.eco_observed(&cell_moves, Some(&mut profile)) {
             Ok(o) => o,
             Err(e) => return fail(codes::LEGALIZE_FAILED, &e.to_string()),
         };
         profile.end("eco");
-        slot.ecos += 1;
-        let legal_text = match placement_text(&slot.engine, &outcome.placement) {
+        let served = slot.ecos.fetch_add(1, Ordering::Relaxed) + 1;
+        let legal_text = match placement_text(&engine, &outcome.placement) {
             Ok(t) => t,
             Err(e) => return fail(codes::LEGALIZE_FAILED, &e),
         };
         let commit_stats = if commit {
             profile.begin("commit");
-            let cs = match slot.engine.commit(outcome.placement.clone()) {
+            let cs = match engine.commit(outcome.placement.clone()) {
                 Ok(cs) => cs,
                 Err(e) => return fail(codes::LEGALIZE_FAILED, &e.to_string()),
             };
@@ -1056,10 +1059,7 @@ impl Server {
             ("legal".into(), Json::Str(legal_text)),
             ("committed".into(), Json::Bool(commit)),
             ("stats".into(), stats_json(&outcome.stats)),
-            (
-                "requests_served".into(),
-                Json::num(slot.engine.requests_served() as f64),
-            ),
+            ("requests_served".into(), Json::num(served as f64)),
         ];
         if let Some(cs) = commit_stats {
             fields.push(("commit_reseeded".into(), Json::num(cs.reseeded as f64)));
@@ -1080,23 +1080,27 @@ impl Server {
         }
     }
 
+    /// Server statistics, answered inline. It reads each case's counters
+    /// after releasing the registry lock and never takes an engine lock,
+    /// so a running request delays neither it nor other cases' lookups.
     fn stats_response(&self, id: u64) -> Json {
-        let cases: Vec<Json> = lock(&self.shared.registry)
+        let slots: Vec<(String, Arc<CaseSlot>)> = lock(&self.shared.registry)
             .iter()
+            .map(|(name, slot)| (name.clone(), Arc::clone(slot)))
+            .collect();
+        let cases: Vec<Json> = slots
+            .into_iter()
             .map(|(name, slot)| {
-                let slot = lock(slot);
+                let ecos = Json::num(slot.ecos.load(Ordering::Relaxed) as f64);
                 Json::Obj(vec![
-                    ("name".into(), Json::Str(name.clone())),
+                    ("name".into(), Json::Str(name)),
+                    ("cells".into(), Json::num(slot.cells as f64)),
+                    ("ecos".into(), ecos.clone()),
                     (
-                        "cells".into(),
-                        Json::num(slot.engine.design().num_cells() as f64),
+                        "legalizes".into(),
+                        Json::num(slot.legalizes.load(Ordering::Relaxed) as f64),
                     ),
-                    ("ecos".into(), Json::num(slot.ecos as f64)),
-                    ("legalizes".into(), Json::num(slot.legalizes as f64)),
-                    (
-                        "requests_served".into(),
-                        Json::num(slot.engine.requests_served() as f64),
-                    ),
+                    ("requests_served".into(), ecos),
                 ])
             })
             .collect();
@@ -1234,5 +1238,52 @@ mod tests {
         assert_eq!(err, "cell `u1` moved twice");
         let err = resolve_moves(&design, &[spec("u0", Some(2))]).unwrap_err();
         assert!(err.starts_with("die 2 out of range"), "{err}");
+    }
+
+    /// `stats` reads the per-case counters without any engine lock, so a
+    /// request that holds one (here the test itself) cannot delay it.
+    #[test]
+    fn stats_answers_while_an_engine_is_busy() {
+        let generated = flow3d_gen::GeneratorConfig::small_demo(1)
+            .generate()
+            .unwrap();
+        let mut case = String::new();
+        flow3d_io::write_case(&generated.design, &mut case).unwrap();
+        let mut global = String::new();
+        flow3d_io::write_placement3d(&generated.design, &generated.natural, &mut global).unwrap();
+        let server = Server::new(ServerConfig::default()).unwrap();
+        let ok = |reply: &Json| reply.get("ok") == Some(&Json::Bool(true));
+        let load = Request::Load {
+            name: "a".into(),
+            case,
+            legal: None,
+            global: Some(global),
+            threads: 1,
+        };
+        let reply = server.process(1, load);
+        assert!(ok(&reply), "{reply}");
+
+        let slot = server.case_slot("a").unwrap();
+        let busy = lock(&slot.engine);
+        let (send, receive) = mpsc::channel();
+        let client = server.clone();
+        let asker = std::thread::spawn(move || send.send(client.process(2, Request::Stats)));
+        let reply = receive
+            .recv_timeout(Duration::from_secs(5))
+            .expect("stats waited on a busy engine");
+        drop(busy);
+        asker.join().unwrap().unwrap();
+        assert!(ok(&reply), "{reply}");
+        let cases = reply.get("result").and_then(|r| r.get("cases")).unwrap();
+        let want = Json::Arr(vec![Json::Obj(vec![
+            ("name".into(), Json::Str("a".into())),
+            ("cells".into(), Json::num(400.0)),
+            ("ecos".into(), Json::num(0.0)),
+            ("legalizes".into(), Json::num(0.0)),
+            ("requests_served".into(), Json::num(0.0)),
+        ])]);
+        assert_eq!(cases, &want);
+        assert!(ok(&server.process(3, Request::Shutdown)));
+        server.join();
     }
 }
