@@ -24,7 +24,7 @@ use std::sync::Mutex;
 /// Event severity, ordered `Debug < Info < Warn < Error`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LogLevel {
-    /// High-volume diagnostics (per-wave boundaries).
+    /// High-volume diagnostics.
     Debug,
     /// Normal request lifecycle events.
     Info,

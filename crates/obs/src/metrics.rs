@@ -78,6 +78,16 @@ impl RollingWindow {
         self.window_micros
     }
 
+    /// Requests ever recorded (lifetime, not windowed).
+    pub fn total_requests(&self) -> u64 {
+        self.total_requests
+    }
+
+    /// Error responses ever recorded (lifetime).
+    pub fn total_errors(&self) -> u64 {
+        self.total_errors
+    }
+
     /// Records one completed request. Oldest samples are evicted once
     /// the ring is full (counted in [`MetricsSnapshot::evicted`], so a
     /// window that outlives its capacity is visible as such).

@@ -12,12 +12,13 @@
 //!   JSON frames (built on [`flow3d_obs::Json`], std only), the
 //!   [`protocol::Request`] schema, response shapes, and error codes.
 //! * [`server`] — [`Server`]: case registry of warm
-//!   [`flow3d_core::EcoEngine`]s, bounded FIFO admission queue, and a
-//!   dispatcher that shards independent cases across the `flow3d-par`
-//!   pool wave by wave while keeping each case's request stream
-//!   serialized (the warm caches and the determinism contract depend on
-//!   that). Every request is timed into a server-level latency
-//!   histogram and answered with a per-request telemetry-v2 run report.
+//!   [`flow3d_core::EcoEngine`]s and bounded admission. Each request
+//!   runs on its connection's thread; requests on one case take turns
+//!   in admission order (the warm caches and the determinism contract
+//!   depend on that), while distinct cases run side by side up to
+//!   [`ServerConfig::workers`] at once. Every request is timed into a
+//!   server-level latency histogram and answered with a per-request
+//!   telemetry-v2 run report.
 //!   Live telemetry rides on `flow3d-obs` v3: a rolling window of
 //!   per-request samples behind the `metrics` wire command (windowed
 //!   p50/p90/p99 latency, throughput, queue depth, error rate — JSON

@@ -48,7 +48,10 @@ pub mod codes {
     pub const BAD_REQUEST: &str = "bad_request";
     /// The named case is not resident (never loaded, or unloaded).
     pub const UNKNOWN_CASE: &str = "unknown_case";
-    /// The bounded request queue is full; retry later.
+    /// The server holds as many admitted, unanswered requests as its
+    /// queue depth allows, or (on a fresh connection) as many
+    /// connections as [`MAX_CONNECTIONS`](super::MAX_CONNECTIONS);
+    /// retry later.
     pub const OVERLOADED: &str = "overloaded";
     /// The server is draining after a `shutdown` request and admits no
     /// new work.
@@ -245,8 +248,9 @@ pub enum Request {
     /// queue depth, and error rate, in both JSON and a Prometheus-style
     /// text rendering. Answered inline, never queued.
     Metrics,
-    /// Drops a resident case. Answered inline; queued requests already
-    /// admitted for the case still complete.
+    /// Drops a resident case. Answered inline: a request already running
+    /// on the case finishes against it, and one still waiting for its
+    /// turn answers [`codes::UNKNOWN_CASE`].
     Unload {
         /// Resident case name.
         name: String,
@@ -325,22 +329,20 @@ impl Request {
         }
     }
 
-    /// Whether the request goes through the bounded FIFO queue (heavy,
-    /// state-mutating work) or is answered inline by the connection
-    /// thread.
+    /// Whether the request is engine work that goes through admission:
+    /// it counts against the queue depth, takes a turn in its case's
+    /// lane and runs under the `workers` cap. The rest, `shutdown`
+    /// included, are answered without a turn.
     pub fn is_queued(&self) -> bool {
         matches!(
             self,
-            Request::Load { .. }
-                | Request::Legalize { .. }
-                | Request::Eco { .. }
-                | Request::Shutdown
+            Request::Load { .. } | Request::Legalize { .. } | Request::Eco { .. }
         )
     }
 
-    /// The shard key: the dispatcher never runs two queued requests for
-    /// the same case in one wave, so per-case engine access is
-    /// serialized while distinct cases fan out across the pool.
+    /// The case the request names. For a queued request it is the lane
+    /// key: requests on one case run one at a time in admission order,
+    /// while distinct cases run side by side up to the `workers` cap.
     pub fn case_name(&self) -> Option<&str> {
         match self {
             Request::Load { name, .. }

@@ -1,13 +1,15 @@
 //! The resident legalization server.
 //!
 //! A [`Server`] owns a registry of resident cases (each a warm
-//! [`flow3d_core::EcoEngine`]), a bounded FIFO request queue, and a
-//! dispatcher thread that executes queued requests in **waves**: every
-//! wave holds at most one request per case, and the wave's requests run
-//! concurrently on the `flow3d-par` pool. Independent cases therefore
-//! shard across workers while each case's engine sees a strictly
-//! serialized request stream — which is what keeps its warm caches and
-//! the determinism contract intact.
+//! [`flow3d_core::EcoEngine`]) and one admission state, and runs every
+//! request on the thread of the connection that read it. A queued
+//! request (`load`, `eco`, `legalize`) is admitted against a bound on
+//! unanswered requests, takes the next turn in its case's *lane*, and
+//! runs once that turn comes up and fewer than
+//! [`ServerConfig::workers`] requests are running. Distinct cases
+//! therefore run side by side, while each case's engine sees its
+//! requests one at a time in admission order — which is what keeps its
+//! warm state and the determinism contract intact.
 //!
 //! Connection handling is transport-agnostic: [`Server::handle_connection`]
 //! speaks the frame protocol over any `Read + Write` stream, and
@@ -18,9 +20,9 @@
 //!
 //! Lifecycle: `load` → any number of `eco`/`legalize` → `shutdown`. A
 //! `shutdown` request closes admission immediately (later queued
-//! requests are refused with [`codes::SHUTTING_DOWN`]), drains every
-//! previously admitted request, answers the shutdown itself, and stops
-//! the dispatcher. See `SERVING.md` for the operational details.
+//! requests are refused with [`codes::SHUTTING_DOWN`]), waits until
+//! every previously admitted request has been answered, answers, and
+//! stops the server. See `SERVING.md` for the operational details.
 
 use crate::protocol::{
     codes, error_response, ok_response, read_frame, request_id, write_frame, FrameError, MoveSpec,
@@ -33,31 +35,31 @@ use flow3d_obs::{
     hist_keys, keys, log_record, peak_rss_bytes, EventLog, FlightRecorder, Json, LogLevel, Profile,
     RequestSample, RollingWindow, RunReport,
 };
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Server tuning knobs. The defaults favour predictability:
-/// single-threaded engines plus two wave workers that overlap
-/// independent cases. Results *and* search telemetry are
-/// bit-identical at every setting, so these knobs trade wall-clock
-/// only.
+/// single-threaded engines, and up to two requests on distinct cases
+/// running at once. Results *and* search telemetry are bit-identical at
+/// every setting, so these knobs trade wall-clock only.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Maximum queued requests executed concurrently per wave (each on
-    /// a distinct case). `0` resolves like `flow3d_par::resolve_threads`.
+    /// Most queued requests executing at once, each on its own
+    /// connection thread; two requests on one case never overlap. `0`
+    /// resolves like `flow3d_par::resolve_threads`.
     pub workers: usize,
-    /// Bounded queue depth; requests beyond it are refused with
-    /// [`codes::OVERLOADED`] instead of buffering without limit.
+    /// Most queued requests admitted and not yet answered, running ones
+    /// included. One more is refused with [`codes::OVERLOADED`] instead
+    /// of waiting without limit; `shutdown` is always admitted.
     pub queue_depth: usize,
     /// Engine threads for cases loaded without an explicit `threads`
     /// field. Results and search telemetry are bit-identical at any
-    /// value; `1` (the default) avoids oversubscribing the wave
-    /// workers on small cases.
+    /// value; `1` (the default) avoids oversubscribing the `workers`
+    /// running requests on small cases.
     pub default_threads: usize,
     /// JSONL event-log path (`--log` / `FLOW3D_LOG`). `None` disables
     /// structured logging; the event path then costs one branch.
@@ -83,6 +85,8 @@ const WINDOW_CAPACITY: usize = 1024;
 const RECORDER_EVENTS: usize = 256;
 /// Flight-recorder per-request report-ring capacity.
 const RECORDER_REPORTS: usize = 8;
+/// Message of a [`codes::SHUTTING_DOWN`] refusal.
+const DRAINING: &str = "the server is draining and admits no new work";
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -111,68 +115,88 @@ struct CaseSlot {
     legalizes: AtomicU64,
 }
 
-/// A queued request together with its response channel.
-struct Job {
-    id: u64,
-    span: u64,
-    request: Request,
-    respond: mpsc::Sender<Json>,
-}
-
-/// The portion of a job that crosses into the wave workers. Split from
-/// [`Job`] because [`mpsc::Sender`] is not `Sync`: the dispatcher keeps
-/// the senders and only the `(id, span, request)` triples are shared.
-struct Work {
-    id: u64,
-    span: u64,
-    request: Request,
-}
-
-/// What a wave worker produces: the wire response plus the request's
-/// profile, merged into the server-level telemetry by the dispatcher.
+/// What a queued request produces: the wire response plus the request's
+/// profile, merged into the server telemetry before its turn passes on.
 struct Executed {
     response: Json,
     profile: Option<Profile>,
 }
 
+/// Who may run: the admission state of queued requests and the
+/// server's stop flag, behind one mutex and woken through one condvar.
 #[derive(Default)]
-struct QueueState {
-    jobs: VecDeque<Job>,
+struct Admission {
+    /// Queued requests admitted and not yet answered, running ones
+    /// included: `stats.pending`, bounded by `queue_depth`.
+    pending: usize,
+    /// Queued requests executing now, at most `workers`.
+    running: usize,
+    /// Turns per case name. A lane goes once no turn in it is
+    /// outstanding, so the map holds only cases with admitted work.
+    lanes: BTreeMap<String, Lane>,
+    /// Set by `shutdown`: no further queued request is admitted.
     shutting_down: bool,
+    /// Set once `shutdown` has drained every admitted request.
+    stopped: bool,
 }
 
-/// Aggregated server telemetry: request/error counts plus a [`Profile`]
-/// holding merged per-request phases, counters, and the
-/// [`hist_keys::SERVE_REQUEST_MICROS`] latency histogram.
-struct ServerStats {
-    profile: Profile,
-    requests: u64,
-    errors: u64,
+/// A case's turns: the request admitted as turn `t` runs once
+/// `finished == t`, so one case's requests run one at a time in
+/// admission order.
+#[derive(Default)]
+struct Lane {
+    issued: u64,
+    finished: u64,
 }
 
-/// Live-telemetry state behind one mutex: the rolling metrics window
-/// (always fed — it is what the `metrics` command reads) and the flight
-/// recorder (fed only when a dump path is configured).
+/// A running request's turn. Dropping it — on the way out of a panic
+/// too — frees the running slot, marks the request answered and passes
+/// the turn on, so one failed request cannot wedge its case or the
+/// drain.
+struct Turn<'a> {
+    shared: &'a Shared,
+    case: String,
+}
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        let mut admission = lock(&self.shared.admission);
+        admission.pending -= 1;
+        admission.running -= 1;
+        if let Some(lane) = admission.lanes.get_mut(&self.case) {
+            lane.finished += 1;
+            if lane.finished == lane.issued {
+                admission.lanes.remove(&self.case);
+            }
+        }
+        self.shared.admission_cv.notify_all();
+    }
+}
+
+/// Live telemetry behind one mutex: the merged [`Profile`] of every
+/// request plus the [`hist_keys::SERVE_REQUEST_MICROS`] latency
+/// histogram (`stats`), the rolling window (`metrics`, and the lifetime
+/// request and error totals `stats` reports), and the flight recorder
+/// (fed only when a dump path is configured).
 struct Telemetry {
+    profile: Profile,
     window: RollingWindow,
     recorder: FlightRecorder,
 }
 
 struct Shared {
     config: ServerConfig,
+    /// [`ServerConfig::workers`], resolved.
+    workers: usize,
     registry: Mutex<BTreeMap<String, Arc<CaseSlot>>>,
-    queue: Mutex<QueueState>,
-    queue_cv: Condvar,
+    admission: Mutex<Admission>,
+    admission_cv: Condvar,
     next_id: AtomicU64,
     next_span: AtomicU64,
     next_event: AtomicU64,
     started: Instant,
     telemetry: Mutex<Telemetry>,
     log: Option<EventLog>,
-    stats: Mutex<ServerStats>,
-    done: Mutex<bool>,
-    done_cv: Condvar,
-    dispatcher: Mutex<Option<std::thread::JoinHandle<()>>>,
     /// Requests read off a connection whose response is not written yet
     /// (see [`Answering`]).
     answering: Mutex<usize>,
@@ -212,12 +236,12 @@ impl Drop for Answering<'_> {
 }
 
 /// How long [`Server::join`] waits for responses still being written
-/// once the dispatcher has stopped: ample for any reply a reading peer
+/// once the server has stopped: ample for any reply a reading peer
 /// accepts, and a bound on a peer that stopped reading.
 const ANSWER_GRACE: Duration = Duration::from_secs(5);
 
 /// The resident legalization service. Cheap to clone; all clones share
-/// one registry, queue, and dispatcher. See the module docs for the
+/// one registry and admission state. See the module docs for the
 /// execution model.
 #[derive(Clone)]
 pub struct Server {
@@ -225,14 +249,11 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts a server: opens the configured telemetry sinks, spawns
-    /// the dispatcher thread, and returns a handle ready for
-    /// [`handle_connection`](Self::handle_connection) or the listener
-    /// loops.
-    ///
-    /// Dropping every clone without sending a `shutdown` request leaves
-    /// the dispatcher parked on its queue until process exit; send
-    /// `shutdown` (and [`join`](Self::join)) for a clean stop.
+    /// Starts a server: opens the configured telemetry sinks and returns
+    /// a handle ready for [`handle_connection`](Self::handle_connection)
+    /// or the listener loops. It spawns no thread: a request runs on the
+    /// thread that hands it to [`process`](Self::process), under the
+    /// listeners the connection's own.
     ///
     /// # Errors
     ///
@@ -248,41 +269,31 @@ impl Server {
             std::fs::create_dir_all(dir)?;
         }
         let telemetry = Telemetry {
+            profile: Profile::new(),
             window: RollingWindow::new(
                 WINDOW_CAPACITY,
                 config.window_secs.saturating_mul(1_000_000),
             ),
             recorder: FlightRecorder::new(RECORDER_EVENTS, RECORDER_REPORTS),
         };
-        let server = Server {
+        Ok(Server {
             shared: Arc::new(Shared {
+                workers: flow3d_par::resolve_threads(config.workers),
                 config,
                 registry: Mutex::new(BTreeMap::new()),
-                queue: Mutex::new(QueueState::default()),
-                queue_cv: Condvar::new(),
+                admission: Mutex::new(Admission::default()),
+                admission_cv: Condvar::new(),
                 next_id: AtomicU64::new(1),
                 next_span: AtomicU64::new(1),
                 next_event: AtomicU64::new(0),
                 started: Instant::now(),
                 telemetry: Mutex::new(telemetry),
                 log,
-                stats: Mutex::new(ServerStats {
-                    profile: Profile::new(),
-                    requests: 0,
-                    errors: 0,
-                }),
-                done: Mutex::new(false),
-                done_cv: Condvar::new(),
-                dispatcher: Mutex::new(None),
                 answering: Mutex::new(0),
                 answered_cv: Condvar::new(),
                 connections: AtomicUsize::new(0),
             }),
-        };
-        let worker = server.clone();
-        let handle = std::thread::spawn(move || worker.dispatch_loop());
-        *lock(&server.shared.dispatcher) = Some(handle);
-        Ok(server)
+        })
     }
 
     /// Microseconds since the server started — the epoch for metrics
@@ -333,35 +344,25 @@ impl Server {
         }
     }
 
-    /// Whether a `shutdown` request has fully drained the queue and
-    /// stopped the dispatcher.
+    /// Whether a `shutdown` request has drained every admitted request
+    /// and stopped the server.
     pub fn is_done(&self) -> bool {
-        *lock(&self.shared.done)
+        lock(&self.shared.admission).stopped
     }
 
     /// Blocks until the server is done (see [`is_done`](Self::is_done)),
-    /// joins the dispatcher thread, and waits (up to a grace period) for
-    /// connection threads to finish writing responses they already hold
-    /// — the shutdown answer among them. The listener loops return only
-    /// after this, so a process that exits when they return does not cut
-    /// off its last replies.
+    /// then waits (up to a grace period) for connection threads to
+    /// finish writing responses they already hold — the shutdown answer
+    /// among them. The listener loops return only after this, so a
+    /// process that exits when they return does not cut off its last
+    /// replies.
     pub fn join(&self) {
-        let mut done = lock(&self.shared.done);
-        while !*done {
-            done = self
-                .shared
-                .done_cv
-                .wait(done)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        drop(done);
-        let handle = lock(&self.shared.dispatcher).take();
-        if let Some(handle) = handle {
-            // The dispatcher only signals `done` on its way out; a join
-            // failure would mean it panicked, which merge/execute paths
-            // do not do.
-            let _ = handle.join();
-        }
+        let stopped = self
+            .shared
+            .admission_cv
+            .wait_while(lock(&self.shared.admission), |a| !a.stopped)
+            .unwrap_or_else(PoisonError::into_inner);
+        drop(stopped);
         let answering = lock(&self.shared.answering);
         let _ = self
             .shared
@@ -379,9 +380,9 @@ impl Server {
     /// Propagates listener `accept` errors other than shutdown.
     pub fn serve_listener(&self, listener: TcpListener) -> std::io::Result<()> {
         let addr = listener.local_addr()?;
-        // Breaking a blocking accept loop needs a poke: once the
-        // dispatcher drains, this helper self-connects so accept()
-        // returns and the loop observes `done`.
+        // Breaking a blocking accept loop needs a poke: once the server
+        // stops, this helper self-connects so accept() returns and the
+        // loop sees `is_done`.
         let poker = self.clone();
         std::thread::spawn(move || {
             poker.join();
@@ -437,13 +438,7 @@ impl Server {
         if self.shared.connections.fetch_add(1, Ordering::AcqRel) >= MAX_CONNECTIONS {
             self.shared.connections.fetch_sub(1, Ordering::AcqRel);
             let message = format!("{MAX_CONNECTIONS} connections are open already");
-            let response = error_response(0, codes::OVERLOADED, &message);
-            self.note_outcome(&response);
-            self.emit(
-                LogLevel::Warn,
-                "connection_refused",
-                vec![("message".into(), Json::Str(message))],
-            );
+            let response = self.refuse(0, codes::OVERLOADED, &message);
             let _ = write_frame(&mut stream, &response);
             return;
         }
@@ -456,8 +451,9 @@ impl Server {
     /// dropped — framing is unrecoverable after garbage), or a
     /// `shutdown` response is written.
     ///
-    /// Requests on one connection are handled strictly in order;
-    /// concurrency comes from opening several connections.
+    /// Requests on one connection are handled strictly in order, each
+    /// on this thread; concurrency comes from opening several
+    /// connections.
     pub fn handle_connection<S: Read + Write>(&self, mut stream: S) {
         loop {
             let json = match read_frame(&mut stream) {
@@ -465,17 +461,7 @@ impl Server {
                 Ok(None) => return,
                 Err(FrameError::Io(_)) => return,
                 Err(err) => {
-                    let response = error_response(0, codes::MALFORMED_FRAME, &err.to_string());
-                    self.note_outcome(&response);
-                    self.emit(
-                        LogLevel::Error,
-                        "request_failed",
-                        vec![
-                            ("code".into(), Json::Str(codes::MALFORMED_FRAME.into())),
-                            ("message".into(), Json::Str(err.to_string())),
-                        ],
-                    );
-                    self.flight_dump("request_error");
+                    let response = self.refuse(0, codes::MALFORMED_FRAME, &err.to_string());
                     let _ = write_frame(&mut stream, &response);
                     return;
                 }
@@ -486,7 +472,7 @@ impl Server {
             let is_shutdown = matches!(json.get("cmd").and_then(Json::as_str), Some("shutdown"));
             let response = match Request::parse(&json) {
                 Ok(request) => self.process(id, request),
-                Err(msg) => error_response(id, codes::BAD_REQUEST, &msg),
+                Err(msg) => self.refuse(id, codes::BAD_REQUEST, &msg),
             };
             let accepted_shutdown = is_shutdown && response.get("ok") == Some(&Json::Bool(true));
             if write_frame(&mut stream, &response).is_err() {
@@ -498,25 +484,27 @@ impl Server {
         }
     }
 
-    /// Handles one parsed request end to end and returns the response.
-    /// Inline commands answer immediately; queued commands block until
-    /// the dispatcher executes them, so the recorded latency covers the
-    /// queue wait.
+    /// Handles one parsed request end to end on the calling thread and
+    /// returns the response. Inline commands answer at once. A queued
+    /// command blocks until it is admitted, its turn has come up and it
+    /// has run, so the recorded latency covers the wait; `shutdown`
+    /// blocks until the drain is complete.
     pub fn process(&self, id: u64, request: Request) -> Json {
-        let admitted = Instant::now();
+        let started = Instant::now();
         let span = self.shared.next_span.fetch_add(1, Ordering::Relaxed);
+        let cmd = request.cmd();
         if self.events_on() {
             let mut fields = vec![
                 ("span".into(), Json::num(span as f64)),
                 ("id".into(), Json::num(id as f64)),
-                ("cmd".into(), Json::Str(request.cmd().to_string())),
+                ("cmd".into(), Json::Str(cmd.to_string())),
             ];
             if let Some(case) = request.case_name() {
                 fields.push(("case".into(), Json::Str(case.to_string())));
             }
             fields.push((
                 "queue_depth".into(),
-                Json::num(lock(&self.shared.queue).jobs.len() as f64),
+                Json::num(lock(&self.shared.admission).pending as f64),
             ));
             self.emit(LogLevel::Info, "request_admitted", fields);
         }
@@ -543,21 +531,78 @@ impl Server {
                     ],
                 )
             }
-            queued => self.enqueue_and_wait(id, span, queued),
+            Request::Shutdown => self.shutdown(id),
+            Request::Load {
+                name,
+                case,
+                legal,
+                global,
+                threads,
+            } => {
+                let threads = match threads {
+                    0 => self.shared.config.default_threads,
+                    n => n,
+                };
+                self.run_queued(id, span, cmd, &name, || {
+                    self.execute_load(
+                        id,
+                        &name,
+                        &case,
+                        legal.as_deref(),
+                        global.as_deref(),
+                        threads,
+                    )
+                })
+            }
+            Request::Legalize {
+                name,
+                global,
+                commit,
+            } => self.run_queued(id, span, cmd, &name, || {
+                self.execute_legalize(id, &name, &global, commit)
+            }),
+            Request::Eco {
+                name,
+                moves,
+                commit,
+                trace,
+            } => self.run_queued(id, span, cmd, &name, || {
+                self.execute_eco(id, &name, &moves, commit, trace)
+            }),
         };
-        let micros = admitted.elapsed().as_secs_f64() * 1e6;
+        self.finish(span, id, started, &response);
+        response
+    }
+
+    /// Answers a frame that never became a request — unreadable, not a
+    /// valid request, or over the connection cap — and accounts it like
+    /// every other answered frame.
+    fn refuse(&self, id: u64, code: &str, message: &str) -> Json {
+        let started = Instant::now();
+        let span = self.shared.next_span.fetch_add(1, Ordering::Relaxed);
+        let response = error_response(id, code, message);
+        self.finish(span, id, started, &response);
+        response
+    }
+
+    /// The one account of an answered frame: its latency goes into the
+    /// server histogram and the rolling window together (the window's
+    /// lifetime totals are `stats`' `requests` and `errors`), then a
+    /// completion or failure event, and on failure a flight dump.
+    fn finish(&self, span: u64, id: u64, started: Instant, response: &Json) {
+        let micros = started.elapsed().as_secs_f64() * 1e6;
         let ok = response.get("ok") == Some(&Json::Bool(true));
-        let mut stats = lock(&self.shared.stats);
-        stats
-            .profile
-            .record(hist_keys::SERVE_REQUEST_MICROS, micros);
-        drop(stats);
-        lock(&self.shared.telemetry).window.record(RequestSample {
-            end_micros: self.uptime_micros(),
-            latency_micros: micros as u64,
-            ok,
-        });
-        self.note_outcome(&response);
+        {
+            let mut telemetry = lock(&self.shared.telemetry);
+            telemetry
+                .profile
+                .record(hist_keys::SERVE_REQUEST_MICROS, micros);
+            telemetry.window.record(RequestSample {
+                end_micros: self.uptime_micros(),
+                latency_micros: micros as u64,
+                ok,
+            });
+        }
         if self.events_on() {
             let mut fields = vec![
                 ("span".into(), Json::num(span as f64)),
@@ -567,12 +612,11 @@ impl Server {
             if ok {
                 self.emit(LogLevel::Info, "request_completed", fields);
             } else {
-                if let Some(code) = response
-                    .get("error")
-                    .and_then(|e| e.get("code"))
-                    .and_then(Json::as_str)
-                {
-                    fields.push(("code".into(), Json::Str(code.to_string())));
+                let error = response.get("error");
+                for key in ["code", "message"] {
+                    if let Some(value) = error.and_then(|e| e.get(key)) {
+                        fields.push((key.into(), value.clone()));
+                    }
                 }
                 self.emit(LogLevel::Error, "request_failed", fields);
             }
@@ -580,7 +624,6 @@ impl Server {
         if !ok {
             self.flight_dump("request_error");
         }
-        response
     }
 
     /// Rolling-window gauges, answered inline. The snapshot is taken
@@ -588,7 +631,7 @@ impl Server {
     /// test observes are exactly the requests completed beforehand.
     fn metrics_response(&self, id: u64) -> Json {
         let now = self.uptime_micros();
-        let queue_depth = lock(&self.shared.queue).jobs.len();
+        let queue_depth = lock(&self.shared.admission).pending;
         let snapshot = lock(&self.shared.telemetry)
             .window
             .snapshot(now, queue_depth);
@@ -605,211 +648,86 @@ impl Server {
         )
     }
 
-    fn note_outcome(&self, response: &Json) {
-        let mut stats = lock(&self.shared.stats);
-        stats.requests += 1;
-        if response.get("ok") != Some(&Json::Bool(true)) {
-            stats.errors += 1;
+    /// Runs a queued request on the calling thread: admits it or refuses
+    /// it (`shutting_down`, `overloaded`), takes the next turn in the
+    /// case's lane, waits until that turn comes up and fewer than
+    /// `workers` requests are running, runs it, merges its profile and
+    /// passes the turn on.
+    fn run_queued(
+        &self,
+        id: u64,
+        span: u64,
+        cmd: &str,
+        case: &str,
+        run: impl FnOnce() -> Executed,
+    ) -> Json {
+        let shared = &*self.shared;
+        let mut admission = lock(&shared.admission);
+        if admission.shutting_down {
+            return error_response(id, codes::SHUTTING_DOWN, DRAINING);
         }
-    }
-
-    fn enqueue_and_wait(&self, id: u64, span: u64, request: Request) -> Json {
-        let (respond, receive) = mpsc::channel();
-        {
-            let mut queue = lock(&self.shared.queue);
-            if queue.shutting_down {
-                return error_response(
-                    id,
-                    codes::SHUTTING_DOWN,
-                    "the server is draining and admits no new work",
-                );
-            }
-            if queue.jobs.len() >= self.shared.config.queue_depth {
-                return error_response(
-                    id,
-                    codes::OVERLOADED,
-                    &format!(
-                        "request queue is full ({} pending)",
-                        self.shared.config.queue_depth
-                    ),
-                );
-            }
-            if matches!(request, Request::Shutdown) {
-                // Close admission under the same lock that admits the
-                // shutdown job: nothing can slip in behind it.
-                queue.shutting_down = true;
-            }
-            queue.jobs.push_back(Job {
-                id,
-                span,
-                request,
-                respond,
-            });
-            self.shared.queue_cv.notify_all();
+        if admission.pending >= shared.config.queue_depth {
+            let message = format!("queue depth {} reached", shared.config.queue_depth);
+            return error_response(id, codes::OVERLOADED, &message);
         }
-        receive.recv().unwrap_or_else(|_| {
-            error_response(id, codes::SHUTTING_DOWN, "the server stopped mid-request")
-        })
-    }
-
-    /// The dispatcher: pops waves off the queue and runs each wave on
-    /// the `flow3d-par` pool. Exits after answering a shutdown job.
-    fn dispatch_loop(&self) {
-        let mut wave_index: u64 = 0;
-        loop {
-            let wave = self.next_wave();
-            if wave.len() == 1 && matches!(wave[0].request, Request::Shutdown) {
-                let job = &wave[0];
-                let _ = job.respond.send(ok_response(
-                    job.id,
-                    vec![("stopped".into(), Json::Bool(true))],
-                ));
-                break;
-            }
-            let mut senders = Vec::with_capacity(wave.len());
-            let mut work = Vec::with_capacity(wave.len());
-            for job in wave {
-                senders.push(job.respond);
-                work.push(Work {
-                    id: job.id,
-                    span: job.span,
-                    request: job.request,
-                });
-            }
-            if self.events_on() {
-                self.emit(
-                    LogLevel::Debug,
-                    "wave_start",
-                    vec![
-                        ("wave".into(), Json::num(wave_index as f64)),
-                        ("size".into(), Json::num(work.len() as f64)),
-                    ],
-                );
-                for w in &work {
-                    let mut fields = vec![
-                        ("span".into(), Json::num(w.span as f64)),
-                        ("id".into(), Json::num(w.id as f64)),
-                        ("wave".into(), Json::num(wave_index as f64)),
-                        ("cmd".into(), Json::Str(w.request.cmd().to_string())),
-                    ];
-                    if let Some(case) = w.request.case_name() {
-                        fields.push(("case".into(), Json::Str(case.to_string())));
-                    }
-                    self.emit(LogLevel::Info, "request_dispatched", fields);
-                }
-            }
-            let workers = flow3d_par::resolve_threads(self.shared.config.workers);
-            let executed = flow3d_par::par_map(workers, work.len(), |i| self.execute(&work[i]));
+        admission.pending += 1;
+        let lane = admission.lanes.entry(case.to_string()).or_default();
+        let turn = lane.issued;
+        lane.issued += 1;
+        let mut admission = shared
+            .admission_cv
+            .wait_while(admission, |a| {
+                a.running >= shared.workers || a.lanes[case].finished != turn
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        admission.running += 1;
+        drop(admission);
+        let turn = Turn {
+            shared,
+            case: case.to_string(),
+        };
+        if self.events_on() {
             self.emit(
-                LogLevel::Debug,
-                "wave_end",
+                LogLevel::Info,
+                "request_dispatched",
                 vec![
-                    ("wave".into(), Json::num(wave_index as f64)),
-                    ("size".into(), Json::num(work.len() as f64)),
+                    ("span".into(), Json::num(span as f64)),
+                    ("id".into(), Json::num(id as f64)),
+                    ("cmd".into(), Json::Str(cmd.to_string())),
+                    ("case".into(), Json::Str(case.to_string())),
                 ],
             );
-            wave_index += 1;
-            let mut stats = lock(&self.shared.stats);
-            for (done, respond) in executed.into_iter().zip(senders) {
-                if let Some(profile) = &done.profile {
-                    stats.profile.merge_nested(profile);
-                }
-                let _ = respond.send(done.response);
-            }
         }
-        self.emit(
-            LogLevel::Info,
-            "server_stopped",
-            vec![("waves".into(), Json::num(wave_index as f64))],
-        );
+        let executed = run();
+        if let Some(profile) = &executed.profile {
+            lock(&shared.telemetry).profile.merge_nested(profile);
+        }
+        drop(turn);
+        executed.response
+    }
+
+    /// Closes admission, waits until every admitted request has been
+    /// answered, then stops the server. `shutdown` is not queued work:
+    /// it skips the `queue_depth` check, so a full server still stops.
+    fn shutdown(&self, id: u64) -> Json {
+        let shared = &*self.shared;
+        let mut admission = lock(&shared.admission);
+        if admission.shutting_down {
+            return error_response(id, codes::SHUTTING_DOWN, DRAINING);
+        }
+        // Closed under the lock that admits work: nothing slips in
+        // behind the shutdown.
+        admission.shutting_down = true;
+        let drained = shared
+            .admission_cv
+            .wait_while(admission, |a| a.pending > 0)
+            .unwrap_or_else(PoisonError::into_inner);
+        drop(drained);
+        self.emit(LogLevel::Info, "server_stopped", Vec::new());
         self.flight_dump("shutdown");
-        let mut done = lock(&self.shared.done);
-        *done = true;
-        self.shared.done_cv.notify_all();
-    }
-
-    /// Builds the next wave: the longest queue prefix holding at most
-    /// one request per case. A second request for a case already in the
-    /// wave — and everything FIFO-behind it for that case — stays
-    /// queued, preserving per-case order. A shutdown job only forms a
-    /// wave once it is alone at the front, i.e. once every request
-    /// admitted before it has completed.
-    fn next_wave(&self) -> Vec<Job> {
-        let mut queue = lock(&self.shared.queue);
-        loop {
-            if !queue.jobs.is_empty() {
-                let mut wave: Vec<Job> = Vec::new();
-                let mut skipped: Vec<Job> = Vec::new();
-                while let Some(job) = queue.jobs.pop_front() {
-                    if matches!(job.request, Request::Shutdown) {
-                        if wave.is_empty() && skipped.is_empty() {
-                            wave.push(job);
-                        } else {
-                            skipped.push(job);
-                        }
-                        break;
-                    }
-                    let name = job.request.case_name().unwrap_or("");
-                    if wave
-                        .iter()
-                        .any(|w| w.request.case_name().unwrap_or("") == name)
-                    {
-                        skipped.push(job);
-                    } else {
-                        wave.push(job);
-                    }
-                }
-                for job in skipped.into_iter().rev() {
-                    queue.jobs.push_front(job);
-                }
-                if !wave.is_empty() {
-                    return wave;
-                }
-            }
-            queue = self
-                .shared
-                .queue_cv
-                .wait(queue)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn execute(&self, work: &Work) -> Executed {
-        match &work.request {
-            Request::Load {
-                name,
-                case,
-                legal,
-                global,
-                threads,
-            } => self.execute_load(work.id, name, case, legal.as_deref(), global.as_deref(), {
-                if *threads == 0 {
-                    self.shared.config.default_threads
-                } else {
-                    *threads
-                }
-            }),
-            Request::Legalize {
-                name,
-                global,
-                commit,
-            } => self.execute_legalize(work.id, name, global, *commit),
-            Request::Eco {
-                name,
-                moves,
-                commit,
-                trace,
-            } => self.execute_eco(work.id, name, moves, *commit, *trace),
-            // Inline and shutdown requests never reach the wave.
-            other => Executed {
-                response: error_response(
-                    work.id,
-                    codes::BAD_REQUEST,
-                    &format!("request {other:?} cannot be queued"),
-                ),
-                profile: None,
-            },
-        }
+        lock(&shared.admission).stopped = true;
+        shared.admission_cv.notify_all();
+        ok_response(id, vec![("stopped".into(), Json::Bool(true))])
     }
 
     fn execute_load(
@@ -1104,13 +1022,19 @@ impl Server {
                 ])
             })
             .collect();
-        let pending = lock(&self.shared.queue).jobs.len();
-        let stats = lock(&self.shared.stats);
-        let report = RunReport::from_profile("flow3d-serve", "flow3d-serve", &stats.profile);
+        let pending = lock(&self.shared.admission).pending;
+        let telemetry = lock(&self.shared.telemetry);
+        let report = RunReport::from_profile("flow3d-serve", "flow3d-serve", &telemetry.profile);
         let mut fields = vec![
             ("cases".into(), Json::Arr(cases)),
-            ("requests".into(), Json::num(stats.requests as f64)),
-            ("errors".into(), Json::num(stats.errors as f64)),
+            (
+                "requests".into(),
+                Json::num(telemetry.window.total_requests() as f64),
+            ),
+            (
+                "errors".into(),
+                Json::num(telemetry.window.total_errors() as f64),
+            ),
             ("pending".into(), Json::num(pending as f64)),
             (
                 "uptime_secs".into(),
@@ -1199,7 +1123,7 @@ fn stats_json(stats: &LegalizeStats) -> Json {
 
 /// Locks a mutex, riding through poisoning: a panic in another request
 /// must not wedge the whole server, and every guarded structure is
-/// valid at rest (counters, maps, queues).
+/// valid at rest (counters, maps, the admission state).
 fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -1207,7 +1131,8 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flow3d_db::{DesignBuilder, DieSpec, LibCellSpec, TechnologySpec};
+    use flow3d_db::{CellId, DesignBuilder, DieSpec, LibCellSpec, TechnologySpec};
+    use std::sync::mpsc;
 
     fn spec(cell: &str, die: Option<usize>) -> MoveSpec {
         MoveSpec {
@@ -1238,6 +1163,160 @@ mod tests {
         assert_eq!(err, "cell `u1` moved twice");
         let err = resolve_moves(&design, &[spec("u0", Some(2))]).unwrap_err();
         assert!(err.starts_with("die 2 out of range"), "{err}");
+    }
+
+    /// The demo case as `load` text, its legal base placement, and the
+    /// legalizer the server's default single-threaded engine matches.
+    struct Demo {
+        design: Design,
+        case: String,
+        base: flow3d_db::LegalPlacement,
+        legalizer: Flow3dLegalizer,
+    }
+
+    impl Demo {
+        fn new() -> Demo {
+            let generated = flow3d_gen::GeneratorConfig::small_demo(1)
+                .generate()
+                .unwrap();
+            let mut case = String::new();
+            flow3d_io::write_case(&generated.design, &mut case).unwrap();
+            let legalizer = Flow3dLegalizer::new(Flow3dConfig {
+                threads: 1,
+                ..Flow3dConfig::default()
+            });
+            let base = legalizer
+                .legalize(&generated.design, &generated.natural)
+                .unwrap()
+                .placement;
+            Demo {
+                design: generated.design,
+                case,
+                base,
+                legalizer,
+            }
+        }
+
+        fn text(&self, placement: &flow3d_db::LegalPlacement) -> String {
+            let mut text = String::new();
+            flow3d_io::write_legal(&self.design, placement, &mut text).unwrap();
+            text
+        }
+
+        fn load(&self, server: &Server, name: &str) {
+            let load = Request::Load {
+                name: name.into(),
+                case: self.case.clone(),
+                legal: Some(self.text(&self.base)),
+                global: None,
+                threads: 1,
+            };
+            let reply = server.process(0, load);
+            assert!(ok(&reply), "{reply}");
+        }
+
+        /// Moves `cells` onto the base position of cell `onto`.
+        fn pileup(&self, cells: std::ops::Range<usize>, onto: usize) -> Vec<MoveSpec> {
+            let target = self.base.pos(CellId::new(onto));
+            cells
+                .map(|i| MoveSpec {
+                    cell: self.design.cells()[i].name.clone(),
+                    x: target.x,
+                    y: target.y,
+                    die: None,
+                })
+                .collect()
+        }
+
+        /// The one-shot incremental run of `moves` against `base`.
+        fn one_shot(&self, base: &flow3d_db::LegalPlacement, moves: &[MoveSpec]) -> String {
+            let moves = resolve_moves(&self.design, moves).unwrap();
+            let outcome = self
+                .legalizer
+                .legalize_incremental(&self.design, base, &moves)
+                .unwrap();
+            self.text(&outcome.placement)
+        }
+    }
+
+    fn ok(reply: &Json) -> bool {
+        reply.get("ok") == Some(&Json::Bool(true))
+    }
+
+    fn field<'a>(reply: &'a Json, key: &str) -> &'a Json {
+        reply
+            .get("result")
+            .and_then(|r| r.get(key))
+            .unwrap_or_else(|| panic!("no `{key}` in {reply}"))
+    }
+
+    fn error_code(reply: &Json) -> &str {
+        reply
+            .get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Json::as_str)
+            .unwrap_or_else(|| panic!("not an error: {reply}"))
+    }
+
+    fn eco(name: &str, moves: Vec<MoveSpec>, commit: bool) -> Request {
+        Request::Eco {
+            name: name.into(),
+            moves,
+            commit,
+            trace: false,
+        }
+    }
+
+    /// Sends `request` from a thread of its own, as a connection would;
+    /// the reply arrives on the returned channel.
+    fn send(server: &Server, id: u64, request: Request) -> mpsc::Receiver<Json> {
+        let (reply, receive) = mpsc::channel();
+        let client = server.clone();
+        std::thread::spawn(move || reply.send(client.process(id, request)));
+        receive
+    }
+
+    fn pending(server: &Server) -> u64 {
+        field(&server.process(0, Request::Stats), "pending")
+            .as_u64()
+            .unwrap()
+    }
+
+    /// Polls `probe` until it holds, failing the test after 10 s.
+    fn wait_until(what: &str, mut probe: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !probe() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A server with `workers` that logs to a file of its own, so a test
+    /// can see when a request starts to run.
+    fn logged_server(test: &str, workers: usize) -> (Server, std::path::PathBuf) {
+        let log =
+            std::env::temp_dir().join(format!("flow3d_serve_{test}_{}.jsonl", std::process::id()));
+        let server = Server::new(ServerConfig {
+            workers,
+            log_path: Some(log.to_string_lossy().into_owned()),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        (server, log)
+    }
+
+    /// How many `eco` requests the log shows started.
+    fn ecos_dispatched(log: &std::path::Path) -> usize {
+        std::fs::read_to_string(log)
+            .unwrap_or_default()
+            .lines()
+            .filter(|line| line.contains("\"request_dispatched\"") && line.contains("\"eco\""))
+            .count()
+    }
+
+    fn stop(server: &Server) {
+        assert!(ok(&server.process(0, Request::Shutdown)));
+        server.join();
     }
 
     /// `stats` reads the per-case counters without any engine lock, so a
@@ -1284,6 +1363,138 @@ mod tests {
         ])]);
         assert_eq!(cases, &want);
         assert!(ok(&server.process(3, Request::Shutdown)));
+        server.join();
+    }
+
+    /// Requests on one case run in admission order whichever threads
+    /// sent them: an `eco` admitted behind a committing one sees the
+    /// committed base, even though both waited on a busy engine.
+    #[test]
+    fn queued_requests_on_one_case_run_in_admission_order() {
+        let demo = Demo::new();
+        let (server, log) = logged_server("fifo", 2);
+        demo.load(&server, "a");
+        let slot = server.case_slot("a").unwrap();
+        let busy = lock(&slot.engine);
+        let first = send(&server, 1, eco("a", demo.pileup(20..24, 24), false));
+        wait_until("the first eco runs", || ecos_dispatched(&log) == 1);
+        let before = pending(&server);
+        let commit = send(&server, 2, eco("a", demo.pileup(0..5, 5), true));
+        wait_until("the committing eco is admitted", || {
+            pending(&server) > before
+        });
+        let after = demo.pileup(6..11, 0);
+        let follow = send(&server, 3, eco("a", after.clone(), false));
+        wait_until("the follow-up eco is admitted", || {
+            pending(&server) > before + 1
+        });
+        drop(busy);
+
+        assert!(ok(&first.recv().unwrap()));
+        let commit = commit.recv().unwrap();
+        assert_eq!(field(&commit, "committed"), &Json::Bool(true), "{commit}");
+        let committed =
+            flow3d_io::parse_legal(&demo.design, field(&commit, "legal").as_str().unwrap())
+                .unwrap();
+        let follow = follow.recv().unwrap();
+        let served = field(&follow, "legal").as_str().unwrap();
+        assert_eq!(served, demo.one_shot(&committed, &after));
+        assert_ne!(
+            served,
+            demo.one_shot(&demo.base, &after),
+            "the follow-up must depend on the commit"
+        );
+        stop(&server);
+        std::fs::remove_file(&log).ok();
+    }
+
+    /// With `workers: 1` a request on another case waits while one runs.
+    #[test]
+    fn workers_caps_the_running_requests() {
+        let demo = Demo::new();
+        let (server, log) = logged_server("workers1", 1);
+        demo.load(&server, "a");
+        demo.load(&server, "b");
+        let slot = server.case_slot("a").unwrap();
+        let busy = lock(&slot.engine);
+        let on_a = send(&server, 1, eco("a", demo.pileup(0..5, 5), false));
+        wait_until("the eco on a runs", || ecos_dispatched(&log) == 1);
+        let on_b = send(&server, 2, eco("b", demo.pileup(0..5, 5), false));
+        assert!(
+            on_b.recv_timeout(Duration::from_millis(300)).is_err(),
+            "a second request ran beside the first with `workers: 1`"
+        );
+        drop(busy);
+        assert!(ok(&on_a.recv().unwrap()));
+        assert!(ok(&on_b.recv().unwrap()));
+        stop(&server);
+        std::fs::remove_file(&log).ok();
+    }
+
+    /// A request waiting on one case's engine holds up no other case.
+    #[test]
+    fn a_busy_case_does_not_hold_up_another() {
+        let demo = Demo::new();
+        let (server, log) = logged_server("hol", 2);
+        demo.load(&server, "a");
+        demo.load(&server, "b");
+        let slot = server.case_slot("a").unwrap();
+        let busy = lock(&slot.engine);
+        let on_a = send(&server, 1, eco("a", demo.pileup(0..5, 5), false));
+        wait_until("the eco on a runs", || ecos_dispatched(&log) == 1);
+        let on_b = send(&server, 2, eco("b", demo.pileup(0..5, 5), false));
+        let reply = on_b
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the eco on b waited for the busy case a");
+        assert!(ok(&reply), "{reply}");
+        drop(busy);
+        assert!(ok(&on_a.recv().unwrap()));
+        stop(&server);
+        std::fs::remove_file(&log).ok();
+    }
+
+    /// `shutdown` skips the admission bound: with every slot taken it
+    /// still closes admission, and answers `stopped` once the admitted
+    /// requests have answered.
+    #[test]
+    fn shutdown_is_admitted_when_admission_is_full() {
+        let demo = Demo::new();
+        let server = Server::new(ServerConfig {
+            queue_depth: 1,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        demo.load(&server, "a");
+        let slot = server.case_slot("a").unwrap();
+        let busy = lock(&slot.engine);
+        // A refusal answers at once; an admitted eco cannot answer while
+        // the engine is held.
+        let mut admitted = Vec::new();
+        let refused = loop {
+            let reply = send(&server, 1, eco("a", demo.pileup(0..5, 5), false));
+            match reply.recv_timeout(Duration::from_secs(1)) {
+                Ok(refused) => break refused,
+                Err(_) => admitted.push(reply),
+            }
+        };
+        assert_eq!(error_code(&refused), codes::OVERLOADED, "{refused}");
+
+        let stopped = send(&server, 2, Request::Shutdown);
+        wait_until("shutdown closes admission", || {
+            if let Ok(early) = stopped.try_recv() {
+                panic!("shutdown answered before the drain: {early}");
+            }
+            let late = server.process(3, eco("a", Vec::new(), false));
+            error_code(&late) == codes::SHUTTING_DOWN
+        });
+        assert!(!server.is_done());
+        drop(busy);
+        let stopped = stopped.recv().unwrap();
+        assert_eq!(field(&stopped, "stopped"), &Json::Bool(true), "{stopped}");
+        for reply in admitted {
+            let reply = reply.recv().unwrap();
+            assert!(ok(&reply), "{reply}");
+        }
         server.join();
     }
 }

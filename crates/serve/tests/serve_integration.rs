@@ -771,6 +771,74 @@ fn request_error_and_shutdown_dump_flight_recorder() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every answered frame is accounted once, on one path: a frame that
+/// is not a valid request and an unreadable one are two requests and
+/// two errors in `stats` and in the `metrics` lifetime totals alike, and
+/// the invalid request is logged and flight-dumped like any failure.
+#[cfg(unix)]
+#[test]
+fn every_answered_frame_is_counted_once() {
+    use flow3d_serve::{read_frame, write_frame};
+    use std::io::Write;
+
+    let dir = std::env::temp_dir().join(format!("flow3d_counts_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let flight = dir.join("flight.json");
+    let log = dir.join("events.jsonl");
+    let server = Server::new(ServerConfig {
+        flight_path: Some(flight.to_string_lossy().into_owned()),
+        log_path: Some(log.to_string_lossy().into_owned()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let (mut ours, theirs) = std::os::unix::net::UnixStream::pair().unwrap();
+    let handler = server.clone();
+    std::thread::spawn(move || handler.handle_connection(theirs));
+    let code = |resp: &Json| {
+        resp.get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Json::as_str)
+            .map(str::to_string)
+    };
+
+    write_frame(&mut ours, &obj(vec![("cmd", Json::Str("bogus".into()))])).unwrap();
+    let resp = read_frame(&mut ours).unwrap().unwrap();
+    assert_eq!(code(&resp).as_deref(), Some("bad_request"), "{resp}");
+    let dump = Json::parse(std::fs::read_to_string(&flight).unwrap().trim()).unwrap();
+    assert_eq!(dump.get("reason"), Some(&Json::Str("request_error".into())));
+    let failed = std::fs::read_to_string(&log).unwrap();
+    assert!(
+        failed
+            .lines()
+            .any(|line| line.contains("\"request_failed\"")
+                && line.contains("\"bad_request\"")
+                && line.contains("unknown cmd")),
+        "the invalid request must be logged as failed: {failed}"
+    );
+
+    ours.write_all(&3u32.to_be_bytes()).unwrap();
+    ours.write_all(b"{x}").unwrap();
+    ours.flush().unwrap();
+    let resp = read_frame(&mut ours).unwrap().unwrap();
+    assert_eq!(code(&resp).as_deref(), Some("malformed_frame"), "{resp}");
+
+    let mut client = socketpair_client(&server);
+    let resp = client
+        .request(&obj(vec![("cmd", Json::Str("stats".into()))]))
+        .unwrap();
+    let stats = assert_ok(&resp);
+    assert_eq!(stats.get("requests").and_then(Json::as_u64), Some(2));
+    assert_eq!(stats.get("errors").and_then(Json::as_u64), Some(2));
+    let resp = client
+        .request(&obj(vec![("cmd", Json::Str("metrics".into()))]))
+        .unwrap();
+    let window = assert_ok(&resp).get("window").unwrap();
+    assert_eq!(window.get("total_requests").and_then(Json::as_u64), Some(3));
+    assert_eq!(window.get("total_errors").and_then(Json::as_u64), Some(2));
+    shutdown_and_join(&mut client, &server);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `--trace DIR` exports one Chrome trace per load/eco request, named
 /// `<case>_r<id>.trace.json` and process-tagged `case#r<id>`.
 #[test]
