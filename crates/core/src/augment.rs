@@ -7,7 +7,7 @@
 //! still untouched when its outgoing move executes.
 
 use crate::search::AugmentingPath;
-use crate::selection::{select_moves, SelectionParams};
+use crate::selection::{select_into, SelectionBuf, SelectionParams};
 use crate::state::FlowState;
 
 /// Realizes `path`, mutating `state`. Returns the number of whole-cell
@@ -19,12 +19,17 @@ use crate::state::FlowState;
 /// to the search. Such edges are fulfilled partially or skipped — both
 /// only ever *under*-fill downstream bins, never create new overflow; any
 /// supply left at the source is re-queued by the flow pass.
+///
+/// One candidate buffer and one move list serve every selection of the
+/// path.
 pub fn realize(
     state: &mut FlowState<'_>,
     path: &AugmentingPath,
     params: &SelectionParams,
 ) -> usize {
     let mut whole_moves = 0;
+    let mut buf = SelectionBuf::default();
+    let mut moves = Vec::new();
     for i in (1..path.steps.len()).rev() {
         let from = path.steps[i - 1];
         let to = path.steps[i];
@@ -32,15 +37,19 @@ pub fn realize(
         if needed <= 0 {
             continue; // drift absorbed the surplus: nothing to forward
         }
-        let sel = loop {
-            match select_moves(state, from.bin, to.bin, to.edge, needed, params) {
-                Some(sel) => break Some(sel),
+        let found = loop {
+            match select_into(
+                state, from.bin, to.bin, to.edge, needed, params, &mut buf, &mut moves,
+            ) {
+                Some(_) => break true,
                 None if needed > 1 => needed /= 2, // partial fulfilment
-                None => break None,
+                None => break false,
             }
         };
-        let Some(sel) = sel else { continue };
-        for mv in &sel.moves {
+        if !found {
+            continue;
+        }
+        for mv in &moves {
             if mv.whole {
                 state.remove_cell(mv.cell);
                 state.insert_cell_whole(mv.cell, to.bin);

@@ -8,8 +8,8 @@ use crate::error::LegalizeError;
 use crate::grid::{BinGrid, BinId};
 use crate::placerow::{place_row_with, RowAlgo, RowItem};
 use crate::search::{
-    find_path_limited, AugmentingPath, SearchCounters, SearchParams, SearchPool, SearchScratch,
-    TabuList,
+    find_path_limited, AugmentingPath, EdgeTabu, SearchCounters, SearchParams, SearchPool,
+    SearchScratch,
 };
 use crate::selection::SelectionParams;
 use crate::state::FlowState;
@@ -48,7 +48,7 @@ fn search_source(
     bin: BinId,
     sup: i64,
     params: &SearchParams,
-    tabu: Option<&TabuList>,
+    tabu: &EdgeTabu<'_>,
     scratch: &mut SearchScratch,
 ) -> SourceSearch {
     let mut counters = SearchCounters::default();
@@ -76,7 +76,7 @@ fn search_source(
                 bin,
                 limit,
                 &attempt_params,
-                tabu,
+                Some(tabu),
                 scratch,
                 &mut counters,
             ) {
@@ -179,19 +179,23 @@ pub fn flow_pass(
     // burning more rounds.
     let mut guard = 64 * state.overflowed_bins().len() + 4 * num_bins + 64;
     // Ping-pong bookkeeping, all coordinator-side and derived from the
-    // serial apply order (thread-count invariant). `last_applied` maps a
-    // directed bin edge to the round that last pushed flow across it;
-    // when a round applies the reverse of an edge applied within the
-    // detection window, both directions go tabu for `TABU_ROUNDS`.
-    const PING_PONG_WINDOW: u64 = 1;
-    const TABU_ROUNDS: u64 = 8;
-    let mut round: u64 = 0;
-    let mut last_applied: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-    let mut tabu_until: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+    // serial apply order (thread-count invariant), in round stamps per
+    // CSR edge id that start clean on every pass. `last_applied` holds
+    // one more than the round that last pushed flow across an edge (0:
+    // never); when a round applies the reverse of an edge applied within
+    // the detection window, both directions go tabu for `TABU_ROUNDS`,
+    // and `free_from` holds the first round an edge may be searched
+    // again (0: never tabooed).
+    const PING_PONG_WINDOW: u32 = 1;
+    const TABU_ROUNDS: u32 = 8;
+    let mut round: u32 = 0;
+    let mut last_applied = vec![0u32; state.grid.num_edges()];
+    let mut free_from = vec![0u32; state.grid.num_edges()];
     let mut tabu_edges: u64 = 0;
-    // Worker search scratch (node arena, heap, selection buffer)
-    // persists across rounds so its allocations amortize over the whole
-    // pass, and across whole passes when the caller owns the pool.
+    // Worker search scratch (node arena, heap, selection buffers, edge
+    // rankings) persists across rounds so its allocations amortize over
+    // the whole pass, and across whole passes when the caller owns the
+    // pool.
     loop {
         // Round sources: every overflowed bin, most loaded first (bin id
         // breaks ties) — a deterministic function of the state alone.
@@ -204,21 +208,14 @@ pub fn flow_pass(
             break;
         }
         sources.sort_by_key(|&(sup, b)| (std::cmp::Reverse(sup), b));
-        // Freeze this round's tabu list (expired entries drop out first).
-        tabu_until.retain(|_, until| *until > round);
-        let tabu_list = TabuList::from_edges(
-            tabu_until
-                .keys()
-                .map(|&(u, v)| (BinId(u), BinId(v)))
-                .collect(),
-        );
-        let tabu = (!tabu_list.is_empty()).then_some(&tabu_list);
+        let tabu = EdgeTabu::new(&free_from, round);
 
         // Batch: one read-only search per source against the frozen
         // state, fanned out across the pool. Worker-local scratch reuses
-        // its buffers across the items one worker claims and carries
-        // nothing between them, so which slot serves which source cannot
-        // change any outcome.
+        // its buffers across the items one worker claims; the only thing
+        // it keeps between them is the rankings of this frozen state,
+        // which any worker would compute identically, so which slot
+        // serves which source cannot change any outcome.
         obs.begin("search_batch");
         let frozen: &FlowState<'_> = state;
         let (candidates, worker_profiles) = flow3d_par::par_map_with_pool(
@@ -232,7 +229,7 @@ pub fn flow_pass(
                 if observing {
                     wprof.begin("source_search");
                 }
-                let result = search_source(frozen, bin, sup, params, tabu, scratch);
+                let result = search_source(frozen, bin, sup, params, &tabu, scratch);
                 if observing {
                     wprof.end("source_search");
                 }
@@ -304,19 +301,24 @@ pub fn flow_pass(
             // both directions for a bounded window so the search must
             // route around the oscillation instead of burning the guard.
             for w in path.steps.windows(2) {
-                let e = (w[0].bin.0, w[1].bin.0);
-                let rev = (e.1, e.0);
-                if last_applied
-                    .get(&rev)
-                    .is_some_and(|&r| round.saturating_sub(r) <= PING_PONG_WINDOW)
-                {
-                    for edge in [e, rev] {
-                        if tabu_until.insert(edge, round + 1 + TABU_ROUNDS).is_none() {
+                let edge = |from: BinId, to: BinId| {
+                    state
+                        .grid
+                        .edge_between(from, to)
+                        // flow3d-tidy: allow(panic-unwrap) — invariant: a path steps along grid edges, and every edge has its reverse
+                        .expect("path step without a grid edge")
+                };
+                let (e, rev) = (edge(w[0].bin, w[1].bin), edge(w[1].bin, w[0].bin));
+                let applied_at = last_applied[rev];
+                if applied_at > 0 && round - (applied_at - 1) <= PING_PONG_WINDOW {
+                    for t in [e, rev] {
+                        if free_from[t] <= round {
                             tabu_edges += 1;
                         }
+                        free_from[t] = round.saturating_add(1 + TABU_ROUNDS);
                     }
                 }
-                last_applied.insert(e, round);
+                last_applied[e] = round.saturating_add(1);
             }
             obs.record(hist_keys::SEARCH_DEPTH, path.depth() as f64);
             if heatmaps {
@@ -361,7 +363,7 @@ pub fn flow_pass(
                 }
             }
         }
-        round += 1;
+        round = round.saturating_add(1);
     }
     stats.nodes_expanded += counters.expanded;
     if let Some(p) = obs.as_deref_mut() {
@@ -1072,6 +1074,65 @@ mod tests {
             assert_eq!(parallel.placement, serial.placement, "threads={threads}");
             assert_eq!(parallel.stats, serial.stats, "threads={threads}");
         }
+    }
+
+    /// Post-optimization and the ECO engine run consecutive flow passes
+    /// on one search pool. Nothing a pass leaves there (kept rankings,
+    /// the tabu of its last rounds) may reach the next pass: two passes
+    /// on one pool give the placements, stats and profile counters of
+    /// the same passes on fresh pools.
+    #[test]
+    fn consecutive_passes_on_one_pool_match_fresh_pools() {
+        let (d, gp) = m1h_fixture();
+        let cfg = Flow3dConfig::default();
+        let layout = RowLayout::build(&d);
+        // Bins two cells wide: both passes tabu edges on this grid.
+        let widths = bin_widths(&d, 2.0);
+        let grid = BinGrid::build(&d, &layout, &widths, cfg.allow_d2d);
+        let params = search_params(&d, &cfg);
+        let run = |mut shared: Option<SearchPool>| {
+            let mut dies = assign::partition_dies(&d, &gp).unwrap();
+            let mut state = assign::build_state(&d, &layout, &grid, &gp, &mut dies).unwrap();
+            let mut profile = Profile::new();
+            let mut stats = LegalizeStats::default();
+            let mut placements = Vec::new();
+            for pass in 0..2 {
+                if pass > 0 {
+                    // As post-optimization does: re-seed under the
+                    // journal, here every cell back at its anchor, so
+                    // the second pass meets the first one's congestion.
+                    let seeds: Vec<crate::state::Seed> = (0..d.num_cells())
+                        .map(CellId::new)
+                        .map(|cell| crate::state::Seed {
+                            cell,
+                            die: state.cell_die(cell),
+                            at: state.anchor(cell),
+                            any_die: false,
+                        })
+                        .collect();
+                    state.checkpoint();
+                    assert!(state.seed(&seeds).is_empty());
+                }
+                let mut fresh = SearchPool::new();
+                let pool = shared.as_mut().unwrap_or(&mut fresh);
+                flow_pass(&mut state, &params, 2, &mut stats, Some(&mut profile), pool).unwrap();
+                placements.push(placerow_all(&state, cfg.row_algo, 1, None).unwrap());
+            }
+            let counters: Vec<(String, u64)> = profile
+                .counters()
+                .iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect();
+            (placements, stats, counters)
+        };
+        let on_one_pool = run(Some(SearchPool::new()));
+        assert_eq!(on_one_pool, run(None));
+        let counter = |key: &str| on_one_pool.2.iter().find(|(k, _)| k == key).unwrap().1;
+        assert_eq!(counter(keys::FLOW_PASSES), 2);
+        assert!(
+            counter(keys::PING_PONG_TABUS) > 0,
+            "the passes no longer tabu an edge; the check that no tabu leaks is vacuous"
+        );
     }
 
     #[test]

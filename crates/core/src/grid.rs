@@ -259,6 +259,27 @@ impl BinGrid {
         &self.adj_edges[lo..hi]
     }
 
+    /// Number of directed edges.
+    pub(crate) fn num_edges(&self) -> usize {
+        self.adj_edges.len()
+    }
+
+    /// Id of the first edge out of `id`: the edge to `neighbors(id)[j]`
+    /// has id `first_edge(id) + j`, below [`num_edges`](Self::num_edges).
+    #[inline]
+    pub(crate) fn first_edge(&self, id: BinId) -> usize {
+        self.adj_off[id.index()] as usize
+    }
+
+    /// Id of the directed edge `from -> to`, if the grid has one. Every
+    /// bin pair is joined by at most one edge per direction.
+    pub(crate) fn edge_between(&self, from: BinId, to: BinId) -> Option<usize> {
+        self.neighbors(from)
+            .iter()
+            .position(|&(b, _)| b == to)
+            .map(|j| self.first_edge(from) + j)
+    }
+
     /// Bins of `segment`, sorted by x.
     pub fn bins_in_segment(&self, segment: SegmentId) -> &[BinId] {
         &self.seg_bins[segment.index()]
@@ -520,5 +541,21 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn edge_ids_name_each_directed_bin_pair_once() {
+        let (_, _, g) = grid(true, 100, true);
+        let mut seen = vec![false; g.num_edges()];
+        for i in 0..g.num_bins() {
+            let from = BinId::new(i);
+            for &(to, _) in g.neighbors(from) {
+                let edge = g.edge_between(from, to).unwrap();
+                assert_eq!(g.neighbors(from)[edge - g.first_edge(from)].0, to);
+                assert!(!seen[edge], "two edges {from} -> {to}");
+                seen[edge] = true;
+            }
+        }
+        assert!(seen.iter().all(|&s| s));
     }
 }

@@ -17,9 +17,11 @@
 //! * the bound is also applied at **pop time**, so entries queued before
 //!   `best` tightened are dropped for the cost of one comparison instead
 //!   of a full expansion (and no longer inflate the `expanded` counter);
-//! * each edge's selection runs through [`select_summary`], which ranks
-//!   candidates into the scratch's [`SelectionBuf`] and builds no move
-//!   list, so an expansion allocates nothing.
+//! * each edge's selection walks a ranking the scratch keeps per grid
+//!   edge and state version (`selection::RankCache`): of the searches a
+//!   flow round runs against one frozen state, only the first to expand
+//!   an edge ranks its candidates, and no expansion builds a move list
+//!   or allocates.
 //!
 //! The same routine runs in **Dijkstra mode** (for the BonnPlaceLegal
 //! baseline): costs are clamped non-negative by the selection layer, every
@@ -27,7 +29,7 @@
 //! *candidate* popped is provably the cheapest — the classic early exit.
 
 use crate::grid::{BinId, EdgeKind};
-use crate::selection::{select_summary, SelectionBuf, SelectionParams};
+use crate::selection::{RankCache, SelectionBuf, SelectionParams};
 use crate::state::FlowState;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -58,37 +60,35 @@ impl Default for SearchParams {
     }
 }
 
-/// A sorted set of tabooed directed edges: the flow-pass coordinator
-/// lists `(from, to)` bin pairs a search must not traverse for a
-/// bounded window after detecting A↔B ping-ponging (a path moving cells
-/// right back where the previous round moved them from). Frozen per
-/// round and derived only from the deterministic serial apply order, so
-/// its effect — like everything else in the search — is invariant under
-/// the worker count.
-#[derive(Debug, Clone, Default)]
+/// The ping-pong tabu of one flow round: the directed grid edges a
+/// search must not traverse. The flow-pass coordinator keeps, per CSR
+/// edge id, the first round in which the edge is free again, and tabus
+/// both directions of an edge for a bounded window after detecting A↔B
+/// ping-ponging (a path moving cells right back where the previous round
+/// moved them from). The stamps change only between rounds and derive
+/// only from the deterministic serial apply order, so their effect —
+/// like everything else in the search — is invariant under the worker
+/// count.
+#[derive(Debug, Clone, Copy)]
 // flow3d-tidy: allow(dead-pub) — facade API (flow3d::core) for embedders that drive the legalizer below the Legalizer trait
-pub struct TabuList {
-    edges: Vec<(u32, u32)>,
+pub struct EdgeTabu<'a> {
+    /// Per edge id, the first round the edge may be traversed in.
+    free_from: &'a [u32],
+    /// The current round.
+    round: u32,
 }
 
-impl TabuList {
-    /// Builds the list from directed edges (deduplicated, sorted).
-    pub fn from_edges(edges: Vec<(BinId, BinId)>) -> Self {
-        let mut edges: Vec<(u32, u32)> = edges.into_iter().map(|(u, v)| (u.0, v.0)).collect();
-        edges.sort_unstable();
-        edges.dedup();
-        Self { edges }
+impl<'a> EdgeTabu<'a> {
+    /// The tabu of `round`, given per edge id the first round the edge
+    /// may be traversed in (0 for an edge never tabooed).
+    pub fn new(free_from: &'a [u32], round: u32) -> Self {
+        Self { free_from, round }
     }
 
-    /// Whether no edge is tabooed.
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
-    /// Whether traversing `u -> v` is currently tabooed.
+    /// Whether the edge with CSR id `edge` is tabooed this round.
     #[inline]
-    pub fn contains(&self, u: BinId, v: BinId) -> bool {
-        self.edges.binary_search(&(u.0, v.0)).is_ok()
+    pub fn blocks(&self, edge: usize) -> bool {
+        self.free_from[edge] > self.round
     }
 }
 
@@ -147,10 +147,12 @@ pub struct SearchCounters {
 
 /// Reusable scratch buffers: allocate once per legalization, reuse across
 /// the thousands of searches. Holds the visited-epoch set, the node
-/// arena, the priority queue, and the selection candidate buffer; all
-/// are cleared (or epoch-invalidated), never reallocated, between
-/// searches, so their contents can never leak into a later search's
-/// result.
+/// arena, the priority queue, the selection candidate buffer and the
+/// edge rankings of the current state version. The first four are
+/// cleared (or epoch-invalidated), never reallocated, between searches;
+/// the rankings are kept while the state version and the selection
+/// parameters stay the same, and each lookup checks both, so nothing a
+/// search leaves behind can change a later search's result.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
     visited_epoch: Vec<u32>,
@@ -158,6 +160,7 @@ pub struct SearchScratch {
     nodes: Vec<Node>,
     heap: BinaryHeap<Reverse<(OrdF64, u32)>>,
     selection: SelectionBuf,
+    ranks: RankCache,
 }
 
 impl SearchScratch {
@@ -169,6 +172,7 @@ impl SearchScratch {
             nodes: Vec::new(),
             heap: BinaryHeap::new(),
             selection: SelectionBuf::default(),
+            ranks: RankCache::default(),
         }
     }
 
@@ -198,8 +202,8 @@ impl SearchScratch {
 /// lifetime): the per-worker [`SearchScratch`]es, grown to the worker
 /// count on demand by [`flow_pass`](crate::driver::flow_pass). Keeping a pool
 /// resident (see `crate::EcoEngine`) amortizes the scratch allocations
-/// over many requests; the scratches never carry results between
-/// searches.
+/// over many requests; the scratches carry rankings only within one
+/// state version, never results.
 #[derive(Debug, Default)]
 pub struct SearchPool {
     pub(crate) scratches: Vec<SearchScratch>,
@@ -246,14 +250,15 @@ fn bound(best: f64, alpha: f64, slack: f64) -> f64 {
 }
 
 /// Finds the cheapest augmenting path draining `source`'s supply, or
-/// `None` when no reachable bin set can absorb it. Edges in `tabu` (the
-/// flow-pass ping-pong detector's round-frozen list) are not traversed.
+/// `None` when no reachable bin set can absorb it. Edges `tabu` blocks
+/// (the flow-pass ping-pong detector's round-frozen stamps) are not
+/// traversed.
 // flow3d-tidy: allow(dead-pub) — facade API (flow3d::core) for embedders that drive the legalizer below the Legalizer trait
 pub fn find_path(
     state: &FlowState<'_>,
     source: BinId,
     params: &SearchParams,
-    tabu: Option<&TabuList>,
+    tabu: Option<&EdgeTabu<'_>>,
     scratch: &mut SearchScratch,
     counters: &mut SearchCounters,
 ) -> Option<AugmentingPath> {
@@ -272,7 +277,7 @@ pub fn find_path_limited(
     source: BinId,
     limit: i64,
     params: &SearchParams,
-    tabu: Option<&TabuList>,
+    tabu: Option<&EdgeTabu<'_>>,
     scratch: &mut SearchScratch,
     counters: &mut SearchCounters,
 ) -> Option<AugmentingPath> {
@@ -336,11 +341,13 @@ pub fn find_path_limited(
         if needed <= 0 {
             continue; // absorbing node (candidate already recorded)
         }
-        for &(nbr, kind) in state.grid.neighbors(node.bin) {
+        let first_edge = state.grid.first_edge(node.bin);
+        for (j, &(nbr, kind)) in state.grid.neighbors(node.bin).iter().enumerate() {
             if scratch.visited(nbr) {
                 continue;
             }
-            if tabu.is_some_and(|t| t.contains(node.bin, nbr)) {
+            let edge = first_edge + j;
+            if tabu.is_some_and(|t| t.blocks(edge)) {
                 // Ping-pong suppression: the reverse of this edge was
                 // applied recently; the bin stays reachable via other
                 // routes, this edge just sits the window out.
@@ -349,9 +356,10 @@ pub fn find_path_limited(
             // The search consumes only the (cost, added_to_v) summary of
             // a selection; `augment::realize` recomputes the full move
             // list against the same frozen state when a path is applied.
-            let Some((sel_cost, added_to_v)) = select_summary(
+            let Some((sel_cost, added_to_v)) = scratch.ranks.summary(
                 state,
                 node.bin,
+                j,
                 nbr,
                 kind,
                 needed,
@@ -700,10 +708,10 @@ mod tests {
     }
 
     #[test]
-    fn tabu_list_blocks_an_edge_and_changes_the_escape() {
+    fn edge_tabu_blocks_an_edge_and_changes_the_escape() {
         // Whatever edge the free search takes out of the overflowed
-        // source, tabu it: the re-search must route around it (the
-        // reverse direction stays open in the list).
+        // source, tabu it for round 0: the re-search must route around
+        // it (the reverse direction stays open, and round 1 frees it).
         let d = fixture();
         let (layout, grid) = setup(&d, false);
         let bins = grid.bins_in_segment(seg(&layout, DieId::BOTTOM, 0));
@@ -719,9 +727,14 @@ mod tests {
             find_path(&st, bins[0], &params, None, &mut scratch, &mut counters).expect("path");
         let first_hop = free.steps[1].bin;
 
-        let tabu = TabuList::from_edges(vec![(bins[0], first_hop)]);
-        assert!(tabu.contains(bins[0], first_hop));
-        assert!(!tabu.contains(first_hop, bins[0]));
+        let out = grid.edge_between(bins[0], first_hop).unwrap();
+        let back = grid.edge_between(first_hop, bins[0]).unwrap();
+        let mut free_from = vec![0; grid.num_edges()];
+        free_from[out] = 1;
+        let tabu = EdgeTabu::new(&free_from, 0);
+        assert!(tabu.blocks(out));
+        assert!(!tabu.blocks(back));
+        assert!(!EdgeTabu::new(&free_from, 1).blocks(out));
         let detour = find_path(
             &st,
             bins[0],
@@ -747,5 +760,150 @@ mod tests {
             s.mark(BinId::new(2));
             assert!(s.visited(BinId::new(2)));
         }
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use crate::grid::BinGrid;
+    use crate::state::prop_tests::random_op;
+    use flow3d_db::{DesignBuilder, DieSpec, LibCellSpec, RowLayout, TechnologySpec};
+    use proptest::prelude::*;
+
+    /// SplitMix64's finalizer: the shuffle key of a work item.
+    fn mix(mut x: u64) -> u64 {
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    }
+
+    /// The rankings a scratch keeps must never change a search. One
+    /// scratch serves every source's full retry ladder (bounded, then
+    /// unbounded, in best-first mode, and in clamped-Dijkstra mode) in
+    /// shuffled order, so the kept rankings flip between parameter sets,
+    /// while random mutations through every state mutator — checkpoint
+    /// and rollback included — run between the search rounds. Each
+    /// search must equal the same search on a fresh scratch: steps, cost
+    /// bits and all four counters.
+    #[test]
+    fn kept_rankings_never_change_a_search() {
+        let mut b = DesignBuilder::new("t")
+            .technology(
+                TechnologySpec::new("TA")
+                    .lib_cell(LibCellSpec::std_cell("C", 30, 10))
+                    .lib_cell(LibCellSpec::std_cell("D", 50, 10)),
+            )
+            .technology(
+                TechnologySpec::new("TB")
+                    .lib_cell(LibCellSpec::std_cell("C", 24, 8))
+                    .lib_cell(LibCellSpec::std_cell("D", 40, 8)),
+            )
+            .die(DieSpec::new("bottom", "TA", (0, 0, 180, 30), 10, 1, 1.0))
+            .die(DieSpec::new("top", "TB", (0, 0, 180, 24), 8, 1, 0.9));
+        for i in 0..16 {
+            b = b.cell(format!("u{i}"), if i % 3 == 0 { "D" } else { "C" });
+        }
+        let design = b.build().unwrap();
+        let layout = RowLayout::build(&design);
+        let grid = BinGrid::build(&design, &layout, &[60, 60], true);
+        let best_first = SearchParams {
+            alpha: 0.1,
+            slack: 8.0,
+            dijkstra: false,
+            selection: SelectionParams {
+                d2d_penalty: 10.0,
+                ..SelectionParams::default()
+            },
+        };
+        let modes = [
+            best_first,
+            SearchParams {
+                alpha: f64::INFINITY,
+                ..best_first
+            },
+            SearchParams {
+                dijkstra: true,
+                selection: SelectionParams {
+                    clamp_negative: true,
+                    ..best_first.selection
+                },
+                ..best_first
+            },
+        ];
+        let op = || (0usize..16, 0u8..6, -20i64..200, 0usize..64);
+
+        let (mut searches, mut found) = (0usize, 0usize);
+        proptest!(ProptestConfig::with_cases(256), |(
+            anchors in proptest::collection::vec((-20i64..200, 0i64..30), 16),
+            setup in proptest::collection::vec(op(), 16..48),
+            rounds in proptest::collection::vec((op(), 0u8..4, 0u64..u64::MAX), 4..24),
+        )| {
+            let anchors = anchors
+                .into_iter()
+                .map(|(x, y)| flow3d_geom::Point::new(x, y))
+                .collect();
+            let mut st = FlowState::new(&design, &layout, &grid, anchors);
+            for o in setup {
+                random_op(&mut st, o);
+            }
+            let mut scratch = SearchScratch::default();
+            let mut journal = false;
+            // One mutation per round, so a mutator that failed to move
+            // the version would leave the round's searches reading the
+            // rankings of the state before it.
+            for (o, journal_op, shuffle) in rounds {
+                match journal_op {
+                    1 => {
+                        st.checkpoint();
+                        journal = true;
+                        random_op(&mut st, o);
+                    }
+                    2 if journal => {
+                        st.rollback();
+                        journal = false;
+                    }
+                    _ => random_op(&mut st, o),
+                }
+                let mut work: Vec<(u64, SearchParams, BinId)> = st
+                    .overflowed_bins()
+                    .into_iter()
+                    .flat_map(|bin| modes.iter().map(move |&mode| (mode, bin)))
+                    .enumerate()
+                    .map(|(i, (mode, bin))| (mix(shuffle ^ i as u64), mode, bin))
+                    .collect();
+                work.sort_by_key(|w| w.0);
+                for (_, mode, bin) in work {
+                    let mut limit = st.sup(bin);
+                    while limit > 0 {
+                        let mut kept = SearchCounters::default();
+                        let got =
+                            find_path_limited(&st, bin, limit, &mode, None, &mut scratch, &mut kept);
+                        let mut fresh = SearchCounters::default();
+                        let want = find_path_limited(
+                            &st,
+                            bin,
+                            limit,
+                            &mode,
+                            None,
+                            &mut SearchScratch::default(),
+                            &mut fresh,
+                        );
+                        let key = |p: &Option<AugmentingPath>| {
+                            p.as_ref().map(|p| (p.steps.clone(), p.cost.to_bits()))
+                        };
+                        prop_assert_eq!(key(&got), key(&want), "bin {:?} limit {}", bin, limit);
+                        prop_assert_eq!(kept, fresh, "bin {:?} limit {}", bin, limit);
+                        searches += 1;
+                        found += usize::from(got.is_some());
+                        limit /= 2;
+                    }
+                }
+            }
+        });
+        assert!(
+            searches >= 20_000 && found >= 10_000,
+            "fixture too sparse: {searches} searches, {found} paths"
+        );
     }
 }

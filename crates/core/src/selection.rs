@@ -100,7 +100,7 @@ struct Candidate {
 }
 
 /// Flow accounting of one selection walk.
-struct Walk {
+pub(crate) struct Walk {
     removed: i64,
     added: i64,
     cost: f64,
@@ -119,15 +119,33 @@ pub fn select_moves(
 ) -> Option<Selection> {
     let mut moves = Vec::new();
     let mut buf = SelectionBuf::default();
-    let walk = select_with(state, u, v, kind, needed, params, &mut buf, |m| {
-        moves.push(m)
-    })?;
+    let walk = select_into(state, u, v, kind, needed, params, &mut buf, &mut moves)?;
     Some(Selection {
         moves,
         removed_from_u: walk.removed,
         added_to_v: walk.added,
         cost: walk.cost,
     })
+}
+
+/// [`select_moves`] into caller-owned buffers: ranks into `buf` and
+/// replaces the contents of `moves` with the chosen moves, so a caller
+/// that keeps both (`augment::realize` does for a whole path) selects
+/// without allocating. On `None`, `moves` holds the partial walk.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn select_into(
+    state: &FlowState<'_>,
+    u: BinId,
+    v: BinId,
+    kind: EdgeKind,
+    needed: i64,
+    params: &SelectionParams,
+    buf: &mut SelectionBuf,
+    moves: &mut Vec<Move>,
+) -> Option<Walk> {
+    moves.clear();
+    rank(state, u, v, kind, params, &mut buf.ranked);
+    walk(state, v, kind, needed, &buf.ranked, |m| moves.push(m))
 }
 
 /// The `(cost, added_to_v)` of [`select_moves`] on the same arguments,
@@ -143,31 +161,154 @@ pub fn select_summary(
     params: &SelectionParams,
     buf: &mut SelectionBuf,
 ) -> Option<(f64, i64)> {
-    select_with(state, u, v, kind, needed, params, buf, |_| {}).map(|w| (w.cost, w.added))
+    rank(state, u, v, kind, params, &mut buf.ranked);
+    walk(state, v, kind, needed, &buf.ranked, |_| {}).map(|w| (w.cost, w.added))
 }
 
-/// The one selection: rank every candidate fragment of `u` into `buf`,
-/// then walk them cheapest first until `needed` is covered, handing each
-/// chosen move to `emit`.
+/// Candidates a [`RankCache`] keeps at most (1.25 MiB of them), and
+/// edges it keeps a span for at most (256 KiB of spans). A ranking that
+/// no longer fits is made and walked without being kept.
+const RANK_CACHE_CAPACITY: usize = 1 << 15;
+
+/// A span no ranking has filled yet.
+const UNRANKED: (u32, u32) = (u32::MAX, 0);
+
+/// The edge rankings one search worker has made in one state version.
+///
+/// A ranking (the ordered candidate list of an edge `(u, v)`) depends
+/// on the state and the [`SelectionParams`] only, not on the flow
+/// `needed` across the edge. Every source search of a flow round reads
+/// the same frozen state and expands many of the same edges, so the
+/// first expansion of an edge ranks it here and every later expansion,
+/// by any search, only walks its own `needed` over the kept ranking.
+///
+/// Validity is checked on every lookup, not left to the caller: the
+/// rankings belong to one `(FlowState::version, parameters)` key, and a
+/// lookup under another key drops them all (a generation bump, so it
+/// costs O(1)). Every state mutator moves the version to a value no
+/// state has had, so a stale ranking cannot be read. A lookup returns
+/// exactly what [`select_summary`] would.
+#[derive(Debug, Default)]
+pub(crate) struct RankCache {
+    /// State version and parameter bits the kept rankings belong to.
+    key: Option<(u64, [u64; 3])>,
+    /// Generation of `key`; a bin entry of another generation is unset.
+    generation: u32,
+    /// Per bin: the generation in which its out-edges got spans, and the
+    /// index of the first of those spans.
+    bins: Vec<(u32, u32)>,
+    /// Per out-edge of each bin with spans, in neighbour order: where
+    /// the edge's ranking sits in `arena`, or [`UNRANKED`].
+    spans: Vec<(u32, u32)>,
+    /// Rankings back to back.
+    arena: Vec<Candidate>,
+}
+
+impl RankCache {
+    /// The [`select_summary`] of the edge from `u` to its `j`-th
+    /// neighbour `v`, bit for bit. Ranks the edge only if no earlier
+    /// lookup under the same key did; `buf` takes a ranking the cache
+    /// has no room for.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn summary(
+        &mut self,
+        state: &FlowState<'_>,
+        u: BinId,
+        j: usize,
+        v: BinId,
+        kind: EdgeKind,
+        needed: i64,
+        params: &SelectionParams,
+        buf: &mut SelectionBuf,
+    ) -> Option<(f64, i64)> {
+        self.sync(state, params);
+        let span = self.span(state, u, j);
+        let ranked = match span.map(|i| self.spans[i]) {
+            Some((start, len)) if start != UNRANKED.0 => {
+                &self.arena[start as usize..][..len as usize]
+            }
+            _ => {
+                rank(state, u, v, kind, params, &mut buf.ranked);
+                let start = self.arena.len();
+                let len = buf.ranked.len();
+                if let Some(i) = span.filter(|_| start + len <= RANK_CACHE_CAPACITY) {
+                    self.arena.extend_from_slice(&buf.ranked);
+                    self.spans[i] = (start as u32, len as u32);
+                }
+                &buf.ranked
+            }
+        };
+        walk(state, v, kind, needed, ranked, |_| {}).map(|w| (w.cost, w.added))
+    }
+
+    /// The index in `spans` of the edge from `u` to its `j`-th
+    /// neighbour, giving `u`'s out-edges spans if they have none in this
+    /// generation; `None` when the spans are at capacity.
+    fn span(&mut self, state: &FlowState<'_>, u: BinId, j: usize) -> Option<usize> {
+        let (generation, first) = self.bins[u.index()];
+        if generation == self.generation {
+            return Some(first as usize + j);
+        }
+        let first = self.spans.len();
+        let degree = state.grid.neighbors(u).len();
+        if first + degree > RANK_CACHE_CAPACITY {
+            return None;
+        }
+        self.spans.resize(first + degree, UNRANKED);
+        self.bins[u.index()] = (self.generation, first as u32);
+        Some(first + j)
+    }
+
+    /// Drops every ranking unless they belong to `state`'s version and
+    /// `params`, and sizes the bin entries to `state`'s grid.
+    fn sync(&mut self, state: &FlowState<'_>, params: &SelectionParams) {
+        let key = (
+            state.version(),
+            [
+                u64::from(params.clamp_negative),
+                u64::from(params.d2d_congestion_cost),
+                params.d2d_penalty.to_bits(),
+            ],
+        );
+        if self.key != Some(key) {
+            self.key = Some(key);
+            self.arena.clear();
+            self.spans.clear();
+            self.generation = self.generation.wrapping_add(1);
+            if self.generation == 0 {
+                self.bins.fill((0, 0));
+                self.generation = 1;
+            }
+        }
+        let bins = state.grid.num_bins();
+        if self.bins.len() < bins {
+            // All three buffers are allocated zeroed or empty at their
+            // final size, so only the pages a pass writes become
+            // resident.
+            self.bins = vec![(0, 0); bins];
+            self.spans.reserve_exact(RANK_CACHE_CAPACITY);
+            self.arena.reserve_exact(RANK_CACHE_CAPACITY);
+        }
+    }
+}
+
+/// Walks `ranked` (the ranking of `(u, v)`) cheapest first until
+/// `needed` is covered, handing each chosen move to `emit`.
 ///
 /// * Across a horizontal edge each candidate contributes at most its
 ///   contiguity-bounded slice, and the last one only what is still
 ///   needed.
 /// * Across vertical and D2D edges whole cells move. A D2D move that
 ///   would break the target die's utilization cap is skipped.
-#[allow(clippy::too_many_arguments)]
-fn select_with(
+fn walk(
     state: &FlowState<'_>,
-    u: BinId,
     v: BinId,
     kind: EdgeKind,
     needed: i64,
-    params: &SelectionParams,
-    buf: &mut SelectionBuf,
+    ranked: &[Candidate],
     mut emit: impl FnMut(Move),
 ) -> Option<Walk> {
     debug_assert!(needed > 0, "selection needs positive outflow");
-    rank(state, u, v, kind, params, &mut buf.ranked);
     let whole = kind != EdgeKind::Horizontal;
     let cross_die = kind == EdgeKind::DieToDie;
     let die_v = state.grid.bin(v).die;
@@ -181,7 +322,7 @@ fn select_with(
         added: 0,
         cost: 0.0,
     };
-    for c in &buf.ranked {
+    for c in ranked {
         if walk.removed >= needed {
             break;
         }

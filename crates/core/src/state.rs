@@ -11,6 +11,17 @@
 use crate::grid::{Bin, BinGrid, BinId};
 use flow3d_db::{CellId, Design, DieId, RowLayout, SegmentId};
 use flow3d_geom::Point;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The last [`FlowState::version`] handed out, process-wide.
+static LAST_VERSION: AtomicU64 = AtomicU64::new(0);
+
+/// A version no state has had before. `Relaxed` suffices: the counter
+/// publishes no other data, and a read-modify-write hands every caller
+/// a distinct value under any ordering.
+fn fresh_version() -> u64 {
+    LAST_VERSION.fetch_add(1, Ordering::Relaxed) + 1
+}
 
 /// A fragment: part (or all) of a cell's width assigned to one bin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,6 +167,8 @@ pub struct FlowState<'a> {
     pub grid: &'a BinGrid,
     /// Everything the state owns and mutates.
     cols: FlowColumns,
+    /// See [`version`](Self::version).
+    version: u64,
 }
 
 impl<'a> FlowState<'a> {
@@ -185,7 +198,19 @@ impl<'a> FlowState<'a> {
             layout,
             grid,
             cols,
+            version: fresh_version(),
         }
+    }
+
+    /// The state's version: every mutator (`seed` through the inserts
+    /// and removals it makes, `rollback` included) moves it to a value no
+    /// state has had before, and a clone keeps it. Two states with equal
+    /// versions therefore have equal contents, which is what lets the
+    /// search reuse the selection rankings of one version (see
+    /// `selection::RankCache`).
+    #[inline]
+    pub(crate) fn version(&self) -> u64 {
+        self.version
     }
 
     /// The owned columns.
@@ -305,6 +330,7 @@ impl<'a> FlowState<'a> {
             "cell {cell} already assigned"
         );
         self.save(cell);
+        self.version = fresh_version();
         let grid = self.grid;
         let seg_id = grid.bin(bin_hint).segment;
         let seg = self.layout.segment(seg_id);
@@ -345,6 +371,7 @@ impl<'a> FlowState<'a> {
             "cell {cell} already assigned"
         );
         self.save(cell);
+        self.version = fresh_version();
         let die = self.grid.bin(bin).die;
         let w = self.design.cell_width(cell, die);
         self.add_frag(cell, bin, w);
@@ -359,6 +386,7 @@ impl<'a> FlowState<'a> {
     pub fn remove_cell(&mut self, cell: CellId) -> DieId {
         let die = self.cell_die(cell);
         self.save(cell);
+        self.version = fresh_version();
         let frags = std::mem::take(&mut self.cols.cell_frags[cell.index()]);
         for (bin, width) in frags {
             self.cols.usage[bin.index()] -= width;
@@ -390,6 +418,7 @@ impl<'a> FlowState<'a> {
             "fractional moves stay within a segment"
         );
         self.save(cell);
+        self.version = fresh_version();
         // Shrink in `from`.
         let cf = &mut self.cols.cell_frags[cell.index()];
         let idx = cf
@@ -423,6 +452,7 @@ impl<'a> FlowState<'a> {
     /// Moves the displacement anchor of `cell` (an ECO target).
     pub(crate) fn set_anchor(&mut self, cell: CellId, anchor: Point) {
         self.save(cell);
+        self.version = fresh_version();
         self.cols.anchor[cell.index()] = anchor;
     }
 
@@ -525,6 +555,7 @@ impl<'a> FlowState<'a> {
     /// from the restored cells. Only the order of the fragments inside a
     /// bin may differ from the checkpoint.
     pub(crate) fn rollback(&mut self) {
+        self.version = fresh_version();
         let mut j = std::mem::take(&mut self.cols.journal);
         for s in &j.saved {
             let cell = s.cell;
@@ -821,7 +852,7 @@ mod tests {
 }
 
 #[cfg(test)]
-mod prop_tests {
+pub(crate) mod prop_tests {
     use super::*;
     use crate::grid::BinGrid;
     use flow3d_db::{DesignBuilder, DieId, DieSpec, LibCellSpec, RowLayout, TechnologySpec};
@@ -920,7 +951,10 @@ mod prop_tests {
 
     /// Applies one random operation (the mutators a flow pass, a seed
     /// and an ECO use) when it is valid in the current state.
-    fn random_op(st: &mut FlowState<'_>, (cell_idx, op, x, bin_sel): (usize, u8, i64, usize)) {
+    pub(crate) fn random_op(
+        st: &mut FlowState<'_>,
+        (cell_idx, op, x, bin_sel): (usize, u8, i64, usize),
+    ) {
         let (design, layout, grid) = (st.design, st.layout, st.grid);
         let cell = CellId::new(cell_idx);
         let placed = !st.cell_frags(cell).is_empty();

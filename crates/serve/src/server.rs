@@ -493,20 +493,9 @@ impl Server {
         let started = Instant::now();
         let span = self.shared.next_span.fetch_add(1, Ordering::Relaxed);
         let cmd = request.cmd();
-        if self.events_on() {
-            let mut fields = vec![
-                ("span".into(), Json::num(span as f64)),
-                ("id".into(), Json::num(id as f64)),
-                ("cmd".into(), Json::Str(cmd.to_string())),
-            ];
-            if let Some(case) = request.case_name() {
-                fields.push(("case".into(), Json::Str(case.to_string())));
-            }
-            fields.push((
-                "queue_depth".into(),
-                Json::num(lock(&self.shared.admission).pending as f64),
-            ));
-            self.emit(LogLevel::Info, "request_admitted", fields);
+        if self.events_on() && !request.is_queued() && !matches!(request, Request::Shutdown) {
+            let pending = lock(&self.shared.admission).pending;
+            self.admitted(span, id, cmd, request.case_name(), pending);
         }
         let response = match request {
             Request::Ping => ok_response(id, vec![("pong".into(), Json::Bool(true))]),
@@ -531,7 +520,7 @@ impl Server {
                     ],
                 )
             }
-            Request::Shutdown => self.shutdown(id),
+            Request::Shutdown => self.shutdown(id, span),
             Request::Load {
                 name,
                 case,
@@ -572,6 +561,24 @@ impl Server {
         };
         self.finish(span, id, started, &response);
         response
+    }
+
+    /// Logs `request_admitted` for a request the server accepted, with
+    /// `queue_depth` the `pending` count at acceptance.
+    fn admitted(&self, span: u64, id: u64, cmd: &str, case: Option<&str>, pending: usize) {
+        if !self.events_on() {
+            return;
+        }
+        let mut fields = vec![
+            ("span".into(), Json::num(span as f64)),
+            ("id".into(), Json::num(id as f64)),
+            ("cmd".into(), Json::Str(cmd.to_string())),
+        ];
+        if let Some(case) = case {
+            fields.push(("case".into(), Json::Str(case.to_string())));
+        }
+        fields.push(("queue_depth".into(), Json::num(pending as f64)));
+        self.emit(LogLevel::Info, "request_admitted", fields);
     }
 
     /// Answers a frame that never became a request — unreadable, not a
@@ -671,12 +678,15 @@ impl Server {
             return error_response(id, codes::OVERLOADED, &message);
         }
         admission.pending += 1;
+        let pending = admission.pending;
         let lane = admission.lanes.entry(case.to_string()).or_default();
         let turn = lane.issued;
         lane.issued += 1;
+        drop(admission);
+        self.admitted(span, id, cmd, Some(case), pending);
         let mut admission = shared
             .admission_cv
-            .wait_while(admission, |a| {
+            .wait_while(lock(&shared.admission), |a| {
                 a.running >= shared.workers || a.lanes[case].finished != turn
             })
             .unwrap_or_else(PoisonError::into_inner);
@@ -709,7 +719,7 @@ impl Server {
     /// Closes admission, waits until every admitted request has been
     /// answered, then stops the server. `shutdown` is not queued work:
     /// it skips the `queue_depth` check, so a full server still stops.
-    fn shutdown(&self, id: u64) -> Json {
+    fn shutdown(&self, id: u64, span: u64) -> Json {
         let shared = &*self.shared;
         let mut admission = lock(&shared.admission);
         if admission.shutting_down {
@@ -718,9 +728,12 @@ impl Server {
         // Closed under the lock that admits work: nothing slips in
         // behind the shutdown.
         admission.shutting_down = true;
+        let pending = admission.pending;
+        drop(admission);
+        self.admitted(span, id, Request::Shutdown.cmd(), None, pending);
         let drained = shared
             .admission_cv
-            .wait_while(admission, |a| a.pending > 0)
+            .wait_while(lock(&shared.admission), |a| a.pending > 0)
             .unwrap_or_else(PoisonError::into_inner);
         drop(drained);
         self.emit(LogLevel::Info, "server_stopped", Vec::new());
@@ -1450,6 +1463,84 @@ mod tests {
         drop(busy);
         assert!(ok(&on_a.recv().unwrap()));
         stop(&server);
+        std::fs::remove_file(&log).ok();
+    }
+
+    /// The log's events in order, as `(event, cmd, queue_depth)`.
+    fn events(log: &std::path::Path) -> Vec<(String, Option<String>, Option<u64>)> {
+        std::fs::read_to_string(log)
+            .unwrap()
+            .lines()
+            .map(|line| {
+                let record = Json::parse(line).unwrap();
+                let text = |key| record.get(key).and_then(Json::as_str).map(str::to_string);
+                (
+                    text("event").unwrap(),
+                    text("cmd"),
+                    record.get("queue_depth").and_then(Json::as_u64),
+                )
+            })
+            .collect()
+    }
+
+    /// `request_admitted` marks a request the server accepted: a queued
+    /// one once admission let it in (its `queue_depth` counts it), an
+    /// inline one on arrival, `shutdown` once it closed admission. A
+    /// request admission refuses logs only `request_failed`.
+    #[test]
+    fn only_accepted_requests_are_logged_as_admitted() {
+        let demo = Demo::new();
+        let admitted = |log: &std::path::Path| {
+            events(log)
+                .into_iter()
+                .filter(|e| e.0 == "request_admitted")
+                .map(|(_, cmd, depth)| (cmd.unwrap(), depth.unwrap()))
+                .collect::<Vec<_>>()
+        };
+
+        let log =
+            std::env::temp_dir().join(format!("flow3d_serve_refused_{}.jsonl", std::process::id()));
+        let server = Server::new(ServerConfig {
+            queue_depth: 0,
+            log_path: Some(log.to_string_lossy().into_owned()),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let load = Request::Load {
+            name: "a".into(),
+            case: demo.case.clone(),
+            legal: Some(demo.text(&demo.base)),
+            global: None,
+            threads: 1,
+        };
+        let refused = server.process(1, load);
+        assert_eq!(error_code(&refused), codes::OVERLOADED, "{refused}");
+        assert!(ok(&server.process(2, Request::Ping)));
+        stop(&server);
+        let failed: Vec<_> = events(&log)
+            .into_iter()
+            .filter(|e| e.0 == "request_failed")
+            .collect();
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert_eq!(
+            admitted(&log),
+            [("ping".to_string(), 0), ("shutdown".to_string(), 0)],
+            "the refused load must not be logged as admitted"
+        );
+        std::fs::remove_file(&log).ok();
+
+        let (server, log) = logged_server("admitted", 1);
+        demo.load(&server, "a");
+        stop(&server);
+        assert_eq!(
+            admitted(&log),
+            [("load".to_string(), 1), ("shutdown".to_string(), 0)]
+        );
+        let order: Vec<String> = events(&log).into_iter().map(|e| e.0).collect();
+        assert_eq!(
+            order[..3],
+            ["request_admitted", "request_dispatched", "engine_loaded"]
+        );
         std::fs::remove_file(&log).ok();
     }
 
