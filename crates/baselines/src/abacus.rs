@@ -269,14 +269,6 @@ impl Legalizer for AbacusLegalizer {
         "abacus"
     }
 
-    fn legalize(
-        &self,
-        design: &Design,
-        global: &Placement3d,
-    ) -> Result<LegalizeOutcome, LegalizeError> {
-        self.legalize_observed(design, global, None)
-    }
-
     fn legalize_observed(
         &self,
         design: &Design,

@@ -3,9 +3,11 @@
 //! The same bin/flow formulation as 3D-Flow, restricted the way the paper
 //! characterizes BonnPlaceLegal (§III-B): per-die 2D grids (no die-to-die
 //! edges), edge costs clamped non-negative, and true Dijkstra searches —
-//! label-correcting relaxation over the whole grid with an early exit at
-//! the first absorbing bin popped. The repeated full-grid searches are
-//! what makes this approach scale poorly on large designs (Tables III/IV).
+//! label-correcting relaxation over the whole grid, the first absorbing
+//! bin popped ending the path. Like the vanilla successive-shortest-path
+//! algorithm the paper benchmarks, each search still completes its
+//! shortest-path tree; these repeated full-grid searches are what makes
+//! this approach scale poorly on large designs (Tables III/IV).
 
 use flow3d_core::assign;
 use flow3d_core::augment::realize;
@@ -21,41 +23,14 @@ use flow3d_obs::{keys, Obs, ObsExt};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Configuration of the Bonn-style legalizer.
-#[derive(Debug, Clone, PartialEq)]
-// flow3d-tidy: allow(dead-pub) — baseline knob surface, reachable as flow3d::baselines for external comparisons
-pub struct BonnConfig {
-    /// Bin width as a multiple of the mean cell width (same default as
-    /// 3D-Flow's flow phase for comparability).
-    pub bin_width_factor: f64,
-    /// Stop each Dijkstra at the first absorbing bin popped instead of
-    /// completing the shortest-path tree. The vanilla successive-
-    /// shortest-path algorithm the paper benchmarks computes full trees
-    /// (that is what makes it slow on large designs), so this defaults to
-    /// `false`.
-    pub early_exit: bool,
-}
-
-impl Default for BonnConfig {
-    fn default() -> Self {
-        Self {
-            bin_width_factor: 10.0,
-            early_exit: false,
-        }
-    }
-}
+/// Bin width as a multiple of the mean cell width: 3D-Flow's default,
+/// for comparability.
+const BIN_WIDTH_FACTOR: f64 = 10.0;
 
 /// The BonnPlaceLegal-style legalizer.
 #[derive(Debug, Clone, Default)]
 pub struct BonnLegalizer {
-    config: BonnConfig,
-}
-
-impl BonnLegalizer {
-    /// Creates a Bonn-style legalizer.
-    pub fn new(config: BonnConfig) -> Self {
-        Self { config }
-    }
+    _private: (),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,14 +49,15 @@ impl Ord for OrdF64 {
 
 /// Dijkstra over the bin grid with non-negative move costs. Unlike the
 /// branch-and-bound search, labels may be corrected (a bin can be relaxed
-/// several times), and the search exits at the first absorbing bin popped
-/// — the classical shortest augmenting path.
+/// several times), and the first absorbing bin popped ends the path — the
+/// classical shortest augmenting path — though the search goes on to
+/// complete the shortest-path tree, as vanilla successive shortest paths
+/// does.
 fn dijkstra(
     state: &FlowState<'_>,
     source: BinId,
     limit: i64,
     params: &SelectionParams,
-    early_exit: bool,
     expanded: &mut usize,
 ) -> Option<AugmentingPath> {
     let supply = state.sup(source).min(limit);
@@ -109,14 +85,9 @@ fn dijkstra(
 
         if u != source && inflow[u.index()] <= state.dem(u) {
             // Pops come in nondecreasing cost order, so the first
-            // absorbing bin is the shortest augmenting path. Vanilla SSP
-            // still finishes the whole shortest-path tree before
-            // augmenting; `early_exit` skips that busywork.
+            // absorbing bin is the shortest augmenting path.
             if best.is_none() {
                 best = Some((u, dist[u.index()]));
-            }
-            if early_exit {
-                break;
             }
             continue;
         }
@@ -163,153 +134,134 @@ fn dijkstra(
     Some(AugmentingPath { steps, cost })
 }
 
-impl BonnLegalizer {
-    /// Drains every overflowed bin by successive shortest (Dijkstra)
-    /// augmenting paths. Search counters accumulate into `obs` when it is
-    /// `Some`.
-    fn drain(
-        &self,
-        state: &mut FlowState<'_>,
-        params: &SelectionParams,
-        stats: &mut LegalizeStats,
-        mut obs: Obs<'_>,
-    ) -> Result<(), LegalizeError> {
-        let expanded_before = stats.nodes_expanded;
-        let fallback_before = stats.fallback_moves;
-        let mut retries: usize = 0;
+/// Drains every overflowed bin by successive shortest (Dijkstra)
+/// augmenting paths. Search counters accumulate into `obs` when it is
+/// `Some`.
+fn drain(
+    state: &mut FlowState<'_>,
+    params: &SelectionParams,
+    stats: &mut LegalizeStats,
+    mut obs: Obs<'_>,
+) -> Result<(), LegalizeError> {
+    let expanded_before = stats.nodes_expanded;
+    let fallback_before = stats.fallback_moves;
+    let mut retries: usize = 0;
 
-        let mut heap: BinaryHeap<(i64, BinId)> = state
-            .overflowed_bins()
-            .into_iter()
-            .map(|b| (state.sup(b), b))
-            .collect();
-        let mut guard = 64 * heap.len() + 4 * state.grid.num_bins();
-        while let Some((recorded, bin)) = heap.pop() {
-            let sup = state.sup(bin);
-            if sup == 0 {
-                continue;
-            }
-            if sup != recorded {
-                heap.push((sup, bin));
-                continue;
-            }
-            if guard == 0 {
-                return Err(LegalizeError::NoAugmentingPath {
-                    die: state.grid.bin(bin).die,
-                    supply: sup,
-                });
-            }
-            guard -= 1;
+    let mut heap: BinaryHeap<(i64, BinId)> = state
+        .overflowed_bins()
+        .into_iter()
+        .map(|b| (state.sup(b), b))
+        .collect();
+    let mut guard = 64 * heap.len() + 4 * state.grid.num_bins();
+    while let Some((recorded, bin)) = heap.pop() {
+        let sup = state.sup(bin);
+        if sup == 0 {
+            continue;
+        }
+        if sup != recorded {
+            heap.push((sup, bin));
+            continue;
+        }
+        if guard == 0 {
+            return Err(LegalizeError::NoAugmentingPath {
+                die: state.grid.bin(bin).die,
+                supply: sup,
+            });
+        }
+        guard -= 1;
 
-            let mut limit = sup;
-            let mut path = None;
-            let mut searches_this_source: usize = 0;
-            while limit > 0 {
-                searches_this_source += 1;
-                if let Some(p) = dijkstra(
-                    state,
-                    bin,
-                    limit,
-                    params,
-                    self.config.early_exit,
-                    &mut stats.nodes_expanded,
-                ) {
-                    path = Some(p);
-                    break;
-                }
-                limit /= 2;
+        let mut limit = sup;
+        let mut path = None;
+        let mut searches_this_source: usize = 0;
+        while limit > 0 {
+            searches_this_source += 1;
+            if let Some(p) = dijkstra(state, bin, limit, params, &mut stats.nodes_expanded) {
+                path = Some(p);
+                break;
             }
-            retries += searches_this_source.saturating_sub(1);
-            let Some(path) = path else {
-                // Macro-enclosed pocket with no 2D augmenting path: fall
-                // back to direct relocation (same-die only — Bonn never
-                // crosses dies).
-                let moved = teleport_fallback(state, bin, false, stats)?;
-                if moved && state.sup(bin) > 0 {
-                    heap.push((state.sup(bin), bin));
-                }
-                continue;
-            };
-            stats.cells_moved += realize(state, &path, params);
-            stats.augmentations += 1;
-            // Re-queue any path bin left overfull (realization drift can
-            // overshoot an intermediate bin; see flow3d-core's flow_pass).
-            for step in &path.steps {
-                if state.sup(step.bin) > 0 {
-                    heap.push((state.sup(step.bin), step.bin));
-                }
+            limit /= 2;
+        }
+        retries += searches_this_source.saturating_sub(1);
+        let Some(path) = path else {
+            // Macro-enclosed pocket with no 2D augmenting path: fall
+            // back to direct relocation (same-die only — Bonn never
+            // crosses dies).
+            let moved = teleport_fallback(state, bin, false, stats)?;
+            if moved && state.sup(bin) > 0 {
+                heap.push((state.sup(bin), bin));
+            }
+            continue;
+        };
+        stats.cells_moved += realize(state, &path, params);
+        stats.augmentations += 1;
+        // Re-queue any path bin left overfull (realization drift can
+        // overshoot an intermediate bin; see flow3d-core's flow_pass).
+        for step in &path.steps {
+            if state.sup(step.bin) > 0 {
+                heap.push((state.sup(step.bin), step.bin));
             }
         }
-
-        obs.bump(
-            keys::NODES_EXPANDED,
-            (stats.nodes_expanded - expanded_before) as u64,
-        );
-        obs.bump(keys::AUGMENTING_PATHS, stats.augmentations as u64);
-        obs.bump(keys::SEARCH_RETRIES, retries as u64);
-        obs.bump(keys::CELLS_MOVED, stats.cells_moved as u64);
-        obs.bump(
-            keys::FALLBACK_MOVES,
-            (stats.fallback_moves - fallback_before) as u64,
-        );
-        Ok(())
     }
 
-    fn run(
-        &self,
-        design: &Design,
-        global: &Placement3d,
-        mut obs: Obs<'_>,
-    ) -> Result<LegalizeOutcome, LegalizeError> {
-        obs.begin("partition");
-        let layout = RowLayout::build(design);
-        let dies = assign::partition_dies(design, global);
-        obs.end("partition");
-        let mut dies = dies?;
+    obs.bump(
+        keys::NODES_EXPANDED,
+        (stats.nodes_expanded - expanded_before) as u64,
+    );
+    obs.bump(keys::AUGMENTING_PATHS, stats.augmentations as u64);
+    obs.bump(keys::SEARCH_RETRIES, retries as u64);
+    obs.bump(keys::CELLS_MOVED, stats.cells_moved as u64);
+    obs.bump(
+        keys::FALLBACK_MOVES,
+        (stats.fallback_moves - fallback_before) as u64,
+    );
+    Ok(())
+}
 
-        obs.begin("grid_build");
-        let widths = bin_widths(design, self.config.bin_width_factor);
-        // No D2D edges: each die is legalized on its own 2D grid.
-        let grid = BinGrid::build(design, &layout, &widths, false);
-        obs.end("grid_build");
+fn run(
+    design: &Design,
+    global: &Placement3d,
+    mut obs: Obs<'_>,
+) -> Result<LegalizeOutcome, LegalizeError> {
+    obs.begin("partition");
+    let layout = RowLayout::build(design);
+    let dies = assign::partition_dies(design, global);
+    obs.end("partition");
+    let mut dies = dies?;
 
-        obs.begin("assign");
-        let state = assign::build_state(design, &layout, &grid, global, &mut dies);
-        obs.end("assign");
-        let mut state = state?;
+    obs.begin("grid_build");
+    let widths = bin_widths(design, BIN_WIDTH_FACTOR);
+    // No D2D edges: each die is legalized on its own 2D grid.
+    let grid = BinGrid::build(design, &layout, &widths, false);
+    obs.end("grid_build");
 
-        let params = SelectionParams {
-            clamp_negative: true,
-            d2d_congestion_cost: false,
-            d2d_penalty: 0.0,
-        };
-        let mut stats = LegalizeStats::default();
+    obs.begin("assign");
+    let state = assign::build_state(design, &layout, &grid, global, &mut dies);
+    obs.end("assign");
+    let mut state = state?;
 
-        obs.begin("flow_pass");
-        let drained = self.drain(&mut state, &params, &mut stats, obs.reborrow());
-        obs.end("flow_pass");
-        drained?;
+    let params = SelectionParams {
+        clamp_negative: true,
+        d2d_congestion_cost: false,
+        d2d_penalty: 0.0,
+    };
+    let mut stats = LegalizeStats::default();
 
-        obs.begin("placerow");
-        let placed = placerow_all(&state, RowAlgo::AbacusQuadratic, 1, obs.reborrow());
-        obs.end("placerow");
-        let placement = placed?;
-        stats.cross_die_moves = placement.cross_die_moves(global, design.num_dies());
-        Ok(LegalizeOutcome { placement, stats })
-    }
+    obs.begin("flow_pass");
+    let drained = drain(&mut state, &params, &mut stats, obs.reborrow());
+    obs.end("flow_pass");
+    drained?;
+
+    obs.begin("placerow");
+    let placed = placerow_all(&state, RowAlgo::AbacusQuadratic, 1, obs.reborrow());
+    obs.end("placerow");
+    let placement = placed?;
+    stats.cross_die_moves = placement.cross_die_moves(global, design.num_dies());
+    Ok(LegalizeOutcome { placement, stats })
 }
 
 impl Legalizer for BonnLegalizer {
     fn name(&self) -> &str {
         "bonn"
-    }
-
-    fn legalize(
-        &self,
-        design: &Design,
-        global: &Placement3d,
-    ) -> Result<LegalizeOutcome, LegalizeError> {
-        self.legalize_observed(design, global, None)
     }
 
     fn legalize_observed(
@@ -319,7 +271,7 @@ impl Legalizer for BonnLegalizer {
         mut obs: Obs<'_>,
     ) -> Result<LegalizeOutcome, LegalizeError> {
         obs.begin("legalize");
-        let result = self.run(design, global, obs.reborrow());
+        let result = run(design, global, obs.reborrow());
         obs.end("legalize");
         result
     }

@@ -16,7 +16,7 @@
 //! * [`BonnLegalizer`] — Brenner's iterative augmentation: the same
 //!   flow formulation as 3D-Flow, but per-die (no D2D edges), with edge
 //!   costs clamped non-negative and true Dijkstra searches (relaxation
-//!   allowed, early exit at the first absorbing bin).
+//!   allowed, the first absorbing bin popped ending the path).
 //!
 //! # Examples
 //!
@@ -38,7 +38,7 @@ mod bonn;
 mod tetris;
 
 pub use abacus::AbacusLegalizer;
-pub use bonn::{BonnConfig, BonnLegalizer};
+pub use bonn::BonnLegalizer;
 pub use tetris::TetrisLegalizer;
 
 #[cfg(test)]

@@ -21,7 +21,9 @@
 //!
 //! Each command accepts exactly the options it lists; any other option,
 //! a valued option without its value, or a value after a bare flag is an
-//! error (exit 1), so a misspelled flag cannot silently void a run.
+//! error (exit 1), so a misspelled flag cannot silently void a run. The
+//! `legalize` options from `--no-d2d` to `--threads` configure 3D-Flow
+//! and are an error with any other `--algo`.
 //!
 //! The serve-mode commands (`serve`, `request`, `eco`) are documented in
 //! `SERVING.md`.
@@ -284,12 +286,20 @@ const LEGALIZE: Opts = Opts(
     "no-d2d no-congestion no-post",
 );
 
-fn cmd_legalize(args: &Args) -> Result<(), String> {
-    let design = load_design(args)?;
-    let gp_path = args.require("gp")?;
-    let global =
-        flow3d_io::parse_placement3d(&design, &read(gp_path)?).map_err(|e| e.to_string())?;
+/// The `legalize` options only `--algo 3dflow` reads.
+const FLOW3D_ONLY: [&str; 9] = [
+    "alpha",
+    "bin-width",
+    "post-bin-width",
+    "post-passes",
+    "row-algo",
+    "threads",
+    "no-d2d",
+    "no-congestion",
+    "no-post",
+];
 
+fn cmd_legalize(args: &Args) -> Result<(), String> {
     let algo = args.get("algo").unwrap_or("3dflow");
     let legalizer: Box<dyn Legalizer> = match algo {
         "tetris" => Box::new(TetrisLegalizer::default()),
@@ -314,6 +324,18 @@ fn cmd_legalize(args: &Args) -> Result<(), String> {
         })),
         other => return Err(format!("unknown algorithm `{other}`")),
     };
+    if algo != "3dflow" {
+        let given = |opt: &&str| args.get(opt).is_some() || args.flag(opt);
+        if let Some(opt) = FLOW3D_ONLY.into_iter().find(given) {
+            return Err(format!(
+                "--{opt} is read only by --algo 3dflow, not --algo {algo}"
+            ));
+        }
+    }
+    let design = load_design(args)?;
+    let gp_path = args.require("gp")?;
+    let global =
+        flow3d_io::parse_placement3d(&design, &read(gp_path)?).map_err(|e| e.to_string())?;
 
     let profile_path = args.get("profile");
     let trace_path = args.get("trace");

@@ -4,7 +4,7 @@
 //! documented in `SERVING.md`.
 
 use crate::{read, write, Args, Opts};
-use flow3d_core::{CellMove, Flow3dConfig, Flow3dLegalizer};
+use flow3d_core::{Flow3dConfig, Flow3dLegalizer};
 use flow3d_obs::LogLevel;
 use flow3d_serve::{Client, Json, Server, ServerConfig};
 
@@ -182,8 +182,9 @@ fn run_script(
 /// Script convenience: a string field `foo_file` is replaced by `foo`
 /// holding the named file's contents, so scripts reference case and
 /// placement files instead of embedding them. `moves_file` additionally
-/// converts the `flow3d_io` move-list format into the wire's JSON move
-/// array (textually — names resolve server-side).
+/// converts a `flow3d_io` move-list file into the wire's JSON move array
+/// through the io crate's own grammar, so a file `flow3d eco` rejects is
+/// rejected here with the same line message (names resolve server-side).
 fn inline_files(json: Json) -> Result<Json, String> {
     let Json::Obj(pairs) = json else {
         return Ok(json);
@@ -194,7 +195,13 @@ fn inline_files(json: Json) -> Result<Json, String> {
             (Some(target), Json::Str(path)) => {
                 let contents = read(path)?;
                 if target == "moves" {
-                    out.push(("moves".to_string(), moves_text_to_json(&contents)?));
+                    let mut moves = Vec::new();
+                    flow3d_io::parse_move_names(&contents, |m| {
+                        moves.push(move_json(m));
+                        Ok(())
+                    })
+                    .map_err(|e| format!("{path}: {e}"))?;
+                    out.push(("moves".to_string(), Json::Arr(moves)));
                 } else {
                     out.push((target.to_string(), Json::Str(contents)));
                 }
@@ -205,36 +212,17 @@ fn inline_files(json: Json) -> Result<Json, String> {
     Ok(Json::Obj(out))
 }
 
-/// Parses the `NumMoves`/`Move` grammar of [`flow3d_io::parse_moves`]
-/// into the wire's move array, without needing the design (the server
-/// resolves instance names).
-fn moves_text_to_json(text: &str) -> Result<Json, String> {
-    let mut moves = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') || line.starts_with("NumMoves") {
-            continue;
-        }
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        if toks[0] != "Move" || (toks.len() != 4 && toks.len() != 5) {
-            return Err(format!("moves file: bad line `{line}`"));
-        }
-        let num = |s: &str| -> Result<f64, String> {
-            s.parse::<i64>()
-                .map(|v| v as f64)
-                .map_err(|_| format!("moves file: bad number `{s}`"))
-        };
-        let mut pairs = vec![
-            ("cell".to_string(), Json::Str(toks[1].to_string())),
-            ("x".to_string(), Json::num(num(toks[2])?)),
-            ("y".to_string(), Json::num(num(toks[3])?)),
-        ];
-        if toks.len() == 5 {
-            pairs.push(("die".to_string(), Json::num(num(toks[4])?)));
-        }
-        moves.push(Json::Obj(pairs));
+/// One move of a move-list file as a wire move object.
+fn move_json(m: flow3d_io::NamedMove<'_>) -> Json {
+    let mut pairs = vec![
+        ("cell".to_string(), Json::Str(m.cell.to_string())),
+        ("x".to_string(), Json::num(m.target.x as f64)),
+        ("y".to_string(), Json::num(m.target.y as f64)),
+    ];
+    if let Some(die) = m.die {
+        pairs.push(("die".to_string(), Json::num(die as f64)));
     }
-    Ok(Json::Arr(moves))
+    Json::Obj(pairs)
 }
 
 pub(crate) const ECO: Opts = Opts("case base moves out threads profile", "");
@@ -247,16 +235,8 @@ pub(crate) fn cmd_eco(args: &Args) -> Result<(), String> {
     let base = flow3d_io::parse_legal(&design, &read(base_path)?)
         .map_err(|e| format!("{base_path}: {e}"))?;
     let moves_path = args.require("moves")?;
-    let records = flow3d_io::parse_moves(&design, &read(moves_path)?)
+    let moves = flow3d_io::parse_moves(&design, &read(moves_path)?)
         .map_err(|e| format!("{moves_path}: {e}"))?;
-    let moves: Vec<CellMove> = records
-        .iter()
-        .map(|r| CellMove {
-            cell: r.cell,
-            target: r.target,
-            die: r.die,
-        })
-        .collect();
 
     let legalizer = Flow3dLegalizer::new(Flow3dConfig {
         threads: args.get_usize("threads", 1)?,

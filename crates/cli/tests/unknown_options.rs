@@ -31,6 +31,38 @@ fn misspelled_legalize_options_fail_before_any_work() {
     assert_rejected(&format!("{run} --no-d2d yes"), "unexpected argument `yes`");
 }
 
+/// The 3D-Flow options are read only by `--algo 3dflow`: a baseline run
+/// given one used to exit 0 with the option silently ignored.
+#[test]
+fn baselines_reject_the_3dflow_options() {
+    let options = [
+        "--alpha 7",
+        "--bin-width 3",
+        "--post-bin-width 2",
+        "--post-passes 9",
+        "--row-algo isotonic",
+        "--threads 4",
+        "--no-d2d",
+        "--no-congestion",
+        "--no-post",
+    ];
+    for algo in ["tetris", "abacus", "bonn"] {
+        let run =
+            format!("legalize --algo {algo} --case missing.txt --gp missing.gp --out out.txt");
+        for option in options {
+            let name = option.split_whitespace().next().unwrap();
+            assert_rejected(
+                &format!("{run} {option}"),
+                &format!("{name} is read only by --algo 3dflow, not --algo {algo}"),
+            );
+        }
+    }
+    assert_rejected(
+        "legalize --algo tetris --case missing.txt --gp missing.gp --out out.txt --row-algo bogus",
+        "--row-algo is read only by --algo 3dflow, not --algo tetris",
+    );
+}
+
 #[test]
 fn every_command_names_its_options() {
     for command in [

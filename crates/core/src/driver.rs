@@ -54,7 +54,7 @@ fn search_source(
     let mut counters = SearchCounters::default();
     let mut searches: usize = 0;
     for relaxed in [false, true] {
-        if relaxed && (params.alpha.is_infinite() || params.dijkstra) {
+        if relaxed && params.alpha.is_infinite() {
             break;
         }
         let attempt_params = if relaxed {
@@ -124,16 +124,17 @@ fn search_source(
 ///    of the candidate list and the order.
 /// 3. Sources left overfull re-enter the next round; fallback relocation
 ///    runs only in a round where *no* source found a path (the state
-///    then equals the snapshot, so the failure is genuine), in source
-///    order.
+///    then equals the snapshot, so the failure is genuine) or the apply
+///    budget ran out, in source order, and ends the pass.
 ///
 /// `tests/differential.rs` enforces this contract over a case × seed ×
 /// thread-count matrix.
 ///
 /// # Errors
 ///
-/// [`LegalizeError::NoAugmentingPath`] when a source cannot be drained
-/// even by the unbounded search.
+/// [`LegalizeError::NoAugmentingPath`] when fallback relocation finds no
+/// bin with room for a cell of a source it must drain (see
+/// [`teleport_fallback`]).
 pub fn flow_pass(
     state: &mut FlowState<'_>,
     params: &SearchParams,
@@ -197,17 +198,10 @@ pub fn flow_pass(
     // the whole pass, and across whole passes when the caller owns the
     // pool.
     loop {
-        // Round sources: every overflowed bin, most loaded first (bin id
-        // breaks ties) — a deterministic function of the state alone.
-        let mut sources: Vec<(i64, BinId)> = state
-            .overflowed_bins()
-            .into_iter()
-            .map(|b| (state.sup(b), b))
-            .collect();
+        let sources = sources_by_load(state);
         if sources.is_empty() {
             break;
         }
-        sources.sort_by_key(|&(sup, b)| (std::cmp::Reverse(sup), b));
         let tabu = EdgeTabu::new(&free_from, round);
 
         // Batch: one read-only search per source against the frozen
@@ -329,39 +323,17 @@ pub fn flow_pass(
             applied = true;
         }
         obs.end("apply");
-        if exhausted {
-            // The apply budget ran out while paths were still being found:
-            // the flow is shuffling supply between near-full bins faster
-            // than it drains. Relocate whatever overflow remains directly
-            // (most loaded bin first, bin id breaking ties — the same
-            // deterministic order the rounds use) and finish the pass.
-            let allow_cross_die = grid_has_d2d(state);
-            let mut leftovers: Vec<(i64, BinId)> = state
-                .overflowed_bins()
-                .into_iter()
-                .map(|b| (state.sup(b), b))
-                .collect();
-            leftovers.sort_by_key(|&(sup, b)| (std::cmp::Reverse(sup), b));
-            for &(_, bin) in &leftovers {
-                if state.sup(bin) > 0 {
-                    teleport_fallback(state, bin, allow_cross_die, stats)?;
-                }
-            }
+        if exhausted || !applied {
+            // Either no source found a path and nothing was applied — the
+            // state still equals the snapshot the searches ran against, so
+            // the failure is genuine: these sources sit in regions the grid
+            // cannot drain (e.g. a macro-enclosed pocket) — or the apply
+            // budget ran out while the flow shuffled supply between
+            // near-full bins faster than it drained. Relocate whatever
+            // overflow remains directly; that drains every bin, so the
+            // pass is done.
+            relocate_overflow(state, stats)?;
             break;
-        }
-
-        if !applied {
-            // No source found a path, and nothing was applied — the state
-            // still equals the snapshot the searches ran against, so the
-            // failure is genuine: these sources sit in regions the grid
-            // cannot drain (e.g. a macro-enclosed pocket). Fall back to
-            // relocating cells directly to the nearest bin with room.
-            let allow_cross_die = grid_has_d2d(state);
-            for &(_, bin) in &sources {
-                if state.sup(bin) > 0 {
-                    teleport_fallback(state, bin, allow_cross_die, stats)?;
-                }
-            }
         }
         round = round.saturating_add(1);
     }
@@ -434,16 +406,38 @@ fn capture_bin_heatmaps(
     }
 }
 
-/// `true` if the grid was built with die-to-die edges (determines whether
-/// the fallback may change dies).
-fn grid_has_d2d(state: &FlowState<'_>) -> bool {
-    (0..state.grid.num_bins()).any(|i| {
-        state
-            .grid
-            .neighbors(BinId::new(i))
-            .iter()
-            .any(|&(_, k)| k == crate::grid::EdgeKind::DieToDie)
-    })
+/// Every overflowed bin with its supply, most loaded first with bin id
+/// breaking ties: the sources of a flow round, a deterministic function
+/// of the state alone.
+fn sources_by_load(state: &FlowState<'_>) -> Vec<(i64, BinId)> {
+    let mut sources: Vec<(i64, BinId)> = state
+        .overflowed_bins()
+        .into_iter()
+        .map(|b| (state.sup(b), b))
+        .collect();
+    sources.sort_by_key(|&(sup, b)| (std::cmp::Reverse(sup), b));
+    sources
+}
+
+/// Drains every overflowed bin by [`teleport_fallback`], in
+/// [`sources_by_load`] order, changing dies only when the grid has D2D
+/// edges. A relocation moves a cell only into a bin with room for it, so
+/// no bin is left overflowed.
+///
+/// # Errors
+///
+/// As [`teleport_fallback`].
+fn relocate_overflow(
+    state: &mut FlowState<'_>,
+    stats: &mut LegalizeStats,
+) -> Result<(), LegalizeError> {
+    let allow_cross_die = state.grid.has_d2d();
+    for (_, bin) in sources_by_load(state) {
+        if state.sup(bin) > 0 {
+            teleport_fallback(state, bin, allow_cross_die, stats)?;
+        }
+    }
+    Ok(())
 }
 
 /// Last-resort relocation for a source no augmenting path can drain:
@@ -675,7 +669,6 @@ pub(crate) fn search_params(design: &Design, cfg: &Flow3dConfig) -> SearchParams
     SearchParams {
         alpha: cfg.alpha,
         slack: heights().min().unwrap_or(1) as f64,
-        dijkstra: false,
         selection: SelectionParams {
             clamp_negative: false,
             d2d_congestion_cost: cfg.d2d_congestion_cost,
@@ -712,14 +705,6 @@ impl Legalizer for Flow3dLegalizer {
         } else {
             "3d-flow-no-d2d"
         }
-    }
-
-    fn legalize(
-        &self,
-        design: &Design,
-        global: &Placement3d,
-    ) -> Result<LegalizeOutcome, LegalizeError> {
-        self.legalize_observed(design, global, None)
     }
 
     fn legalize_observed(

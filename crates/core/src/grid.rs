@@ -91,6 +91,8 @@ pub struct BinGrid {
     adj_edges: Vec<(BinId, EdgeKind)>,
     /// Bins of each segment, sorted by x.
     seg_bins: Vec<Vec<BinId>>,
+    /// Whether any edge joins two dies.
+    has_d2d: bool,
 }
 
 impl BinGrid {
@@ -222,11 +224,13 @@ impl BinGrid {
             cursor[src as usize] += 1;
         }
 
+        let has_d2d = edges.iter().any(|e| e.2 == EdgeKind::DieToDie);
         Self {
             bins,
             adj_off,
             adj_edges,
             seg_bins,
+            has_d2d,
         }
     }
 
@@ -278,6 +282,12 @@ impl BinGrid {
             .iter()
             .position(|&(b, _)| b == to)
             .map(|j| self.first_edge(from) + j)
+    }
+
+    /// Whether any edge joins two dies: `connect_d2d` was set and some
+    /// rows of adjacent dies overlap.
+    pub(crate) fn has_d2d(&self) -> bool {
+        self.has_d2d
     }
 
     /// Bins of `segment`, sorted by x.
@@ -457,6 +467,7 @@ mod tests {
         assert!(h > 0);
         assert!(v > 0);
         assert!(d2d > 0);
+        assert!(g.has_d2d());
     }
 
     #[test]
@@ -464,6 +475,7 @@ mod tests {
         let (_, _, g) = grid(true, 100, false);
         let (_, _, d2d) = g.edge_counts();
         assert_eq!(d2d, 0);
+        assert!(!g.has_d2d());
     }
 
     #[test]

@@ -18,21 +18,8 @@ use crate::driver::Flow3dLegalizer;
 use crate::error::LegalizeError;
 use crate::resident::EcoEngine;
 use crate::traits::LegalizeOutcome;
-use flow3d_db::{CellId, Design, DieId, LegalPlacement};
-use flow3d_geom::Point;
+use flow3d_db::{CellMove, Design, LegalPlacement};
 use flow3d_obs::Obs;
-
-/// One requested cell change in an ECO.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CellMove {
-    /// The cell the optimization step touched.
-    pub cell: CellId,
-    /// Requested lower-left position (need not be legal; it becomes the
-    /// cell's new displacement anchor).
-    pub target: Point,
-    /// Requested die, or `None` to keep the cell's current die.
-    pub die: Option<DieId>,
-}
 
 impl Flow3dLegalizer {
     /// Re-legalizes `base` after the engineering changes in `moves`.
@@ -83,8 +70,10 @@ impl Flow3dLegalizer {
 mod tests {
     use super::*;
     use crate::traits::Legalizer;
-    use flow3d_db::{DesignBuilder, DieSpec, LibCellSpec, Placement3d, TechnologySpec};
-    use flow3d_geom::FPoint;
+    use flow3d_db::{
+        CellId, DesignBuilder, DieId, DieSpec, LibCellSpec, Placement3d, TechnologySpec,
+    };
+    use flow3d_geom::{FPoint, Point};
     use flow3d_metrics::check_legal;
 
     fn design(n: usize) -> Design {

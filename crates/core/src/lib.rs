@@ -65,7 +65,7 @@ pub mod traits;
 pub use config::Flow3dConfig;
 pub use driver::Flow3dLegalizer;
 pub use error::LegalizeError;
-pub use incremental::CellMove;
+pub use flow3d_db::CellMove;
 pub use placerow::RowAlgo;
 pub use resident::{CommitStats, EcoEngine};
 pub use state::FlowState;

@@ -41,11 +41,10 @@ use crate::config::Flow3dConfig;
 use crate::driver::{bin_widths, flow_pass, place_segment, placerow_segments, search_params};
 use crate::error::LegalizeError;
 use crate::grid::BinGrid;
-use crate::incremental::CellMove;
 use crate::search::SearchPool;
 use crate::state::{FlowColumns, FlowState, Seed};
 use crate::traits::{LegalizeOutcome, LegalizeStats};
-use flow3d_db::{CellId, Design, LegalPlacement, RowLayout, SegmentId};
+use flow3d_db::{CellId, CellMove, Design, LegalPlacement, RowLayout, SegmentId};
 use flow3d_geom::Point;
 use flow3d_obs::{Obs, ObsExt};
 
@@ -157,12 +156,6 @@ impl EcoEngine {
     /// Number of successfully served ECO requests.
     pub fn requests_served(&self) -> u64 {
         self.requests
-    }
-
-    /// Overrides the worker count resolved from the configuration.
-    /// Thread count never changes results or telemetry counters.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = flow3d_par::resolve_threads(threads);
     }
 
     /// Re-legalizes the resident base after the changes in `moves`,

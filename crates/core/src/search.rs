@@ -14,19 +14,20 @@
 //!
 //! * the node arena and the priority queue live in [`SearchScratch`] and
 //!   are cleared — not reallocated — per search;
-//! * the bound is also applied at **pop time**, so entries queued before
-//!   `best` tightened are dropped for the cost of one comparison instead
-//!   of a full expansion (and no longer inflate the `expanded` counter);
+//! * the bound is also checked at **pop time**: an entry queued before
+//!   `best` tightened is counted as stale instead of expanded, and is
+//!   still expanded, because its subtree can chain negative-cost moves
+//!   into a better candidate;
 //! * each edge's selection walks a ranking the scratch keeps per grid
 //!   edge and state version (`selection::RankCache`): of the searches a
 //!   flow round runs against one frozen state, only the first to expand
 //!   an edge ranks its candidates, and no expansion builds a move list
 //!   or allocates.
 //!
-//! The same routine runs in **Dijkstra mode** (for the BonnPlaceLegal
-//! baseline): costs are clamped non-negative by the selection layer, every
-//! node is pushed, nothing is pruned (at generation or pop), and the first
-//! *candidate* popped is provably the cheapest — the classic early exit.
+//! This is the one search discipline, whatever the sign of the costs:
+//! under clamped (non-negative) selection costs a stale entry's children
+//! all fall to the generation-time bound. BonnPlaceLegal's
+//! label-correcting Dijkstra is the baseline's own (`flow3d-baselines`).
 
 use crate::grid::{BinId, EdgeKind};
 use crate::selection::{RankCache, SelectionBuf, SelectionParams};
@@ -42,9 +43,6 @@ pub struct SearchParams {
     /// Absolute pruning slack used when the best cost is ~0 (typically
     /// the row height).
     pub slack: f64,
-    /// Dijkstra mode: no pruning, first candidate popped wins. Requires
-    /// non-negative costs ([`SelectionParams::clamp_negative`]).
-    pub dijkstra: bool,
     /// Cost model shared with realization.
     pub selection: SelectionParams,
 }
@@ -54,7 +52,6 @@ impl Default for SearchParams {
         Self {
             alpha: 0.1,
             slack: 1.0,
-            dijkstra: false,
             selection: SelectionParams::default(),
         }
     }
@@ -131,17 +128,13 @@ pub struct SearchCounters {
     /// Nodes created (edges traversed with a feasible selection).
     pub created: usize,
     /// Branches cut by the `(1 + α)·cost(p_best)` bound at child
-    /// generation (Algorithm 1 line 13). Always 0 in Dijkstra mode, which
-    /// never prunes.
+    /// generation (Algorithm 1 line 13).
     pub pruned: usize,
     /// Queued entries caught by the same bound at pop time because
-    /// `best` tightened after they were pushed. Under clamped
-    /// (non-negative) selection costs they are dropped outright; under
-    /// the default signed costs they are still expanded (their subtrees
-    /// can chain negative-cost moves into a better candidate) but kept
-    /// out of `expanded`. Each such entry was a created node, so
-    /// `pruned_stale ≤ created` always holds. Always 0 in Dijkstra
-    /// mode.
+    /// `best` tightened after they were pushed. They are still expanded
+    /// (their subtrees can chain negative-cost moves into a better
+    /// candidate) but kept out of `expanded`. Each such entry was a
+    /// created node, so `pruned_stale ≤ created` always holds.
     pub pruned_stale: usize,
 }
 
@@ -249,23 +242,11 @@ fn bound(best: f64, alpha: f64, slack: f64) -> f64 {
     }
 }
 
-/// Finds the cheapest augmenting path draining `source`'s supply, or
-/// `None` when no reachable bin set can absorb it. Edges `tabu` blocks
-/// (the flow-pass ping-pong detector's round-frozen stamps) are not
+/// Finds the cheapest augmenting path pushing `limit` DBU of `source`'s
+/// supply (all of it when the supply is smaller), or `None` when no
+/// reachable bin set can absorb that much. Edges `tabu` blocks (the
+/// flow-pass ping-pong detector's round-frozen stamps) are not
 /// traversed.
-// flow3d-tidy: allow(dead-pub) — facade API (flow3d::core) for embedders that drive the legalizer below the Legalizer trait
-pub fn find_path(
-    state: &FlowState<'_>,
-    source: BinId,
-    params: &SearchParams,
-    tabu: Option<&EdgeTabu<'_>>,
-    scratch: &mut SearchScratch,
-    counters: &mut SearchCounters,
-) -> Option<AugmentingPath> {
-    find_path_limited(state, source, i64::MAX, params, tabu, scratch, counters)
-}
-
-/// [`find_path`] pushing at most `limit` DBU of the source's supply.
 ///
 /// A single augmenting path can only drain what the bins along it can
 /// absorb or forward; when a source's supply exceeds every reachable
@@ -312,29 +293,16 @@ pub fn find_path_limited(
             "each node is pushed exactly once"
         );
         let best_cost = best.map(|(_, c)| c).unwrap_or(f64::INFINITY);
-        if !params.dijkstra && cost >= bound(best_cost, params.alpha, params.slack) {
-            // Pop-time pruning: `best` tightened after this entry was
-            // queued, so the entry itself can no longer beat the bound.
-            // With clamped (non-negative) selection costs no descendant
-            // can either, and the entry is dropped for the price of one
-            // comparison. With the default signed costs its subtree can
+        if cost >= bound(best_cost, params.alpha, params.slack) {
+            // Stale entry: `best` tightened after it was queued, so the
+            // entry itself can no longer beat the bound. Its subtree can
             // still chain negative-cost moves into a better candidate —
-            // exactly the exploration a loose `α` pays for — so the
-            // entry is expanded anyway and only excluded from
-            // `expanded`, which counts in-bound work.
+            // exactly the exploration a loose `α` pays for — so it is
+            // expanded anyway and only kept out of `expanded`, which
+            // counts in-bound work.
             counters.pruned_stale += 1;
-            if params.selection.clamp_negative {
-                continue;
-            }
         } else {
             counters.expanded += 1;
-        }
-
-        if params.dijkstra {
-            // Non-negative costs: the first candidate popped is optimal.
-            if idx != 0 && node.inflow <= state.dem(node.bin) {
-                return Some(extract(&scratch.nodes, idx));
-            }
         }
 
         let needed = node.inflow - state.dem(node.bin);
@@ -371,7 +339,7 @@ pub fn find_path_limited(
             scratch.mark(nbr);
             let child_cost = node.cost + sel_cost;
             let best_cost = best.map(|(_, c)| c).unwrap_or(f64::INFINITY);
-            if !params.dijkstra && child_cost >= bound(best_cost, params.alpha, params.slack) {
+            if child_cost >= bound(best_cost, params.alpha, params.slack) {
                 counters.pruned += 1;
                 continue; // pruned branch (bin stays visited, as in the paper)
             }
@@ -385,7 +353,7 @@ pub fn find_path_limited(
             let child_idx = scratch.nodes.len() as u32;
             scratch.nodes.push(child);
             counters.created += 1;
-            if !params.dijkstra && child.inflow <= state.dem(nbr) {
+            if child.inflow <= state.dem(nbr) {
                 // Candidate path found.
                 if child_cost < best_cost {
                     best = Some((child_idx, child_cost));
@@ -461,9 +429,10 @@ mod tests {
         let b0 = grid.bins_in_segment(seg(&layout, DieId::BOTTOM, 0))[0];
         let mut scratch = SearchScratch::new(grid.num_bins());
         let mut counters = SearchCounters::default();
-        assert!(find_path(
+        assert!(find_path_limited(
             &st,
             b0,
+            i64::MAX,
             &SearchParams::default(),
             None,
             &mut scratch,
@@ -495,9 +464,10 @@ mod tests {
         }
         let mut scratch = SearchScratch::new(grid.num_bins());
         let mut counters = SearchCounters::default();
-        let path = find_path(
+        let path = find_path_limited(
             &st,
             bins[0],
+            i64::MAX,
             &SearchParams::default(),
             None,
             &mut scratch,
@@ -528,9 +498,10 @@ mod tests {
         }
         let mut scratch = SearchScratch::new(grid.num_bins());
         let mut counters = SearchCounters::default();
-        let path = find_path(
+        let path = find_path_limited(
             &st,
             bins[0],
+            i64::MAX,
             &SearchParams::default(),
             None,
             &mut scratch,
@@ -567,9 +538,10 @@ mod tests {
         // bin0: 120/100 sup 20; bin1: 80/100 dem 20 -> absorbed next door.
         let mut scratch = SearchScratch::new(grid.num_bins());
         let mut counters = SearchCounters::default();
-        let path = find_path(
+        let path = find_path_limited(
             &st,
             bins[0],
+            i64::MAX,
             &SearchParams::default(),
             None,
             &mut scratch,
@@ -605,9 +577,10 @@ mod tests {
         // 160 used / 120 cap: the only escape is the top die.
         let mut scratch = SearchScratch::new(grid.num_bins());
         let mut counters = SearchCounters::default();
-        let path = find_path(
+        let path = find_path_limited(
             &st,
             bins[0],
+            i64::MAX,
             &SearchParams::default(),
             None,
             &mut scratch,
@@ -624,9 +597,10 @@ mod tests {
             st2.insert_cell(CellId::new(i), bins2[0], 0);
         }
         let mut scratch2 = SearchScratch::new(grid2.num_bins());
-        assert!(find_path(
+        assert!(find_path_limited(
             &st2,
             bins2[0],
+            i64::MAX,
             &SearchParams::default(),
             None,
             &mut scratch2,
@@ -647,9 +621,10 @@ mod tests {
         let run = |alpha: f64| {
             let mut scratch = SearchScratch::new(grid.num_bins());
             let mut counters = SearchCounters::default();
-            let p = find_path(
+            let p = find_path_limited(
                 &st,
                 bins[0],
+                i64::MAX,
                 &SearchParams {
                     alpha,
                     ..Default::default()
@@ -668,6 +643,8 @@ mod tests {
         assert!(cost_full <= cost_greedy + 1e-9);
     }
 
+    /// Clamped (non-negative) costs, the cost model of Bonn's Dijkstra,
+    /// run through the kernel's one best-first discipline.
     #[test]
     fn dijkstra_mode_finds_nonnegative_path() {
         let d = fixture();
@@ -680,15 +657,22 @@ mod tests {
         let mut scratch = SearchScratch::new(grid.num_bins());
         let mut counters = SearchCounters::default();
         let params = SearchParams {
-            dijkstra: true,
             selection: SelectionParams {
                 clamp_negative: true,
                 ..Default::default()
             },
             ..Default::default()
         };
-        let path =
-            find_path(&st, bins[0], &params, None, &mut scratch, &mut counters).expect("path");
+        let path = find_path_limited(
+            &st,
+            bins[0],
+            i64::MAX,
+            &params,
+            None,
+            &mut scratch,
+            &mut counters,
+        )
+        .expect("path");
         assert!(path.cost >= 0.0);
         let last = path.steps.last().unwrap();
         assert!(st.dem(last.bin) >= last.inflow);
@@ -723,8 +707,16 @@ mod tests {
         let mut scratch = SearchScratch::new(grid.num_bins());
         let mut counters = SearchCounters::default();
 
-        let free =
-            find_path(&st, bins[0], &params, None, &mut scratch, &mut counters).expect("path");
+        let free = find_path_limited(
+            &st,
+            bins[0],
+            i64::MAX,
+            &params,
+            None,
+            &mut scratch,
+            &mut counters,
+        )
+        .expect("path");
         let first_hop = free.steps[1].bin;
 
         let out = grid.edge_between(bins[0], first_hop).unwrap();
@@ -735,9 +727,10 @@ mod tests {
         assert!(tabu.blocks(out));
         assert!(!tabu.blocks(back));
         assert!(!EdgeTabu::new(&free_from, 1).blocks(out));
-        let detour = find_path(
+        let detour = find_path_limited(
             &st,
             bins[0],
+            i64::MAX,
             &params,
             Some(&tabu),
             &mut scratch,
@@ -780,7 +773,7 @@ mod prop_tests {
 
     /// The rankings a scratch keeps must never change a search. One
     /// scratch serves every source's full retry ladder (bounded, then
-    /// unbounded, in best-first mode, and in clamped-Dijkstra mode) in
+    /// unbounded, with signed costs, and bounded with clamped costs) in
     /// shuffled order, so the kept rankings flip between parameter sets,
     /// while random mutations through every state mutator — checkpoint
     /// and rollback included — run between the search rounds. Each
@@ -810,7 +803,6 @@ mod prop_tests {
         let best_first = SearchParams {
             alpha: 0.1,
             slack: 8.0,
-            dijkstra: false,
             selection: SelectionParams {
                 d2d_penalty: 10.0,
                 ..SelectionParams::default()
@@ -823,7 +815,6 @@ mod prop_tests {
                 ..best_first
             },
             SearchParams {
-                dijkstra: true,
                 selection: SelectionParams {
                     clamp_negative: true,
                     ..best_first.selection

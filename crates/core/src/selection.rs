@@ -73,11 +73,12 @@ pub struct Selection {
     pub cost: f64,
 }
 
-/// Caller-owned candidate buffer for [`select_summary`]. Ranking
-/// reuses its allocation, so a caller that keeps one buffer (the search
-/// kernel keeps one per worker scratch) selects without allocating.
+/// Caller-owned candidate buffer for a selection. Ranking reuses its
+/// allocation, so a caller that keeps one buffer (each search scratch
+/// keeps one, `augment::realize` one per path) selects without
+/// allocating.
 #[derive(Debug, Clone, Default)]
-pub struct SelectionBuf {
+pub(crate) struct SelectionBuf {
     ranked: Vec<Candidate>,
 }
 
@@ -148,23 +149,6 @@ pub(crate) fn select_into(
     walk(state, v, kind, needed, &buf.ranked, |m| moves.push(m))
 }
 
-/// The `(cost, added_to_v)` of [`select_moves`] on the same arguments,
-/// bit for bit, without building the move list: the search kernel reads
-/// only these two fields, and `augment::realize` recomputes the moves
-/// when a path is applied. Ranks into the caller's `buf`.
-pub fn select_summary(
-    state: &FlowState<'_>,
-    u: BinId,
-    v: BinId,
-    kind: EdgeKind,
-    needed: i64,
-    params: &SelectionParams,
-    buf: &mut SelectionBuf,
-) -> Option<(f64, i64)> {
-    rank(state, u, v, kind, params, &mut buf.ranked);
-    walk(state, v, kind, needed, &buf.ranked, |_| {}).map(|w| (w.cost, w.added))
-}
-
 /// Candidates a [`RankCache`] keeps at most (1.25 MiB of them), and
 /// edges it keeps a span for at most (256 KiB of spans). A ranking that
 /// no longer fits is made and walked without being kept.
@@ -187,7 +171,8 @@ const UNRANKED: (u32, u32) = (u32::MAX, 0);
 /// lookup under another key drops them all (a generation bump, so it
 /// costs O(1)). Every state mutator moves the version to a value no
 /// state has had, so a stale ranking cannot be read. A lookup returns
-/// exactly what [`select_summary`] would.
+/// the cost and added width of [`select_moves`] on the same edge and
+/// flow, bit for bit (`prop_tests` below checks it).
 #[derive(Debug, Default)]
 pub(crate) struct RankCache {
     /// State version and parameter bits the kept rankings belong to.
@@ -205,10 +190,12 @@ pub(crate) struct RankCache {
 }
 
 impl RankCache {
-    /// The [`select_summary`] of the edge from `u` to its `j`-th
-    /// neighbour `v`, bit for bit. Ranks the edge only if no earlier
-    /// lookup under the same key did; `buf` takes a ranking the cache
-    /// has no room for.
+    /// The `(cost, added_to_v)` of [`select_moves`] on the edge from `u`
+    /// to its `j`-th neighbour `v`, bit for bit, without building the
+    /// move list: the search kernel reads only these two fields, and
+    /// `augment::realize` recomputes the moves when a path is applied.
+    /// Ranks the edge only if no earlier lookup under the same key did;
+    /// `buf` takes a ranking the cache has no room for.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn summary(
         &mut self,
@@ -753,5 +740,102 @@ mod tests {
         let a = select_moves(&st, bins[0], bins[1], EdgeKind::Horizontal, 40, &p);
         let b = select_moves(&st, bins[0], bins[1], EdgeKind::Horizontal, 40, &p);
         assert_eq!(a, b);
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use crate::assign;
+    use crate::config::Flow3dConfig;
+    use crate::driver::{bin_widths, search_params};
+    use crate::grid::BinGrid;
+    use flow3d_db::{DesignBuilder, DieSpec, LibCellSpec, Placement3d, RowLayout, TechnologySpec};
+    use flow3d_geom::FPoint;
+    use proptest::prelude::*;
+
+    /// The search reads a selection only through [`RankCache::summary`];
+    /// on every edge kind, with signed and clamped costs, it must agree
+    /// bit for bit with the move-building [`select_moves`] that
+    /// `augment::realize` applies. One cache and one buffer serve every
+    /// call, so a kept ranking is walked for several flows, the key flips
+    /// between the two cost models, and a longer earlier ranking can never
+    /// leak into a shorter later one.
+    #[test]
+    fn selection_summary_matches_the_move_building_call() {
+        // Comparisons per edge kind: horizontal, vertical, die-to-die.
+        let mut compared = [0usize; 3];
+        let mut cache = RankCache::default();
+        let mut buf = SelectionBuf::default();
+        // Up to 30 cells of widths 20–50 on two 400x40 dies, anchored in
+        // a narrow y-band so the assignment crowds one or two rows past
+        // their bins' capacity while the design stays feasible.
+        let cell = (2i64..=5, -50.0f64..450.0, -5.0f64..15.0, 0.0f64..1.0);
+        proptest!(ProptestConfig::with_cases(24), |(
+            cells in proptest::collection::vec(cell, 14..30),
+            bin_factor in 1.0f64..4.0,
+        )| {
+            let tech = |name: &str, width: i64, height: i64| {
+                (1..=5).fold(TechnologySpec::new(name), |t, w| {
+                    t.lib_cell(LibCellSpec::std_cell(format!("C{w}"), w * width, height))
+                })
+            };
+            let mut b = DesignBuilder::new("selection-prop")
+                .technology(tech("TA", 10, 10))
+                .technology(tech("TB", 12, 8))
+                .die(DieSpec::new("bottom", "TA", (0, 0, 400, 40), 10, 2, 0.95))
+                .die(DieSpec::new("top", "TB", (0, 0, 400, 40), 8, 2, 0.95));
+            let mut gp = Placement3d::new(cells.len());
+            for (i, &(w, x, y, z)) in cells.iter().enumerate() {
+                b = b.cell(format!("u{i}"), format!("C{w}"));
+                gp.set_pos(CellId::new(i), FPoint::new(x, y));
+                gp.set_die_affinity(CellId::new(i), z);
+            }
+            let design = b.build().unwrap();
+            let layout = RowLayout::build(&design);
+            let Ok(mut dies) = assign::partition_dies(&design, &gp) else { return; };
+            // Bins a few cell widths wide: several per row, so horizontal
+            // edges exist and cells straddle bin boundaries.
+            let grid = BinGrid::build(&design, &layout, &bin_widths(&design, bin_factor), true);
+            let Ok(state) = assign::build_state(&design, &layout, &grid, &gp, &mut dies)
+            else { return; };
+            let signed = search_params(&design, &Flow3dConfig::default()).selection;
+            for clamp_negative in [false, true] {
+                let params = SelectionParams { clamp_negative, ..signed };
+                for u in (0..grid.num_bins()).map(BinId::new) {
+                    let usage = state.usage(u);
+                    if usage == 0 {
+                        continue;
+                    }
+                    for (j, &(v, kind)) in grid.neighbors(u).iter().enumerate() {
+                        for needed in [1, state.sup(u).max(1), usage / 2 + 1, usage, usage + 1] {
+                            let full = select_moves(&state, u, v, kind, needed, &params);
+                            if let Some(sel) = &full {
+                                let moved: i64 = sel.moves.iter().map(|m| m.width_from_u).sum();
+                                prop_assert_eq!(moved, sel.removed_from_u);
+                            }
+                            let full = full.map(|s| (s.cost.to_bits(), s.added_to_v));
+                            let summary = cache
+                                .summary(&state, u, j, v, kind, needed, &params, &mut buf)
+                                .map(|(cost, added)| (cost.to_bits(), added));
+                            prop_assert_eq!(
+                                summary, full,
+                                "{:?} edge {:?}->{:?}, needed {}, clamp {}",
+                                kind, u, v, needed, clamp_negative
+                            );
+                            compared[match kind {
+                                EdgeKind::Horizontal => 0,
+                                EdgeKind::Vertical => 1,
+                                EdgeKind::DieToDie => 2,
+                            }] += 1;
+                        }
+                    }
+                }
+            }
+        });
+        assert!(
+            compared.iter().all(|&n| n >= 100),
+            "edge kinds too sparsely covered (horizontal, vertical, d2d): {compared:?}"
+        );
     }
 }

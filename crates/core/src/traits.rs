@@ -61,44 +61,40 @@ pub struct LegalizeOutcome {
 /// legal placement.
 ///
 /// Implemented by [`Flow3dLegalizer`](crate::Flow3dLegalizer) and by the
-/// Tetris / Abacus / BonnPlaceLegal baselines in `flow3d-baselines`.
+/// Tetris / Abacus / BonnPlaceLegal baselines in `flow3d-baselines`. An
+/// implementation provides [`legalize_observed`](Self::legalize_observed);
+/// [`legalize`](Self::legalize) is that call without a hook.
 pub trait Legalizer {
     /// Short identifier for tables and logs (e.g. `"3d-flow"`).
     fn name(&self) -> &str;
 
-    /// Legalizes `global` against `design`.
+    /// Legalizes `global` against `design`, recording phase timings and
+    /// event counters into `obs` when it is `Some` (see [`flow3d_obs`]).
     ///
     /// # Errors
     ///
     /// Returns [`LegalizeError`] when the placement cannot be legalized
     /// (cells that fit nowhere, utilization overflow, or — for flow-based
-    /// methods — sources with no augmenting path).
-    fn legalize(
-        &self,
-        design: &Design,
-        global: &Placement3d,
-    ) -> Result<LegalizeOutcome, LegalizeError>;
-
-    /// [`legalize`](Self::legalize) with an observability hook: phase
-    /// timings and event counters are recorded into `obs` when it is
-    /// `Some` (see [`flow3d_obs`]).
-    ///
-    /// The default implementation ignores the hook and delegates to
-    /// `legalize`, so implementing it is optional; instrumented
-    /// legalizers override it and implement `legalize` as
-    /// `self.legalize_observed(design, global, None)`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`legalize`](Self::legalize).
+    /// methods — sources no path or relocation can drain).
     fn legalize_observed(
         &self,
         design: &Design,
         global: &Placement3d,
         obs: Obs<'_>,
+    ) -> Result<LegalizeOutcome, LegalizeError>;
+
+    /// [`legalize_observed`](Self::legalize_observed) without an
+    /// observability hook.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`legalize_observed`](Self::legalize_observed).
+    fn legalize(
+        &self,
+        design: &Design,
+        global: &Placement3d,
     ) -> Result<LegalizeOutcome, LegalizeError> {
-        let _ = obs;
-        self.legalize(design, global)
+        self.legalize_observed(design, global, None)
     }
 }
 
@@ -146,10 +142,11 @@ mod tests {
             fn name(&self) -> &str {
                 "noop"
             }
-            fn legalize(
+            fn legalize_observed(
                 &self,
                 design: &Design,
                 _global: &Placement3d,
+                _obs: Obs<'_>,
             ) -> Result<LegalizeOutcome, LegalizeError> {
                 Ok(LegalizeOutcome {
                     placement: LegalPlacement::new(design.num_cells()),

@@ -67,5 +67,5 @@ pub use die::{Die, Row, MAX_COORD, MAX_ROWS_PER_DIE};
 pub use error::DbError;
 pub use ids::{CellId, DieId, LibCellId, MacroId, NetId, RowId, SegmentId, TechId};
 pub use layout::{RowLayout, Segment};
-pub use placement::{LegalPlacement, Placement3d};
+pub use placement::{CellMove, LegalPlacement, Placement3d};
 pub use tech::{LibCell, LibCellKind, LibCellSpec, PinDef, Technology, TechnologySpec};

@@ -156,6 +156,20 @@ impl LegalPlacement {
     }
 }
 
+/// One requested cell change in an ECO (engineering change order): the
+/// move-list files of `flow3d-io` and the incremental legalization entry
+/// points of `flow3d-core` share this type.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellMove {
+    /// The cell the optimization step touched.
+    pub cell: CellId,
+    /// Requested lower-left position (need not be legal; it becomes the
+    /// cell's new displacement anchor).
+    pub target: Point,
+    /// Requested die, or `None` to keep the cell's current die.
+    pub die: Option<DieId>,
+}
+
 /// Snaps a global placement to the nearest die per cell without moving
 /// x/y — the starting state for 2D legalizers, which keep die assignments
 /// fixed (paper §I).

@@ -96,6 +96,6 @@ mod stream;
 
 pub use case::{parse_case, write_case};
 pub use error::IoError;
-pub use moves::{parse_moves, write_moves, EcoMoveRecord};
+pub use moves::{parse_move_names, parse_moves, write_moves, NamedMove};
 pub use placement::{parse_legal, parse_placement3d, write_legal, write_placement3d};
 pub use stream::parse_case_reader;

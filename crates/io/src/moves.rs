@@ -3,8 +3,8 @@
 //! A move list names the cells an optimization step displaced, their
 //! requested positions, and (optionally) a requested die. It is the
 //! on-disk form of the incremental API's move slice
-//! (`flow3d_core::CellMove`) and the scriptable input of `flow3d eco`
-//! and the serve-mode `eco` request.
+//! ([`CellMove`](flow3d_db::CellMove)) and the scriptable input of
+//! `flow3d eco` and the serve-mode `eco` request.
 //!
 //! # Grammar
 //!
@@ -16,41 +16,48 @@
 //!
 //! Blank lines and `#` comments are skipped, like every other format in
 //! this crate.
+//!
+//! [`parse_move_names`] reads the grammar without a design (`flow3d
+//! request` sends a file's moves by name); [`parse_moves`] resolves the
+//! names against a design on top of it.
 
 use crate::error::IoError;
 use crate::stream::Lines;
-use flow3d_db::{CellId, Design, DieId};
+use flow3d_db::{CellMove, Design, DieId};
 use flow3d_geom::Point;
 use std::fmt::Write;
 
-/// One parsed ECO move: the io-level mirror of `flow3d_core::CellMove`
-/// (kept separate so this crate does not depend on the legalizer).
+/// One `Move` record as the file names it, before its cell is resolved
+/// against a design.
 #[derive(Debug, Clone, Copy, PartialEq)]
-// flow3d-tidy: allow(dead-pub) — file-format API (flow3d::io) for external readers/writers of contest artifacts
-pub struct EcoMoveRecord {
-    /// The cell the optimization step touched.
-    pub cell: CellId,
-    /// Requested lower-left position (need not be legal).
+pub struct NamedMove<'a> {
+    /// The instance name.
+    pub cell: &'a str,
+    /// Requested lower-left position, at most
+    /// [`MAX_COORD`](flow3d_db::MAX_COORD) in magnitude.
     pub target: Point,
-    /// Requested die, or `None` to keep the cell's current die.
-    pub die: Option<DieId>,
+    /// Requested die index, or `None` to keep the cell's current die.
+    pub die: Option<usize>,
 }
 
-/// Parses a move list against `design`.
+/// Parses a move list without a design, handing each record to `visit`
+/// in file order. An error message `visit` returns is reported at the
+/// record's line.
 ///
 /// # Errors
 ///
-/// Returns [`IoError::Parse`] on syntax errors, unknown cell names,
-/// out-of-range die indices, duplicate cells, a count mismatch, or a
-/// target beyond [`MAX_COORD`](flow3d_db::MAX_COORD) in magnitude.
-pub fn parse_moves(design: &Design, text: &str) -> Result<Vec<EcoMoveRecord>, IoError> {
+/// Returns [`IoError::Parse`] on syntax errors, a count mismatch, a
+/// target beyond [`MAX_COORD`](flow3d_db::MAX_COORD) in magnitude, or the
+/// first error of `visit`.
+pub fn parse_move_names(
+    text: &str,
+    mut visit: impl FnMut(NamedMove<'_>) -> Result<(), String>,
+) -> Result<(), IoError> {
     let mut r = Lines::new(text.as_bytes());
     r.expect_next("NumMoves")?;
     let toks = r.tokens();
     r.keyword(&toks, "NumMoves")?;
     let n: usize = r.field(&toks, 1, "move count")?;
-    let mut moves = Vec::with_capacity(n);
-    let mut seen = vec![false; design.num_cells()];
     for _ in 0..n {
         r.expect_next("Move")?;
         let toks = r.tokens();
@@ -58,37 +65,59 @@ pub fn parse_moves(design: &Design, text: &str) -> Result<Vec<EcoMoveRecord>, Io
         if toks.len() != 4 && toks.len() != 5 {
             return Err(r.err(format!("expected 4 or 5 fields, found {}", toks.len())));
         }
-        let name = toks[1];
-        let cell = design
-            .cell_by_name(name)
-            .ok_or_else(|| r.err(format!("unknown cell `{name}`")))?;
-        if std::mem::replace(&mut seen[cell.index()], true) {
-            return Err(r.err(format!("cell `{name}` moved twice")));
-        }
         let x = r.int_coord(&toks, 2, "x")?;
         let y = r.int_coord(&toks, 3, "y")?;
         let die = if toks.len() == 5 {
-            let d: usize = r.field(&toks, 4, "die")?;
-            if d >= design.num_dies() {
-                return Err(r.err(format!(
-                    "die {d} out of range (design has {})",
-                    design.num_dies()
-                )));
-            }
-            Some(DieId::new(d))
+            Some(r.field(&toks, 4, "die")?)
         } else {
             None
         };
-        moves.push(EcoMoveRecord {
-            cell,
+        visit(NamedMove {
+            cell: toks[1],
             target: Point::new(x, y),
             die,
-        });
+        })
+        .map_err(|message| r.err(message))?;
     }
     if r.advance()? {
         let extra: Vec<&str> = r.line().split_whitespace().collect();
         return Err(r.err(format!("unexpected trailing line `{}`", extra.join(" "))));
     }
+    Ok(())
+}
+
+/// Parses a move list against `design`.
+///
+/// # Errors
+///
+/// Returns [`IoError::Parse`] on every error of [`parse_move_names`],
+/// unknown cell names, out-of-range die indices and duplicate cells.
+pub fn parse_moves(design: &Design, text: &str) -> Result<Vec<CellMove>, IoError> {
+    let mut moves = Vec::new();
+    let mut seen = vec![false; design.num_cells()];
+    parse_move_names(text, |m| {
+        let cell = design
+            .cell_by_name(m.cell)
+            .ok_or_else(|| format!("unknown cell `{}`", m.cell))?;
+        if std::mem::replace(&mut seen[cell.index()], true) {
+            return Err(format!("cell `{}` moved twice", m.cell));
+        }
+        let die = match m.die {
+            Some(d) if d >= design.num_dies() => {
+                return Err(format!(
+                    "die {d} out of range (design has {})",
+                    design.num_dies()
+                ))
+            }
+            d => d.map(DieId::new),
+        };
+        moves.push(CellMove {
+            cell,
+            target: m.target,
+            die,
+        });
+        Ok(())
+    })?;
     Ok(moves)
 }
 
@@ -100,7 +129,7 @@ pub fn parse_moves(design: &Design, text: &str) -> Result<Vec<EcoMoveRecord>, Io
 // flow3d-tidy: allow(dead-pub) — file-format API (flow3d::io) for external readers/writers of contest artifacts
 pub fn write_moves(
     design: &Design,
-    moves: &[EcoMoveRecord],
+    moves: &[CellMove],
     out: &mut impl Write,
 ) -> Result<(), IoError> {
     writeln!(out, "NumMoves {}", moves.len())?;
@@ -123,7 +152,7 @@ pub fn write_moves(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flow3d_db::{DesignBuilder, DieSpec, LibCellSpec, TechnologySpec};
+    use flow3d_db::{CellId, DesignBuilder, DieSpec, LibCellSpec, TechnologySpec};
 
     fn design() -> Design {
         let mut b = DesignBuilder::new("t")
@@ -140,12 +169,12 @@ mod tests {
     fn roundtrip() {
         let d = design();
         let moves = vec![
-            EcoMoveRecord {
+            CellMove {
                 cell: CellId::new(0),
                 target: Point::new(35, 10),
                 die: None,
             },
-            EcoMoveRecord {
+            CellMove {
                 cell: CellId::new(2),
                 target: Point::new(-5, 0),
                 die: Some(DieId::new(1)),
@@ -167,5 +196,28 @@ mod tests {
         // Comments and blank lines are fine.
         let ok = parse_moves(&d, "# eco\nNumMoves 1\n\nMove u1 7 0 0\n").unwrap();
         assert_eq!(ok[0].die, Some(DieId::new(0)));
+    }
+
+    #[test]
+    fn names_parse_without_a_design() {
+        let mut named = Vec::new();
+        parse_move_names("NumMoves 2\nMove nosuch 1 2\nMove u0 -3 4 7\n", |m| {
+            named.push((m.cell.to_string(), m.target, m.die));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(
+            named,
+            [
+                ("nosuch".to_string(), Point::new(1, 2), None),
+                ("u0".to_string(), Point::new(-3, 4), Some(7)),
+            ]
+        );
+        // An error of the visitor is reported at the record's line.
+        let err = parse_move_names("# eco\nNumMoves 1\n\nMove u0 1 2\n", |_| {
+            Err("rejected".to_string())
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), "line 4: rejected");
     }
 }

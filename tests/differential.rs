@@ -10,7 +10,8 @@
 //! result as displacement; both are bit-exact on any machine and at any
 //! thread count, so [`PINS`] holds them exactly: one line per matrix
 //! case, one for a pin-only case whose output depends on the tabu window
-//! and the reduction tie-break, and one resident-engine ECO row.
+//! and the reduction tie-break, one resident-engine ECO row, and one row
+//! per baseline legalizer (Tetris, Abacus, Bonn) on one matrix case.
 //! Wall-clock is left to the repository benchmark (`BENCHMARK.json`).
 //!
 //! Regression note (flow3d-tidy D1): this matrix only catches an
@@ -256,6 +257,25 @@ fn legalize_pin(case: &Case) -> String {
     pin_line(&legal_bytes(&case.design, &outcome.placement), &profile)
 }
 
+/// A baseline's serial legalization of one case, as a [`pin_line`]. The
+/// baselines record no displacement histogram, so it is filled here from
+/// the placement, the way `Flow3dLegalizer` fills its own.
+fn baseline_pin(case: &Case, legalizer: &dyn Legalizer) -> String {
+    let label = format!("{} {}", case.label, legalizer.name());
+    let mut profile = Profile::new();
+    let outcome = legalizer
+        .legalize_observed(&case.design, &case.global, Some(&mut profile))
+        .unwrap_or_else(|e| panic!("{label}: legalization failed: {e}"));
+    let report = check_legal(&case.design, &outcome.placement);
+    assert!(report.is_legal(), "{label}: {report}");
+    let anchors = flow3d_core::assign::anchors(&case.design, &case.global);
+    for (i, &anchor) in anchors.iter().enumerate() {
+        let d = outcome.placement.pos(CellId::new(i)).manhattan(anchor);
+        profile.record(hist_keys::DISPLACEMENT, d as f64);
+    }
+    pin_line(&legal_bytes(&case.design, &outcome.placement), &profile)
+}
+
 /// The resident-engine row: one ECO on `case`'s legalized base that
 /// moves every ⌊n/32⌋-th cell to the bottom die's center, then a commit
 /// of its result, whose `CommitStats` close the line.
@@ -298,7 +318,7 @@ fn eco_pin(case: &Case, threads: usize) -> String {
 /// Exact work and output, one [`pin_line`] per row, broken at each `|`
 /// across source lines. A row changes only on purpose: paste the `actual`
 /// line a failing run prints, and give the reason in CHANGES.md.
-const PINS: [(&str, &str); 8] = [
+const PINS: [(&str, &str); 11] = [
     (
         "small_demo(1)",
         "legal=a96eec4bb793c53b \
@@ -355,6 +375,27 @@ const PINS: [(&str, &str); 8] = [
          | eco_seed=1 flow_pass=1 flow_pass/search_batch=4 flow_pass/search_batch/source_search=8 flow_pass/apply=4 placerow=1 placerow/segment=16 \
          | reseeded=61 total=547",
     ),
+    (
+        "iccad2022_case2@0.2 tetris",
+        "legal=fd5f40ffe7343577 \
+         | \
+         | legalize=1 legalize/partition=1 legalize/pack=1 \
+         | disp.count=547 disp.sum=174186 disp.max=1039",
+    ),
+    (
+        "iccad2022_case2@0.2 abacus",
+        "legal=37c897211dab5e4e \
+         | placerow_calls=24 \
+         | legalize=1 legalize/partition=1 legalize/insert=1 legalize/placerow=1 \
+         | disp.count=547 disp.sum=170477 disp.max=1435",
+    ),
+    (
+        "iccad2022_case2@0.2 bonn",
+        "legal=5e6f46ddfdd7f8bd \
+         | augmenting_paths=36 cells_moved=177 fallback_moves=0 nodes_expanded=1076 placerow_calls=23 search_retries=46 \
+         | legalize=1 legalize/partition=1 legalize/grid_build=1 legalize/assign=1 legalize/flow_pass=1 legalize/placerow=1 legalize/placerow/segment=23 \
+         | disp.count=547 disp.sum=165522 disp.max=1068",
+    ),
 
 ];
 
@@ -409,6 +450,17 @@ fn serial_work_and_output_match_the_pins() {
         );
     }
     rows.push((format!("{} eco+commit", eco_case.label), eco));
+    let baselines: [&dyn Legalizer; 3] = [
+        &TetrisLegalizer::default(),
+        &AbacusLegalizer::default(),
+        &BonnLegalizer::default(),
+    ];
+    for legalizer in baselines {
+        rows.push((
+            format!("{} {}", eco_case.label, legalizer.name()),
+            baseline_pin(eco_case, legalizer),
+        ));
+    }
     assert_eq!(rows.len(), PINS.len(), "one pin per row");
     let mut mismatches = String::new();
     for ((label, actual), (pin_label, pinned)) in rows.iter().zip(PINS) {

@@ -413,6 +413,11 @@ fn malformed_move_lists_report_the_pinned_error() {
             "line 3: expected Move, found end of file",
         ),
         (
+            "count no memory could hold",
+            "NumMoves 100000000000\nMove u0 10 0\n",
+            "line 3: expected Move, found end of file",
+        ),
+        (
             "x beyond the coordinate bound",
             "NumMoves 1\nMove u0 9223372036854775000 0\n",
             "line 2: x `9223372036854775000` is beyond the coordinate bound 2^53",

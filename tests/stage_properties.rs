@@ -87,7 +87,6 @@ fn params_for(design: &flow3d::db::Design, cfg: &Flow3dConfig) -> SearchParams {
     SearchParams {
         alpha: cfg.alpha,
         slack,
-        dijkstra: false,
         selection: SelectionParams {
             clamp_negative: false,
             d2d_congestion_cost: cfg.d2d_congestion_cost,
@@ -183,19 +182,12 @@ fn reference_search(
     while let Some(Reverse((RefOrd(cost), idx))) = heap.pop() {
         let node = nodes[idx as usize];
         let best_cost = best.map(|(_, c)| c).unwrap_or(f64::INFINITY);
-        if !params.dijkstra && cost >= ref_bound(best_cost, params.alpha, params.slack) {
-            // Stale entry: dropped under clamped costs, expanded (but not
-            // counted as such) under signed costs — see the kernel.
+        if cost >= ref_bound(best_cost, params.alpha, params.slack) {
+            // Stale entry: expanded, but not counted as such — see the
+            // kernel.
             counters.pruned_stale += 1;
-            if params.selection.clamp_negative {
-                continue;
-            }
         } else {
             counters.expanded += 1;
-        }
-        if params.dijkstra && idx != 0 && node.inflow <= state.dem(node.bin) {
-            best = Some((idx, node.cost));
-            break;
         }
         let needed = node.inflow - state.dem(node.bin);
         if needed <= 0 {
@@ -212,7 +204,7 @@ fn reference_search(
             visited[nbr.index()] = true;
             let child_cost = node.cost + sel.cost;
             let best_cost = best.map(|(_, c)| c).unwrap_or(f64::INFINITY);
-            if !params.dijkstra && child_cost >= ref_bound(best_cost, params.alpha, params.slack) {
+            if child_cost >= ref_bound(best_cost, params.alpha, params.slack) {
                 counters.pruned += 1;
                 continue;
             }
@@ -226,7 +218,7 @@ fn reference_search(
             let child_idx = nodes.len() as u32;
             nodes.push(child);
             counters.created += 1;
-            if !params.dijkstra && child.inflow <= state.dem(nbr) {
+            if child.inflow <= state.dem(nbr) {
                 if child_cost < best_cost {
                     best = Some((child_idx, child_cost));
                 }
@@ -271,12 +263,12 @@ fn arb_congested_instance() -> impl Strategy<Value = (Vec<i64>, Vec<(f64, f64, f
     })
 }
 
-/// The production kernel (arena reuse, pop-time pruning, allocation-free
-/// selection summaries) must reproduce the naive reference search node
-/// for node on random designs, in both best-first and Dijkstra modes,
-/// at every limit of the flow pass's retry ladder. One scratch serves
-/// every search, so nothing a search leaves in it may change a later
-/// one.
+/// The production kernel (arena reuse, pop-time stale accounting, kept
+/// edge rankings) must reproduce the naive reference search node for
+/// node on random designs, with signed and with clamped (non-negative)
+/// costs, at every limit of the flow pass's retry ladder. One scratch
+/// serves every search, so nothing a search leaves in it may change a
+/// later one.
 #[test]
 fn kernel_matches_naive_reference_implementation() {
     use flow3d_core::search::{find_path_limited, SearchCounters, SearchScratch};
@@ -294,17 +286,16 @@ fn kernel_matches_naive_reference_implementation() {
         let Ok(state) = assign::build_state(&design, &layout, &grid, &gp, &mut dies)
         else { return; };
 
-        let best_first = params_for(&design, &cfg);
-        let dijkstra = SearchParams {
-            dijkstra: true,
+        let signed = params_for(&design, &cfg);
+        let clamped = SearchParams {
             selection: SelectionParams {
                 clamp_negative: true,
-                ..best_first.selection
+                ..signed.selection
             },
-            ..best_first
+            ..signed
         };
         let mut scratch = SearchScratch::new(grid.num_bins());
-        for mode in [best_first, dijkstra] {
+        for mode in [signed, clamped] {
             for bin in state.overflowed_bins() {
                 // The flow pass's retry ladder: the full supply, then
                 // halved limits.
@@ -343,73 +334,6 @@ fn kernel_matches_naive_reference_implementation() {
     assert!(
         compared >= 8,
         "only {compared} kernel-vs-reference comparisons ran — fixture too sparse"
-    );
-}
-
-/// The search reads a selection only through `select_summary`; on every
-/// edge kind, with signed and clamped costs, it must agree bit for bit
-/// with the move-building `select_moves` that `augment::realize`
-/// applies — while one buffer serves every call, so a longer earlier
-/// ranking can never leak into a shorter later one.
-#[test]
-fn selection_summary_matches_the_move_building_call() {
-    use flow3d_core::grid::{BinId, EdgeKind};
-    use flow3d_core::selection::{select_moves, select_summary, SelectionBuf};
-
-    // Comparisons per edge kind: horizontal, vertical, die-to-die.
-    let mut compared = [0usize; 3];
-    proptest!(ProptestConfig::with_cases(24), |(
-        (widths, anchors) in arb_congested_instance(),
-        bin_factor in 1.0f64..4.0,
-    )| {
-        let (design, gp) = build(&widths, &anchors);
-        let cfg = Flow3dConfig::default();
-        let layout = RowLayout::build(&design);
-        let Ok(mut dies) = assign::partition_dies(&design, &gp) else { return; };
-        // Bins a few cell widths wide: several per row, so horizontal
-        // edges exist and cells straddle bin boundaries.
-        let bw = bin_widths(&design, bin_factor);
-        let grid = BinGrid::build(&design, &layout, &bw, true);
-        let Ok(state) = assign::build_state(&design, &layout, &grid, &gp, &mut dies)
-        else { return; };
-        let signed = params_for(&design, &cfg).selection;
-        let mut buf = SelectionBuf::default();
-        for u in (0..grid.num_bins()).map(BinId::new) {
-            let usage = state.usage(u);
-            if usage == 0 {
-                continue;
-            }
-            for &(v, kind) in grid.neighbors(u) {
-                for needed in [1, state.sup(u).max(1), usage / 2 + 1, usage, usage + 1] {
-                    for clamp_negative in [false, true] {
-                        let params = SelectionParams { clamp_negative, ..signed };
-                        let full = select_moves(&state, u, v, kind, needed, &params);
-                        if let Some(sel) = &full {
-                            let moved: i64 = sel.moves.iter().map(|m| m.width_from_u).sum();
-                            prop_assert_eq!(moved, sel.removed_from_u);
-                        }
-                        let full = full.map(|s| (s.cost.to_bits(), s.added_to_v));
-                        let summary =
-                            select_summary(&state, u, v, kind, needed, &params, &mut buf)
-                                .map(|(cost, added)| (cost.to_bits(), added));
-                        prop_assert_eq!(
-                            summary, full,
-                            "{:?} edge {:?}->{:?}, needed {}, clamp {}",
-                            kind, u, v, needed, clamp_negative
-                        );
-                        compared[match kind {
-                            EdgeKind::Horizontal => 0,
-                            EdgeKind::Vertical => 1,
-                            EdgeKind::DieToDie => 2,
-                        }] += 1;
-                    }
-                }
-            }
-        }
-    });
-    assert!(
-        compared.iter().all(|&n| n >= 100),
-        "edge kinds too sparsely covered (horizontal, vertical, d2d): {compared:?}"
     );
 }
 
