@@ -19,13 +19,6 @@ pub struct AbacusLegalizer {
     _private: (),
 }
 
-impl AbacusLegalizer {
-    /// Creates an Abacus legalizer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// An Abacus cluster over a contiguous run of items.
 #[derive(Debug, Clone, Copy)]
 struct Cluster {
@@ -331,7 +324,7 @@ mod tests {
                 flow3d_geom::FPoint::new(i as f64 * 60.0, 10.0),
             );
         }
-        let outcome = AbacusLegalizer::new().legalize(&d, &gp).unwrap();
+        let outcome = AbacusLegalizer::default().legalize(&d, &gp).unwrap();
         assert!(check_legal(&d, &outcome.placement).is_legal());
         assert_eq!(displacement_stats(&d, &gp, &outcome.placement).max_dbu, 0.0);
     }
@@ -340,8 +333,8 @@ mod tests {
     fn clump_is_legalized_with_less_displacement_than_tetris() {
         let d = design(14, 30);
         let gp = clump(14, 150.0, 10.0);
-        let abacus = AbacusLegalizer::new().legalize(&d, &gp).unwrap();
-        let tetris = crate::TetrisLegalizer::new().legalize(&d, &gp).unwrap();
+        let abacus = AbacusLegalizer::default().legalize(&d, &gp).unwrap();
+        let tetris = crate::TetrisLegalizer::default().legalize(&d, &gp).unwrap();
         assert!(check_legal(&d, &abacus.placement).is_legal());
         let sa = displacement_stats(&d, &gp, &abacus.placement);
         let st = displacement_stats(&d, &gp, &tetris.placement);

@@ -19,13 +19,6 @@ pub struct TetrisLegalizer {
     _private: (),
 }
 
-impl TetrisLegalizer {
-    /// Creates a Tetris legalizer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Free gaps of one segment, sorted by x. All bounds stay site-aligned
 /// because placed widths are site multiples on site-aligned positions.
 #[derive(Debug, Clone)]
@@ -274,7 +267,7 @@ mod tests {
         for i in 0..4 {
             gp.set_pos(CellId::new(i), FPoint::new(i as f64 * 50.0, 10.0));
         }
-        let outcome = TetrisLegalizer::new().legalize(&d, &gp).unwrap();
+        let outcome = TetrisLegalizer::default().legalize(&d, &gp).unwrap();
         assert!(check_legal(&d, &outcome.placement).is_legal());
         let s = displacement_stats(&d, &gp, &outcome.placement);
         assert_eq!(s.max_dbu, 0.0);
@@ -287,7 +280,7 @@ mod tests {
         for i in 0..10 {
             gp.set_pos(CellId::new(i), FPoint::new(100.0, 10.0));
         }
-        let outcome = TetrisLegalizer::new().legalize(&d, &gp).unwrap();
+        let outcome = TetrisLegalizer::default().legalize(&d, &gp).unwrap();
         let report = check_legal(&d, &outcome.placement);
         assert!(report.is_legal(), "{report}");
     }
@@ -303,7 +296,7 @@ mod tests {
         }
         let d = b.build().unwrap();
         let gp = Placement3d::new(40); // all at origin, all bottom
-        let err = TetrisLegalizer::new().legalize(&d, &gp).unwrap_err();
+        let err = TetrisLegalizer::default().legalize(&d, &gp).unwrap_err();
         assert!(matches!(
             err,
             LegalizeError::DieOverflow { .. } | LegalizeError::NoPosition { .. }
@@ -318,7 +311,7 @@ mod tests {
             gp.set_pos(CellId::new(i), FPoint::new(i as f64 * 30.0, 0.0));
             gp.set_die_affinity(CellId::new(i), if i % 2 == 0 { 0.0 } else { 1.0 });
         }
-        let outcome = TetrisLegalizer::new().legalize(&d, &gp).unwrap();
+        let outcome = TetrisLegalizer::default().legalize(&d, &gp).unwrap();
         for i in 0..6 {
             let expect = if i % 2 == 0 {
                 DieId::BOTTOM
@@ -351,7 +344,7 @@ mod tests {
         }
         // The fifth arrives last (largest x) and only fits in the gap.
         gp.set_pos(CellId::new(4), FPoint::new(330.0, 0.0));
-        let outcome = TetrisLegalizer::new().legalize(&d, &gp).unwrap();
+        let outcome = TetrisLegalizer::default().legalize(&d, &gp).unwrap();
         assert!(check_legal(&d, &outcome.placement).is_legal());
         assert_eq!(outcome.placement.pos(CellId::new(4)), Point::new(160, 0));
     }

@@ -34,15 +34,18 @@ pub fn bin_widths(design: &Design, factor: f64) -> Vec<i64> {
         .collect()
 }
 
-/// The result of one source's bounded-search retry ladder: the candidate
-/// path (if any), the search counters it burned, and how many searches
-/// ran.
+/// The result of one source's retry ladder: the candidate path (if
+/// any), the search counters it burned, and how many searches ran.
 type SourceSearch = (Option<AugmentingPath>, SearchCounters, usize);
 
-/// Runs the per-source retry ladder — bounded search with halved flow
-/// limits, then one retry with the bound disabled — against an immutable
-/// state. Read-only: this is the unit of work a flow-pass batch fans out
-/// across the worker pool.
+/// Runs the per-source retry ladder — bounded searches with halved flow
+/// limits — against an immutable state. Read-only: this is the unit of
+/// work a flow-pass batch fans out across the worker pool.
+///
+/// A stuck source runs `⌊log2 sup⌋ + 1` searches. Retrying with the
+/// bound disabled would gain nothing: a search that finds no path never
+/// had a candidate, so its bound stayed at +∞ throughout and it explored
+/// exactly what an unbounded search would.
 fn search_source(
     state: &FlowState<'_>,
     bin: BinId,
@@ -53,37 +56,24 @@ fn search_source(
 ) -> SourceSearch {
     let mut counters = SearchCounters::default();
     let mut searches: usize = 0;
-    for relaxed in [false, true] {
-        if relaxed && params.alpha.is_infinite() {
-            break;
+    // A single path can only drain what its bins can absorb or forward;
+    // on failure retry with halved flow before declaring the source
+    // stuck.
+    let mut limit = sup;
+    while limit > 0 {
+        searches += 1;
+        if let Some(p) = find_path_limited(
+            state,
+            bin,
+            limit,
+            params,
+            Some(tabu),
+            scratch,
+            &mut counters,
+        ) {
+            return (Some(p), counters, searches);
         }
-        let attempt_params = if relaxed {
-            SearchParams {
-                alpha: f64::INFINITY,
-                ..*params
-            }
-        } else {
-            *params
-        };
-        // A single path can only drain what its bins can absorb or
-        // forward; on failure retry with halved flow, then once more with
-        // the bound disabled, before declaring the source stuck.
-        let mut limit = sup;
-        while limit > 0 {
-            searches += 1;
-            if let Some(p) = find_path_limited(
-                state,
-                bin,
-                limit,
-                &attempt_params,
-                Some(tabu),
-                scratch,
-                &mut counters,
-            ) {
-                return (Some(p), counters, searches);
-            }
-            limit /= 2;
-        }
+        limit /= 2;
     }
     (None, counters, searches)
 }
@@ -828,6 +818,51 @@ mod tests {
             gp.set_die_affinity(c, if i % 4 == 0 { 0.6 } else { 0.2 });
         }
         (design, gp)
+    }
+
+    /// A source with nowhere to drain runs one bounded search per halved
+    /// limit — `⌊log2 sup⌋ + 1` in all — and no unbounded retry after
+    /// them.
+    #[test]
+    fn stuck_source_runs_one_search_per_halved_limit() {
+        // One 400-wide row in four 100-wide bins, no D2D edges: eight
+        // 50-wide cells fill every bin, and a ninth overfills the first.
+        let mut b = DesignBuilder::new("t")
+            .technology(TechnologySpec::new("T").lib_cell(LibCellSpec::std_cell("W50", 50, 12)))
+            .die(DieSpec::new("bottom", "T", (0, 0, 400, 12), 12, 1, 1.0))
+            .die(DieSpec::new("top", "T", (0, 0, 400, 12), 12, 1, 1.0));
+        for i in 0..9 {
+            b = b.cell(format!("u{i}"), "W50");
+        }
+        let d = b.build().unwrap();
+        let layout = RowLayout::build(&d);
+        let grid = BinGrid::build(&d, &layout, &[100, 100], false);
+        let bins: Vec<BinId> = (0..grid.num_bins())
+            .map(BinId::new)
+            .filter(|&bin| grid.bin(bin).die == DieId::BOTTOM)
+            .collect();
+        assert_eq!(bins.len(), 4);
+        let mut st = FlowState::new(&d, &layout, &grid, vec![Point::ORIGIN; 9]);
+        for i in 0..9 {
+            let bin = if i < 8 { bins[i / 2] } else { bins[0] };
+            st.insert_cell_whole(CellId::new(i), bin);
+        }
+        let sup = st.sup(bins[0]);
+        assert_eq!(sup, 50);
+        assert!(bins.iter().all(|&bin| st.dem(bin) == 0));
+        let free_from = vec![0u32; grid.num_edges()];
+        let mut scratch = SearchScratch::new(grid.num_bins());
+        let (path, _, searches) = search_source(
+            &st,
+            bins[0],
+            sup,
+            &SearchParams::default(),
+            &EdgeTabu::new(&free_from, 0),
+            &mut scratch,
+        );
+        assert!(path.is_none());
+        // Limits 50, 25, 12, 6, 3, 1: ⌊log2 50⌋ + 1 searches.
+        assert_eq!(searches, 6);
     }
 
     #[test]

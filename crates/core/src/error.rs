@@ -23,9 +23,10 @@ pub enum LegalizeError {
         /// Maximum area allowed by the utilization cap.
         allowed: i64,
     },
-    /// An overflowed bin could not be drained: no augmenting path exists
-    /// even with the search bound disabled (disconnected or overfull
-    /// region).
+    /// An overflowed bin could not be drained: its searches found no
+    /// augmenting path, and neither did the fallback (3D-Flow's direct
+    /// relocation finds no bin with room for its cells; Bonn's search
+    /// budget runs out), as in a disconnected or overfull region.
     NoAugmentingPath {
         /// Die of the stuck source bin.
         die: DieId,

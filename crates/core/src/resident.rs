@@ -384,7 +384,6 @@ impl EcoEngine {
 /// effectiveness, reported so serve stats and benches can verify that
 /// commits after small ECOs stay incremental.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-// flow3d-tidy: allow(dead-pub) — cross-crate via return-value field access (flow3d-serve reads reseeded/total off EcoEngine::commit), which the ref scan cannot see
 pub struct CommitStats {
     /// Cells re-seeded because their `(position, die)` changed against
     /// the previous base.

@@ -1,6 +1,5 @@
 //! Placement states: continuous global placements and legal placements.
 
-use crate::design::Design;
 use crate::ids::{CellId, DieId};
 use flow3d_geom::{FPoint, Point};
 
@@ -168,16 +167,6 @@ pub struct CellMove {
     pub target: Point,
     /// Requested die, or `None` to keep the cell's current die.
     pub die: Option<DieId>,
-}
-
-/// Snaps a global placement to the nearest die per cell without moving
-/// x/y — the starting state for 2D legalizers, which keep die assignments
-/// fixed (paper §I).
-// flow3d-tidy: allow(dead-pub) — design-database model type, part of the flow3d::db facade surface
-pub fn snap_to_nearest_die(design: &Design, global: &Placement3d) -> Vec<DieId> {
-    (0..global.num_cells())
-        .map(|i| global.nearest_die(CellId::new(i), design.num_dies()))
-        .collect()
 }
 
 #[cfg(test)]

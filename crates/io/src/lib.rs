@@ -18,6 +18,9 @@
 //!   cell, `z` being the die affinity.
 //! * **Legal placement files** ([`parse_legal`], [`write_legal`]) carry
 //!   the legalizer output: integer position and die per cell.
+//!   [`LegalText`] keeps one base placement's text and renders a
+//!   placement that differs from it in few cells by copying the base
+//!   text between the changed cells, byte-identical to [`write_legal`].
 //! * **ECO move lists** ([`parse_moves`], [`write_moves`]) carry the
 //!   cells an optimization step displaced with their requested positions
 //!   and dies — the input of `flow3d eco` and the serve-mode `eco`
@@ -90,12 +93,14 @@
 
 mod case;
 mod error;
+mod legal_text;
 mod moves;
 mod placement;
 mod stream;
 
 pub use case::{parse_case, write_case};
 pub use error::IoError;
+pub use legal_text::{write_legal, LegalText};
 pub use moves::{parse_move_names, parse_moves, write_moves, NamedMove};
-pub use placement::{parse_legal, parse_placement3d, write_legal, write_placement3d};
+pub use placement::{parse_legal, parse_placement3d, write_placement3d};
 pub use stream::parse_case_reader;

@@ -148,33 +148,6 @@ pub fn parse_legal(design: &Design, text: &str) -> Result<LegalPlacement, IoErro
     Ok(placement)
 }
 
-/// Writes a legal placement in the format of [`parse_legal`].
-///
-/// # Errors
-///
-/// Only fails if the underlying [`Write`] sink fails.
-pub fn write_legal(
-    design: &Design,
-    placement: &LegalPlacement,
-    out: &mut impl Write,
-) -> Result<(), IoError> {
-    for (keyword, die) in [
-        ("TopDiePlacement", DieId::TOP),
-        ("BottomDiePlacement", DieId::BOTTOM),
-    ] {
-        let on_die: Vec<usize> = (0..design.num_cells())
-            .filter(|&i| placement.die(CellId::new(i)) == die)
-            .collect();
-        writeln!(out, "{keyword} {}", on_die.len())?;
-        for i in on_die {
-            let c = CellId::new(i);
-            let p = placement.pos(c);
-            writeln!(out, "Inst {} {} {}", design.cells()[i].name, p.x, p.y)?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,7 +186,7 @@ mod tests {
         lp.place(CellId::new(0), Point::new(10, 0), DieId::TOP);
         lp.place(CellId::new(1), Point::new(20, 12), DieId::BOTTOM);
         let mut text = String::new();
-        write_legal(&d, &lp, &mut text).unwrap();
+        crate::write_legal(&d, &lp, &mut text).unwrap();
         let lp2 = parse_legal(&d, &text).unwrap();
         assert_eq!(lp, lp2);
     }

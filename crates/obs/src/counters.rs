@@ -26,8 +26,9 @@ pub mod keys {
     pub const SELECTION_MEMO_MISSES: &str = "selection_memo_misses";
     /// Augmenting paths found and realized.
     pub const AUGMENTING_PATHS: &str = "augmenting_paths";
-    /// Bounded-search retries after a no-path round (limit halving, then
-    /// the relaxed full search).
+    /// Bounded-search retries after a search that found no path: one per
+    /// halved flow limit, so a stuck source of supply `s` adds
+    /// `⌊log2 s⌋`.
     pub const SEARCH_RETRIES: &str = "search_retries";
     /// Whole cells moved while realizing augmenting paths.
     pub const CELLS_MOVED: &str = "cells_moved";

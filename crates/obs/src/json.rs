@@ -6,7 +6,7 @@
 //! and round-trip [`RunReport`](crate::RunReport)s: objects, arrays,
 //! strings, finite numbers, booleans, and `null`.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A JSON document.
 ///
@@ -98,6 +98,7 @@ impl Json {
     /// surrogate pair decodes to one scalar, a lone surrogate is an error.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -110,72 +111,129 @@ impl Json {
         }
         Ok(value)
     }
+
+    /// Appends the compact serialization (no insignificant whitespace)
+    /// to `out`: the one serializer behind [`Display`](fmt::Display)
+    /// and the serve wire's frame writer.
+    pub fn write_to(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(v) => {
+                if v.is_finite() {
+                    // flow3d-tidy: allow(panic-unwrap) — invariant: writing to a String cannot fail
+                    write!(out, "{v}").expect("a String sink never fails");
+                } else {
+                    out.push_str("null");
+                }
+            }
+            Json::Str(s) => write_escaped(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write_to(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(pairs) => {
+                out.push('{');
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_escaped(out, k);
+                    out.push(':');
+                    v.write_to(out);
+                }
+                out.push('}');
+            }
+        }
+    }
 }
 
 impl fmt::Display for Json {
     /// Serializes compactly (no insignificant whitespace).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(v) => {
-                if v.is_finite() {
-                    write!(f, "{v}")
-                } else {
-                    f.write_str("null")
-                }
-            }
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(pairs) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut out = String::new();
+        self.write_to(&mut out);
+        f.write_str(&out)
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    // Unescaped stretches go out with one `write_str` each. Every byte
+/// `0x01` in every byte of a word.
+const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+/// `0x80` in every byte of a word.
+const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+
+/// The high bit of each byte of `w` that equals `b`. The lowest set bit
+/// is exact; bits above it may be false positives (the subtraction's
+/// borrow), which is all a scan for the *first* match needs.
+fn bytes_equal(w: u64, b: u8) -> u64 {
+    let x = w ^ (ONES * u64::from(b));
+    x.wrapping_sub(ONES) & !x & HIGHS
+}
+
+/// Like [`bytes_equal`], for the bytes of `w` that JSON must escape in
+/// a string: `"`, `\` and the C0 controls below 0x20. A byte of a
+/// multi-byte UTF-8 sequence (0x80 and up) never matches.
+fn escape_mask(w: u64) -> u64 {
+    let controls = w.wrapping_sub(ONES * 0x20) & !w & HIGHS;
+    bytes_equal(w, b'"') | bytes_equal(w, b'\\') | controls
+}
+
+/// The offset of the first byte of `bytes[from..]` that `mask` flags, or
+/// `None`. Scans 8 bytes at a time; the last word is padded with spaces,
+/// which no mask flags.
+fn find_byte(bytes: &[u8], from: usize, mask: impl Fn(u64) -> u64) -> Option<usize> {
+    let found = |i: usize, m: u64| (m != 0).then(|| i + (m.trailing_zeros() / 8) as usize);
+    let mut i = from;
+    while let Some(word) = bytes
+        .get(i..i + 8)
+        .and_then(|w| <[u8; 8]>::try_from(w).ok())
+    {
+        if let Some(at) = found(i, mask(u64::from_le_bytes(word))) {
+            return Some(at);
+        }
+        i += 8;
+    }
+    let mut tail = [b' '; 8];
+    tail[..bytes.len() - i].copy_from_slice(&bytes[i..]);
+    found(i, mask(u64::from_le_bytes(tail)))
+}
+
+fn write_escaped(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
+    out.push('"');
+    // Unescaped stretches go out with one `push_str` each. Every byte
     // that needs escaping is ASCII, so `start..i` always lies on char
     // boundaries.
+    let bytes = s.as_bytes();
     let mut start = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
-            continue;
-        }
-        f.write_str(&s[start..i])?;
-        match b {
-            b'"' => f.write_str("\\\"")?,
-            b'\\' => f.write_str("\\\\")?,
-            b'\n' => f.write_str("\\n")?,
-            b'\r' => f.write_str("\\r")?,
-            b'\t' => f.write_str("\\t")?,
-            _ => write!(f, "\\u{b:04x}")?,
+    while let Some(i) = find_byte(bytes, start, escape_mask) {
+        out.push_str(&s[start..i]);
+        match bytes[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
         }
         start = i + 1;
     }
-    f.write_str(&s[start..])?;
-    f.write_str("\"")
+    out.push_str(&s[start..]);
+    out.push('"');
 }
+
+/// Lower-case hex digits, as `{:04x}` prints them.
+const HEX: &[u8; 16] = b"0123456789abcdef";
 
 /// A parse failure: what went wrong and the byte offset where.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -195,6 +253,9 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    /// The document; already valid UTF-8, so a run between two ASCII
+    /// bytes is sliced out of it without re-checking.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open around `pos`.
@@ -328,23 +389,17 @@ impl Parser<'_> {
         let mut out = String::new();
         loop {
             // Copy the run up to the next quote or backslash in one go.
-            // Both are ASCII, so the run ends on a char boundary and only
-            // its own bytes need validating.
+            // Both are ASCII, so the run lies on char boundaries of the
+            // valid input.
             let start = self.pos;
-            let Some(len) = self.bytes[start..]
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\')
-            else {
+            let Some(end) = find_byte(self.bytes, start, |w| {
+                bytes_equal(w, b'"') | bytes_equal(w, b'\\')
+            }) else {
                 self.pos = self.bytes.len();
                 return Err(self.err("unterminated string"));
             };
-            let run =
-                std::str::from_utf8(&self.bytes[start..start + len]).map_err(|e| JsonError {
-                    message: "invalid UTF-8".to_string(),
-                    offset: start + e.valid_up_to(),
-                })?;
-            out.push_str(run);
-            self.pos = start + len;
+            out.push_str(&self.text[start..end]);
+            self.pos = end;
             if self.bytes[self.pos] == b'"' {
                 self.pos += 1;
                 return Ok(out);
@@ -430,8 +485,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
@@ -531,6 +585,59 @@ mod tests {
         let text = Json::Str(s.into()).to_string();
         assert_eq!(text, "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001fh é 😀\"");
         assert_eq!(Json::parse(&text).unwrap().as_str(), Some(s));
+    }
+
+    /// The `fmt` escaper the serializer used before the word-at-a-time
+    /// scan: the byte reference for `write_escaped`.
+    fn reference_escaped(s: &str) -> String {
+        let mut f = String::from("\"");
+        let mut start = 0;
+        for (i, &b) in s.as_bytes().iter().enumerate() {
+            if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+                continue;
+            }
+            f.push_str(&s[start..i]);
+            match b {
+                b'"' => f.push_str("\\\""),
+                b'\\' => f.push_str("\\\\"),
+                b'\n' => f.push_str("\\n"),
+                b'\r' => f.push_str("\\r"),
+                b'\t' => f.push_str("\\t"),
+                _ => write!(f, "\\u{b:04x}").unwrap(),
+            }
+            start = i + 1;
+        }
+        f.push_str(&s[start..]);
+        f.push('"');
+        f
+    }
+
+    /// Every byte the escaper must escape, DEL, and one- to four-byte
+    /// UTF-8, alone or twice, at every offset of the 8-byte scan words,
+    /// with tails that end the string inside, at and past a word, all
+    /// escape like the reference and parse back.
+    #[test]
+    fn word_scans_match_the_reference_at_every_offset() {
+        let specials: Vec<String> = (0u8..0x20)
+            .map(|b| char::from(b).to_string())
+            .chain(["\"", "\\", "\u{7f}", "é", "中", "😀"].map(String::from))
+            .collect();
+        for special in &specials {
+            for offset in 0..=16 {
+                for tail in [0, 1, 6, 7, 8, 9, 16] {
+                    let pad = "a".repeat(offset);
+                    let end = "b".repeat(tail);
+                    for s in [
+                        format!("{pad}{special}{end}"),
+                        format!("{special}{pad}{special}{end}"),
+                    ] {
+                        let text = Json::Str(s.clone()).to_string();
+                        assert_eq!(text, reference_escaped(&s), "{s:?}");
+                        assert_eq!(Json::parse(&text).unwrap().as_str(), Some(s.as_str()));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

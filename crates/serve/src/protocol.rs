@@ -96,18 +96,26 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// Writes `json` as one length-prefixed frame and flushes. Prefix and
-/// payload go out in a single `write_all`, so an unbuffered socket sees
+/// Writes `json` as one length-prefixed frame and flushes. The payload
+/// is serialized straight into the frame buffer behind a 4-byte
+/// placeholder that then takes the length, so an unbuffered socket sees
 /// one write per frame.
 ///
 /// # Errors
 ///
-/// Any error of the underlying writer.
+/// Any error of the underlying writer, or `InvalidInput` for a payload
+/// a 4-byte prefix cannot count.
 pub fn write_frame(w: &mut impl Write, json: &Json) -> std::io::Result<()> {
-    let payload = json.to_string();
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    frame.extend_from_slice(payload.as_bytes());
+    let mut frame = String::from("\0\0\0\0");
+    json.write_to(&mut frame);
+    let mut frame = frame.into_bytes();
+    let len = u32::try_from(frame.len() - 4).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "frame payload exceeds 4 GiB",
+        )
+    })?;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
     w.write_all(&frame)?;
     w.flush()
 }
@@ -137,9 +145,10 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Json>, FrameError> {
     if len > MAX_FRAME {
         return Err(FrameError::TooLarge(len));
     }
-    // Grow the buffer only as payload bytes actually arrive: a length
-    // prefix alone must not be able to reserve MAX_FRAME bytes.
-    let mut buf = Vec::new();
+    // Reserve at most 1 MiB up front and grow only as payload bytes
+    // actually arrive: a length prefix alone must not be able to
+    // reserve MAX_FRAME bytes.
+    let mut buf = Vec::with_capacity(len.min(1 << 20));
     r.take(len as u64).read_to_end(&mut buf)?;
     if buf.len() < len {
         return Err(FrameError::Io(std::io::ErrorKind::UnexpectedEof.into()));

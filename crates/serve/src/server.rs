@@ -28,9 +28,13 @@ use crate::protocol::{
     codes, error_response, ok_response, read_frame, request_id, write_frame, FrameError, MoveSpec,
     Request, MAX_CONNECTIONS,
 };
-use flow3d_core::{CellMove, EcoEngine, Flow3dConfig, Flow3dLegalizer, LegalizeStats, Legalizer};
-use flow3d_db::{Design, DieId};
+use flow3d_core::{
+    CellMove, CommitStats, EcoEngine, Flow3dConfig, Flow3dLegalizer, LegalizeError, LegalizeStats,
+    Legalizer,
+};
+use flow3d_db::{Design, DieId, LegalPlacement};
 use flow3d_geom::Point;
+use flow3d_io::LegalText;
 use flow3d_obs::{
     hist_keys, keys, log_record, peak_rss_bytes, EventLog, FlightRecorder, Json, LogLevel, Profile,
     RequestSample, RollingWindow, RunReport,
@@ -107,12 +111,42 @@ impl Default for ServerConfig {
 /// per-case counters outside it, so `stats` never waits on a running
 /// request.
 struct CaseSlot {
-    engine: Mutex<EcoEngine>,
+    resident: Mutex<Resident>,
     cells: usize,
     /// Successful ECOs: `stats` reports it as both `ecos` and
     /// `requests_served`, and an `eco` reply as `requests_served`.
     ecos: AtomicU64,
     legalizes: AtomicU64,
+}
+
+/// What a case's lock guards: the warm engine, and the legal text of
+/// its committed base, from which `eco` and `legalize` replies are
+/// rendered. A reply differs from the base in few cells, so rendering
+/// copies most lines instead of formatting them.
+struct Resident {
+    engine: EcoEngine,
+    text: LegalText,
+}
+
+impl Resident {
+    fn new(engine: EcoEngine) -> Resident {
+        let text = LegalText::new(engine.design(), engine.base());
+        Resident { engine, text }
+    }
+
+    /// The legal text of `placement`, byte-identical to
+    /// [`flow3d_io::write_legal`].
+    fn render(&self, placement: &LegalPlacement) -> String {
+        self.text.render(self.engine.design(), placement)
+    }
+
+    /// Commits `placement` as the engine's base and rebuilds the base
+    /// text from it.
+    fn commit(&mut self, placement: LegalPlacement) -> Result<CommitStats, LegalizeError> {
+        let stats = self.engine.commit(placement)?;
+        self.text = LegalText::new(self.engine.design(), self.engine.base());
+        Ok(stats)
+    }
 }
 
 /// What a queued request produces: the wire response plus the request's
@@ -793,7 +827,7 @@ impl Server {
         };
         profile.end("load");
         let slot = Arc::new(CaseSlot {
-            engine: Mutex::new(engine),
+            resident: Mutex::new(Resident::new(engine)),
             cells,
             ecos: AtomicU64::new(0),
             legalizes: AtomicU64::new(0),
@@ -879,8 +913,8 @@ impl Server {
         let Some(slot) = self.case_slot(name) else {
             return fail(codes::UNKNOWN_CASE, &format!("no resident case `{name}`"));
         };
-        let mut engine = lock(&slot.engine);
-        let gp = match flow3d_io::parse_placement3d(engine.design(), global) {
+        let mut resident = lock(&slot.resident);
+        let gp = match flow3d_io::parse_placement3d(resident.engine.design(), global) {
             Ok(p) => p,
             Err(e) => return fail(codes::PARSE_FAILED, &format!("global: {e}")),
         };
@@ -889,20 +923,18 @@ impl Server {
             profile.enable_tracing();
         }
         profile.begin("legalize");
-        let legalizer = Flow3dLegalizer::new(engine.config().clone());
-        let outcome = match legalizer.legalize_observed(engine.design(), &gp, Some(&mut profile)) {
+        let legalizer = Flow3dLegalizer::new(resident.engine.config().clone());
+        let design = resident.engine.design();
+        let outcome = match legalizer.legalize_observed(design, &gp, Some(&mut profile)) {
             Ok(o) => o,
             Err(e) => return fail(codes::LEGALIZE_FAILED, &e.to_string()),
         };
         profile.end("legalize");
         slot.legalizes.fetch_add(1, Ordering::Relaxed);
-        let legal_text = match placement_text(&engine, &outcome.placement) {
-            Ok(t) => t,
-            Err(e) => return fail(codes::LEGALIZE_FAILED, &e),
-        };
+        let legal_text = resident.render(&outcome.placement);
         let commit_stats = if commit {
             profile.begin("commit");
-            let cs = match engine.commit(outcome.placement.clone()) {
+            let cs = match resident.commit(outcome.placement) {
                 Ok(cs) => cs,
                 Err(e) => return fail(codes::LEGALIZE_FAILED, &e.to_string()),
             };
@@ -950,8 +982,8 @@ impl Server {
         let Some(slot) = self.case_slot(name) else {
             return fail(codes::UNKNOWN_CASE, &format!("no resident case `{name}`"));
         };
-        let mut engine = lock(&slot.engine);
-        let cell_moves = match resolve_moves(engine.design(), moves) {
+        let mut resident = lock(&slot.resident);
+        let cell_moves = match resolve_moves(resident.engine.design(), moves) {
             Ok(m) => m,
             Err(msg) => return fail(codes::BAD_REQUEST, &msg),
         };
@@ -960,19 +992,19 @@ impl Server {
             profile.enable_tracing();
         }
         profile.begin("eco");
-        let outcome = match engine.eco_observed(&cell_moves, Some(&mut profile)) {
+        let outcome = match resident
+            .engine
+            .eco_observed(&cell_moves, Some(&mut profile))
+        {
             Ok(o) => o,
             Err(e) => return fail(codes::LEGALIZE_FAILED, &e.to_string()),
         };
         profile.end("eco");
         let served = slot.ecos.fetch_add(1, Ordering::Relaxed) + 1;
-        let legal_text = match placement_text(&engine, &outcome.placement) {
-            Ok(t) => t,
-            Err(e) => return fail(codes::LEGALIZE_FAILED, &e),
-        };
+        let legal_text = resident.render(&outcome.placement);
         let commit_stats = if commit {
             profile.begin("commit");
-            let cs = match engine.commit(outcome.placement.clone()) {
+            let cs = match resident.commit(outcome.placement) {
                 Ok(cs) => cs,
                 Err(e) => return fail(codes::LEGALIZE_FAILED, &e.to_string()),
             };
@@ -1099,16 +1131,6 @@ fn resolve_moves(design: &Design, moves: &[MoveSpec]) -> Result<Vec<CellMove>, S
             })
         })
         .collect()
-}
-
-fn placement_text(
-    engine: &EcoEngine,
-    placement: &flow3d_db::LegalPlacement,
-) -> Result<String, String> {
-    let mut buf = String::new();
-    flow3d_io::write_legal(engine.design(), placement, &mut buf)
-        .map_err(|e| format!("serializing placement: {e}"))?;
-    Ok(buf)
 }
 
 fn stats_json(stats: &LegalizeStats) -> Json {
@@ -1356,7 +1378,7 @@ mod tests {
         assert!(ok(&reply), "{reply}");
 
         let slot = server.case_slot("a").unwrap();
-        let busy = lock(&slot.engine);
+        let busy = lock(&slot.resident);
         let (send, receive) = mpsc::channel();
         let client = server.clone();
         let asker = std::thread::spawn(move || send.send(client.process(2, Request::Stats)));
@@ -1388,7 +1410,7 @@ mod tests {
         let (server, log) = logged_server("fifo", 2);
         demo.load(&server, "a");
         let slot = server.case_slot("a").unwrap();
-        let busy = lock(&slot.engine);
+        let busy = lock(&slot.resident);
         let first = send(&server, 1, eco("a", demo.pileup(20..24, 24), false));
         wait_until("the first eco runs", || ecos_dispatched(&log) == 1);
         let before = pending(&server);
@@ -1429,7 +1451,7 @@ mod tests {
         demo.load(&server, "a");
         demo.load(&server, "b");
         let slot = server.case_slot("a").unwrap();
-        let busy = lock(&slot.engine);
+        let busy = lock(&slot.resident);
         let on_a = send(&server, 1, eco("a", demo.pileup(0..5, 5), false));
         wait_until("the eco on a runs", || ecos_dispatched(&log) == 1);
         let on_b = send(&server, 2, eco("b", demo.pileup(0..5, 5), false));
@@ -1452,7 +1474,7 @@ mod tests {
         demo.load(&server, "a");
         demo.load(&server, "b");
         let slot = server.case_slot("a").unwrap();
-        let busy = lock(&slot.engine);
+        let busy = lock(&slot.resident);
         let on_a = send(&server, 1, eco("a", demo.pileup(0..5, 5), false));
         wait_until("the eco on a runs", || ecos_dispatched(&log) == 1);
         let on_b = send(&server, 2, eco("b", demo.pileup(0..5, 5), false));
@@ -1557,7 +1579,7 @@ mod tests {
         .unwrap();
         demo.load(&server, "a");
         let slot = server.case_slot("a").unwrap();
-        let busy = lock(&slot.engine);
+        let busy = lock(&slot.resident);
         // A refusal answers at once; an admitted eco cannot answer while
         // the engine is held.
         let mut admitted = Vec::new();

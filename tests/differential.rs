@@ -357,14 +357,14 @@ const PINS: [(&str, &str); 11] = [
     (
         "million_m1h@0.005",
         "legal=8a294b3828f99c48 \
-         | augmenting_paths=370 branches_pruned=6750 branches_pruned_stale=1957 cells_moved=1576 cycle_relegalizations=2 fallback_moves=4 flow_passes=3 nodes_created=7764 nodes_expanded=5461 ping_pong_tabus=284 placerow_calls=125 search_retries=161 \
+         | augmenting_paths=370 branches_pruned=6750 branches_pruned_stale=1957 cells_moved=1576 cycle_relegalizations=2 fallback_moves=4 flow_passes=3 nodes_created=7764 nodes_expanded=5437 ping_pong_tabus=284 placerow_calls=125 search_retries=137 \
          | legalize=1 legalize/partition=1 legalize/grid_build=1 legalize/assign=1 legalize/flow_pass=1 legalize/flow_pass/search_batch=8 legalize/flow_pass/search_batch/source_search=357 legalize/flow_pass/apply=8 legalize/placerow=1 legalize/placerow/segment=98 legalize/post_opt=1 legalize/post_opt/flow_pass=2 legalize/post_opt/flow_pass/search_batch=4 legalize/post_opt/flow_pass/search_batch/source_search=19 legalize/post_opt/flow_pass/apply=4 legalize/post_opt/placerow=2 legalize/post_opt/placerow/segment=27 \
          | disp.count=5000 disp.sum=570350 disp.max=556",
     ),
     (
         "iccad2023_case3@0.05",
         "legal=afedae1d21209ef0 \
-         | augmenting_paths=417 branches_pruned=5572 branches_pruned_stale=1142 cells_moved=1827 cycle_relegalizations=1 fallback_moves=3 flow_passes=2 nodes_created=6595 nodes_expanded=5082 ping_pong_tabus=288 placerow_calls=113 search_retries=266 \
+         | augmenting_paths=417 branches_pruned=5572 branches_pruned_stale=1142 cells_moved=1827 cycle_relegalizations=1 fallback_moves=3 flow_passes=2 nodes_created=6595 nodes_expanded=5047 ping_pong_tabus=288 placerow_calls=113 search_retries=231 \
          | legalize=1 legalize/partition=1 legalize/grid_build=1 legalize/assign=1 legalize/flow_pass=1 legalize/flow_pass/search_batch=10 legalize/flow_pass/search_batch/source_search=422 legalize/flow_pass/apply=10 legalize/placerow=1 legalize/placerow/segment=108 legalize/post_opt=1 legalize/post_opt/flow_pass=1 legalize/post_opt/flow_pass/search_batch=1 legalize/post_opt/flow_pass/search_batch/source_search=1 legalize/post_opt/flow_pass/apply=1 legalize/post_opt/placerow=1 legalize/post_opt/placerow/segment=5 \
          | disp.count=6211 disp.sum=260435 disp.max=236",
     ),
