@@ -4,7 +4,7 @@
 //! flow3d gen --suite 2022 --case case3 [--scale 0.25] --out case.txt [--gp gp.txt]
 //! flow3d legalize --algo 3dflow|tetris|abacus|bonn --case case.txt --gp gp.txt \
 //!        --out legal.txt [--no-d2d] [--no-congestion] [--no-post] \
-//!        [--alpha 0.1] [--bin-width 10] [--post-bin-width 5] [--post-passes 3] \
+//!        [--alpha 0.1] [--bin-width 10] [--post-bin-width 5] [--post-passes 8] \
 //!        [--row-algo abacus|isotonic] [--threads N] \
 //!        [--profile out.json] [--trace out.trace.json] [--heatmaps out.heatmaps.json]
 //! flow3d check --case case.txt --legal legal.txt [--gp gp.txt]
@@ -305,23 +305,28 @@ fn cmd_legalize(args: &Args) -> Result<(), String> {
         "tetris" => Box::new(TetrisLegalizer::default()),
         "abacus" => Box::new(AbacusLegalizer::default()),
         "bonn" => Box::new(BonnLegalizer::default()),
-        "3dflow" => Box::new(Flow3dLegalizer::new(Flow3dConfig {
-            alpha: args.get_f64("alpha", 0.1)?,
-            bin_width_factor: args.get_f64("bin-width", 10.0)?,
-            post_bin_width_factor: args.get_f64("post-bin-width", 5.0)?,
-            allow_d2d: !args.flag("no-d2d"),
-            d2d_congestion_cost: !args.flag("no-congestion"),
-            post_opt: !args.flag("no-post"),
-            post_passes: args.get_usize("post-passes", 3)?,
-            row_algo: match args.get("row-algo").unwrap_or("abacus") {
-                "abacus" => flow3d_core::RowAlgo::AbacusQuadratic,
-                "isotonic" => flow3d_core::RowAlgo::IsotonicL1,
-                other => return Err(format!("--row-algo: unknown algorithm `{other}`")),
-            },
-            // 0 = auto: FLOW3D_THREADS, else available parallelism. The
-            // result is bit-identical for every worker count.
-            threads: args.get_usize("threads", 0)?,
-        })),
+        "3dflow" => {
+            // An option left unset keeps the library's default.
+            let d = Flow3dConfig::default();
+            Box::new(Flow3dLegalizer::new(Flow3dConfig {
+                alpha: args.get_f64("alpha", d.alpha)?,
+                bin_width_factor: args.get_f64("bin-width", d.bin_width_factor)?,
+                post_bin_width_factor: args.get_f64("post-bin-width", d.post_bin_width_factor)?,
+                allow_d2d: d.allow_d2d && !args.flag("no-d2d"),
+                d2d_congestion_cost: d.d2d_congestion_cost && !args.flag("no-congestion"),
+                post_opt: d.post_opt && !args.flag("no-post"),
+                post_passes: args.get_usize("post-passes", d.post_passes)?,
+                row_algo: match args.get("row-algo") {
+                    None => d.row_algo,
+                    Some("abacus") => flow3d_core::RowAlgo::AbacusQuadratic,
+                    Some("isotonic") => flow3d_core::RowAlgo::IsotonicL1,
+                    Some(other) => return Err(format!("--row-algo: unknown algorithm `{other}`")),
+                },
+                // 0 = auto: FLOW3D_THREADS, else available parallelism.
+                // The result is bit-identical for every worker count.
+                threads: args.get_usize("threads", d.threads)?,
+            }))
+        }
         other => return Err(format!("unknown algorithm `{other}`")),
     };
     if algo != "3dflow" {

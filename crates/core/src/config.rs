@@ -23,20 +23,24 @@ pub struct Flow3dConfig {
     pub d2d_congestion_cost: bool,
     /// Run the cycle-canceling post-optimization (§III-E).
     pub post_opt: bool,
-    /// Maximum post-optimization passes; each pass stops early when the
-    /// maximum displacement no longer improves.
+    /// Maximum post-optimization passes; the passes stop early when the
+    /// maximum displacement no longer improves. Each pass drains its
+    /// overflow one source at a time on the calling thread
+    /// ([`crate::driver::drain_sequential`]).
     pub post_passes: usize,
     /// Row-legalization algorithm (§III-D): the paper's Abacus clustering
     /// or the L1-optimal isotonic variant.
     pub row_algo: RowAlgo,
-    /// Worker threads for the parallel phases (flow-pass search batches,
-    /// per-segment `PlaceRow`). `0` means auto: the `FLOW3D_THREADS`
-    /// environment variable if set, otherwise all available cores (see
-    /// [`flow3d_par::resolve_threads`]). The legalizer's output is
-    /// bit-identical for every thread count — the searches of one batch
-    /// run against a frozen state snapshot and their results are applied
-    /// in a fixed order (see [`crate::driver::flow_pass`]) — so
-    /// this knob trades wall-clock only, never quality or reproducibility.
+    /// Worker threads for the parallel phases (the main flow pass's
+    /// search batches, per-segment `PlaceRow`). Post-optimization's flow
+    /// runs on one thread whatever this says. `0` means auto: the
+    /// `FLOW3D_THREADS` environment variable if set, otherwise all
+    /// available cores (see [`flow3d_par::resolve_threads`]). The
+    /// legalizer's output is bit-identical for every thread count — the
+    /// searches of one batch run against a frozen state snapshot and
+    /// their results are applied in a fixed order (see
+    /// [`crate::driver::flow_pass`]) — so this knob trades wall-clock
+    /// only, never quality or reproducibility.
     pub threads: usize,
 }
 
@@ -49,7 +53,7 @@ impl Default for Flow3dConfig {
             allow_d2d: true,
             d2d_congestion_cost: true,
             post_opt: true,
-            post_passes: 3,
+            post_passes: 8,
             row_algo: RowAlgo::default(),
             threads: 0,
         }

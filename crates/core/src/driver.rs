@@ -19,7 +19,8 @@ use flow3d_db::{
 };
 use flow3d_geom::Point;
 use flow3d_obs::{hist_keys, keys, Heatmap, Obs, ObsExt, Profile};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Per-die nominal bin widths: `factor · w̄_c(die)`, snapped up to the
 /// die's site grid (§III-F).
@@ -84,12 +85,15 @@ fn search_source(
 /// sources against a frozen snapshot of the state and then applies the
 /// candidate paths in a fixed `(cost, source bin)` order.
 ///
+/// The main pass and the resident ECO engine drain this way;
+/// post-optimization drains one source at a time with
+/// [`drain_sequential`].
+///
 /// `pool` holds the workers' search scratch (node arenas, heaps,
 /// selection buffers). It grows to the worker count and keeps its
-/// allocations across calls, so a caller that owns one (post-optimization,
-/// the resident ECO engine) amortizes them over many passes. It carries
-/// capacity, never data, so which slot serves which source cannot change
-/// a result.
+/// allocations across calls, so a caller that owns one (the resident ECO
+/// engine) amortizes them over many passes. It carries capacity, never
+/// data, so which slot serves which source cannot change a result.
 ///
 /// When `obs` is `Some`, per-pass search counters
 /// ([`keys::NODES_EXPANDED`], [`keys::BRANCHES_PRUNED`],
@@ -133,56 +137,15 @@ pub fn flow_pass(
     mut obs: Obs<'_>,
     pool: &mut SearchPool,
 ) -> Result<(), LegalizeError> {
-    let aug_before = stats.augmentations;
-    let moved_before = stats.cells_moved;
-    let fallback_before = stats.fallback_moves;
     let threads = threads.max(1);
     let num_bins = state.grid.num_bins();
     let observing = obs.is_some();
-    let heatmaps = obs.as_deref().is_some_and(Profile::heatmaps_enabled);
     // Workers share the coordinator's trace epoch so their spans land on
     // the same timeline; `None` when the coordinator is not tracing.
     let trace_epoch = obs.as_deref().and_then(Profile::tracing_epoch);
-    let mut moves_per_bin: Vec<u64> = if heatmaps {
-        vec![0; num_bins]
-    } else {
-        Vec::new()
-    };
-    let pass = if let Some(p) = obs.as_deref_mut() {
-        let pass = p.counters().get(keys::FLOW_PASSES);
-        p.bump(keys::FLOW_PASSES, 1);
-        // Pre-pass congestion snapshot: where the flow problem starts.
-        capture_bin_heatmaps(state, p, pass, "supply", &|b| state.sup(b) as f64);
-        capture_bin_heatmaps(state, p, pass, "demand", &|b| state.dem(b) as f64);
-        capture_bin_heatmaps(state, p, pass, "overflow", &|b| state.sup(b).max(0) as f64);
-        pass
-    } else {
-        0
-    };
-    let mut retries: usize = 0;
-    let mut counters = SearchCounters::default();
-    // Apply budget: each applied path normally drains its source for
-    // good, so this bound is generous. On pathological geometry (e.g. a
-    // macro next to heterogeneous row heights) applications can ping-pong
-    // supply between near-full bins without the total converging; the
-    // tabu window below breaks most such cycles, and once the budget is
-    // spent anyway, the small residue is relocated directly instead of
-    // burning more rounds.
-    let mut guard = 64 * state.overflowed_bins().len() + 4 * num_bins + 64;
-    // Ping-pong bookkeeping, all coordinator-side and derived from the
-    // serial apply order (thread-count invariant), in round stamps per
-    // CSR edge id that start clean on every pass. `last_applied` holds
-    // one more than the round that last pushed flow across an edge (0:
-    // never); when a round applies the reverse of an edge applied within
-    // the detection window, both directions go tabu for `TABU_ROUNDS`,
-    // and `free_from` holds the first round an edge may be searched
-    // again (0: never tabooed).
-    const PING_PONG_WINDOW: u32 = 1;
-    const TABU_ROUNDS: u32 = 8;
-    let mut round: u32 = 0;
-    let mut last_applied = vec![0u32; state.grid.num_edges()];
-    let mut free_from = vec![0u32; state.grid.num_edges()];
-    let mut tabu_edges: u64 = 0;
+    let mut log = PassLog::open(state, stats, &mut obs);
+    let mut guard = apply_budget(state);
+    let mut ping_pong = PingPong::new(state.grid.num_edges());
     // Worker search scratch (node arena, heap, selection buffers, edge
     // rankings) persists across rounds so its allocations amortize over
     // the whole pass, and across whole passes when the caller owns the
@@ -192,7 +155,7 @@ pub fn flow_pass(
         if sources.is_empty() {
             break;
         }
-        let tabu = EdgeTabu::new(&free_from, round);
+        let tabu = ping_pong.tabu();
 
         // Batch: one read-only search per source against the frozen
         // state, fanned out across the pool. Worker-local scratch reuses
@@ -220,30 +183,21 @@ pub fn flow_pass(
                 result
             },
         );
-        if observing {
-            if let Some(p) = obs.as_deref_mut() {
-                // Merge while "search_batch" is open so worker spans nest
-                // under it; the worker's merge-order index becomes its
-                // trace track, so the timeline layout is deterministic.
-                for (w, wprof) in worker_profiles.iter().enumerate() {
-                    p.merge_nested_worker(wprof, w as u32 + 1);
-                }
-                // Histograms are recorded coordinator-side in source
-                // (index) order — never from racing workers — so their
-                // contents are thread-count invariant.
-                for (_, c, _) in &candidates {
-                    p.record(hist_keys::SEARCH_NODES, c.expanded as f64);
-                }
+        if let Some(p) = obs.as_deref_mut() {
+            // Merge while "search_batch" is open so worker spans nest
+            // under it; the worker's merge-order index becomes its trace
+            // track, so the timeline layout is deterministic.
+            for (w, wprof) in worker_profiles.iter().enumerate() {
+                p.merge_nested_worker(wprof, w as u32 + 1);
             }
         }
-        obs.end("search_batch");
+        // Counters and histograms are taken coordinator-side in source
+        // (index) order — never from racing workers — so their contents
+        // are thread-count invariant.
         for (_, c, searches) in &candidates {
-            counters.expanded += c.expanded;
-            counters.created += c.created;
-            counters.pruned += c.pruned;
-            counters.pruned_stale += c.pruned_stale;
-            retries += searches.saturating_sub(1);
+            log.searched(c, *searches, &mut obs);
         }
+        obs.end("search_batch");
 
         // Deterministic reduction: cheapest candidate first, the source
         // bin id breaking ties.
@@ -267,8 +221,7 @@ pub fn flow_pass(
         let mut exhausted = false;
         for &(i, path) in &order {
             let bin = sources[i].1;
-            let sup = state.sup(bin);
-            if sup <= 0 {
+            if state.sup(bin) <= 0 {
                 continue; // an earlier application already drained it
             }
             if guard == 0 {
@@ -276,40 +229,15 @@ pub fn flow_pass(
                 break;
             }
             guard -= 1;
-            stats.cells_moved += crate::augment::realize(state, path, &params.selection);
-            stats.augmentations += 1;
-            // Ping-pong detection: applying the reverse of an edge that
-            // was applied within the last `PING_PONG_WINDOW` rounds means
-            // the flow is shuttling cells back where it just pushed them
-            // from (the m1h macro + heterogeneous-row pathology). Tabu
-            // both directions for a bounded window so the search must
-            // route around the oscillation instead of burning the guard.
-            for w in path.steps.windows(2) {
-                let edge = |from: BinId, to: BinId| {
-                    state
-                        .grid
-                        .edge_between(from, to)
-                        // flow3d-tidy: allow(panic-unwrap) — invariant: a path steps along grid edges, and every edge has its reverse
-                        .expect("path step without a grid edge")
-                };
-                let (e, rev) = (edge(w[0].bin, w[1].bin), edge(w[1].bin, w[0].bin));
-                let applied_at = last_applied[rev];
-                if applied_at > 0 && round - (applied_at - 1) <= PING_PONG_WINDOW {
-                    for t in [e, rev] {
-                        if free_from[t] <= round {
-                            tabu_edges += 1;
-                        }
-                        free_from[t] = round.saturating_add(1 + TABU_ROUNDS);
-                    }
-                }
-                last_applied[e] = round.saturating_add(1);
-            }
-            obs.record(hist_keys::SEARCH_DEPTH, path.depth() as f64);
-            if heatmaps {
-                for step in &path.steps {
-                    moves_per_bin[step.bin.index()] += 1;
-                }
-            }
+            apply_path(
+                state,
+                path,
+                params,
+                stats,
+                &mut ping_pong,
+                &mut log,
+                &mut obs,
+            );
             applied = true;
         }
         obs.end("apply");
@@ -325,32 +253,294 @@ pub fn flow_pass(
             relocate_overflow(state, stats)?;
             break;
         }
-        round = round.saturating_add(1);
+        ping_pong.next_round();
     }
-    stats.nodes_expanded += counters.expanded;
-    if let Some(p) = obs.as_deref_mut() {
-        // Post-pass movement picture: how many applied path steps
-        // touched each bin.
-        capture_bin_heatmaps(state, p, pass, "moves", &|b| {
-            moves_per_bin[b.index()] as f64
-        });
-    }
-    obs.bump(keys::NODES_EXPANDED, counters.expanded as u64);
-    obs.bump(keys::NODES_CREATED, counters.created as u64);
-    obs.bump(keys::BRANCHES_PRUNED, counters.pruned as u64);
-    obs.bump(keys::BRANCHES_PRUNED_STALE, counters.pruned_stale as u64);
-    obs.bump(keys::PING_PONG_TABUS, tabu_edges);
-    obs.bump(
-        keys::AUGMENTING_PATHS,
-        (stats.augmentations - aug_before) as u64,
-    );
-    obs.bump(keys::SEARCH_RETRIES, retries as u64);
-    obs.bump(keys::CELLS_MOVED, (stats.cells_moved - moved_before) as u64);
-    obs.bump(
-        keys::FALLBACK_MOVES,
-        (stats.fallback_moves - fallback_before) as u64,
-    );
+    log.close(state, stats, ping_pong.tabooed, obs);
     Ok(())
+}
+
+/// Drains every overflowed bin one source at a time against the live
+/// state, in the order of the paper's Algorithm 2 (lines 4–10): the
+/// most-loaded source (the lower bin id on ties) runs the retry ladder
+/// of [`flow_pass`] on `scratch`, its path is realized at once, and the
+/// next source is chosen from the state that path left. Post-optimization
+/// drains this way.
+///
+/// The sources sit in a lazy max-heap keyed by supply. A popped entry
+/// whose bin's supply has changed is pushed again with the current
+/// supply, and every bin of an applied path is pushed again, because only
+/// path bins gain supply. The popped source is therefore always the one a
+/// rescan of every bin would pick. A source whose ladder finds no path is
+/// set aside for the rest of the pass; the apply budget, the ping-pong
+/// tabu (one round per applied path) and the counters are those of
+/// [`flow_pass`]. Whatever overflow remains at the end, or when the
+/// budget runs out, goes to [`teleport_fallback`], most loaded bin
+/// first.
+///
+/// The drain runs on the calling thread, so its result does not depend
+/// on any thread count. When `obs` is `Some`, every source's ladder is a
+/// `source_search` phase and every applied path an `apply` phase under
+/// the caller's open scope. Returns the applied paths in order.
+///
+/// # Errors
+///
+/// As [`flow_pass`].
+pub fn drain_sequential(
+    state: &mut FlowState<'_>,
+    params: &SearchParams,
+    stats: &mut LegalizeStats,
+    mut obs: Obs<'_>,
+    scratch: &mut SearchScratch,
+) -> Result<Vec<AugmentingPath>, LegalizeError> {
+    let mut log = PassLog::open(state, stats, &mut obs);
+    let mut guard = apply_budget(state);
+    let mut ping_pong = PingPong::new(state.grid.num_edges());
+    let mut set_aside = vec![false; state.grid.num_bins()];
+    // Most loaded first; `Reverse` puts the lower bin id first on ties.
+    let mut heap: BinaryHeap<(i64, Reverse<BinId>)> = state
+        .overflowed_bins()
+        .into_iter()
+        .map(|b| (state.sup(b), Reverse(b)))
+        .collect();
+    let mut applied = Vec::new();
+    while let Some((sup, Reverse(bin))) = heap.pop() {
+        if set_aside[bin.index()] {
+            continue;
+        }
+        let now = state.sup(bin);
+        if now != sup {
+            // Stale: the supply fell since the push (a rise re-pushes the
+            // bin at once, and that entry pops first).
+            if now > 0 {
+                heap.push((now, Reverse(bin)));
+            }
+            continue;
+        }
+        obs.begin("source_search");
+        let (path, counters, searches) =
+            search_source(state, bin, sup, params, &ping_pong.tabu(), scratch);
+        obs.end("source_search");
+        log.searched(&counters, searches, &mut obs);
+        let Some(path) = path else {
+            set_aside[bin.index()] = true;
+            continue;
+        };
+        if guard == 0 {
+            break;
+        }
+        guard -= 1;
+        obs.begin("apply");
+        apply_path(
+            state,
+            &path,
+            params,
+            stats,
+            &mut ping_pong,
+            &mut log,
+            &mut obs,
+        );
+        obs.end("apply");
+        ping_pong.next_round();
+        for step in &path.steps {
+            let sup = state.sup(step.bin);
+            if sup > 0 && !set_aside[step.bin.index()] {
+                heap.push((sup, Reverse(step.bin)));
+            }
+        }
+        applied.push(path);
+    }
+    relocate_overflow(state, stats)?;
+    log.close(state, stats, ping_pong.tabooed, obs);
+    Ok(applied)
+}
+
+/// The apply budget of one pass. Each applied path normally drains its
+/// source for good, so this bound is generous. On pathological geometry
+/// (e.g. a macro next to heterogeneous row heights) applications can
+/// ping-pong supply between near-full bins without the total converging;
+/// the ping-pong tabu breaks most such cycles, and once the budget is
+/// spent anyway, the small residue is relocated directly instead of
+/// burning more searches.
+fn apply_budget(state: &FlowState<'_>) -> usize {
+    64 * state.overflowed_bins().len() + 4 * state.grid.num_bins() + 64
+}
+
+/// Realizes one path and records it: [`LegalizeStats`], the ping-pong
+/// tabu of the current round, and the pass telemetry.
+fn apply_path(
+    state: &mut FlowState<'_>,
+    path: &AugmentingPath,
+    params: &SearchParams,
+    stats: &mut LegalizeStats,
+    ping_pong: &mut PingPong,
+    log: &mut PassLog,
+    obs: &mut Obs<'_>,
+) {
+    stats.cells_moved += crate::augment::realize(state, path, &params.selection);
+    stats.augmentations += 1;
+    ping_pong.record(state.grid, path);
+    log.applied(path, obs);
+}
+
+/// The ping-pong tabu of one pass, in round stamps per CSR edge id that
+/// start clean on every pass. It derives only from the serial apply order,
+/// so it is thread-count invariant.
+///
+/// Applying the reverse of an edge applied within the last
+/// [`WINDOW`](Self::WINDOW) rounds means the flow is shuttling cells back
+/// where it just pushed them from (the m1h macro + heterogeneous-row
+/// pathology). Both directions then go tabu for
+/// [`TABU_ROUNDS`](Self::TABU_ROUNDS) rounds, so the search must route
+/// around the oscillation instead of burning the apply budget.
+struct PingPong {
+    round: u32,
+    /// Per edge, one more than the round that last pushed flow across it
+    /// (0: never).
+    last_applied: Vec<u32>,
+    /// Per edge, the first round it may be searched again (0: never
+    /// tabooed).
+    free_from: Vec<u32>,
+    /// Edges tabooed while free: [`keys::PING_PONG_TABUS`].
+    tabooed: u64,
+}
+
+impl PingPong {
+    const WINDOW: u32 = 1;
+    const TABU_ROUNDS: u32 = 8;
+
+    fn new(num_edges: usize) -> Self {
+        Self {
+            round: 0,
+            last_applied: vec![0; num_edges],
+            free_from: vec![0; num_edges],
+            tabooed: 0,
+        }
+    }
+
+    /// The edges a search of the current round must not traverse.
+    fn tabu(&self) -> EdgeTabu<'_> {
+        EdgeTabu::new(&self.free_from, self.round)
+    }
+
+    /// Records the edges of a path applied in the current round.
+    fn record(&mut self, grid: &BinGrid, path: &AugmentingPath) {
+        let round = self.round;
+        for w in path.steps.windows(2) {
+            let edge = |from: BinId, to: BinId| {
+                grid.edge_between(from, to)
+                    // flow3d-tidy: allow(panic-unwrap) — invariant: a path steps along grid edges, and every edge has its reverse
+                    .expect("path step without a grid edge")
+            };
+            let (e, rev) = (edge(w[0].bin, w[1].bin), edge(w[1].bin, w[0].bin));
+            let applied_at = self.last_applied[rev];
+            if applied_at > 0 && round - (applied_at - 1) <= Self::WINDOW {
+                for t in [e, rev] {
+                    if self.free_from[t] <= round {
+                        self.tabooed += 1;
+                    }
+                    self.free_from[t] = round.saturating_add(1 + Self::TABU_ROUNDS);
+                }
+            }
+            self.last_applied[e] = round.saturating_add(1);
+        }
+    }
+
+    fn next_round(&mut self) {
+        self.round = self.round.saturating_add(1);
+    }
+}
+
+/// What one pass records into the profile, in either discipline: the
+/// pass index and the pre-pass heatmaps on opening, search counters and
+/// applied paths as they come, and the counter bumps on closing.
+struct PassLog {
+    pass: u64,
+    /// Applied path steps per bin, kept only for heatmap capture.
+    moves_per_bin: Option<Vec<u64>>,
+    counters: SearchCounters,
+    retries: usize,
+    /// `stats` when the pass opened.
+    before: LegalizeStats,
+}
+
+impl PassLog {
+    fn open(state: &FlowState<'_>, stats: &LegalizeStats, obs: &mut Obs<'_>) -> Self {
+        let mut log = PassLog {
+            pass: 0,
+            moves_per_bin: None,
+            counters: SearchCounters::default(),
+            retries: 0,
+            before: *stats,
+        };
+        if let Some(p) = obs.as_deref_mut() {
+            log.pass = p.counters().get(keys::FLOW_PASSES);
+            p.bump(keys::FLOW_PASSES, 1);
+            // Pre-pass congestion snapshot: where the flow problem starts.
+            let pass = log.pass;
+            capture_bin_heatmaps(state, p, pass, "supply", &|b| state.sup(b) as f64);
+            capture_bin_heatmaps(state, p, pass, "demand", &|b| state.dem(b) as f64);
+            capture_bin_heatmaps(state, p, pass, "overflow", &|b| state.sup(b).max(0) as f64);
+            if p.heatmaps_enabled() {
+                log.moves_per_bin = Some(vec![0; state.grid.num_bins()]);
+            }
+        }
+        log
+    }
+
+    /// Adds one source's retry ladder: its counters and its searches
+    /// beyond the first.
+    fn searched(&mut self, c: &SearchCounters, searches: usize, obs: &mut Obs<'_>) {
+        self.counters.expanded += c.expanded;
+        self.counters.created += c.created;
+        self.counters.pruned += c.pruned;
+        self.counters.pruned_stale += c.pruned_stale;
+        self.retries += searches.saturating_sub(1);
+        obs.record(hist_keys::SEARCH_NODES, c.expanded as f64);
+    }
+
+    fn applied(&mut self, path: &AugmentingPath, obs: &mut Obs<'_>) {
+        obs.record(hist_keys::SEARCH_DEPTH, path.depth() as f64);
+        if let Some(moves) = &mut self.moves_per_bin {
+            for step in &path.steps {
+                moves[step.bin.index()] += 1;
+            }
+        }
+    }
+
+    fn close(
+        self,
+        state: &FlowState<'_>,
+        stats: &mut LegalizeStats,
+        tabooed: u64,
+        mut obs: Obs<'_>,
+    ) {
+        stats.nodes_expanded += self.counters.expanded;
+        if let (Some(p), Some(moves)) = (obs.as_deref_mut(), &self.moves_per_bin) {
+            // Post-pass movement picture: how many applied path steps
+            // touched each bin.
+            capture_bin_heatmaps(state, p, self.pass, "moves", &|b| moves[b.index()] as f64);
+        }
+        let c = &self.counters;
+        obs.bump(keys::NODES_EXPANDED, c.expanded as u64);
+        obs.bump(keys::NODES_CREATED, c.created as u64);
+        obs.bump(keys::BRANCHES_PRUNED, c.pruned as u64);
+        obs.bump(keys::BRANCHES_PRUNED_STALE, c.pruned_stale as u64);
+        obs.bump(keys::PING_PONG_TABUS, tabooed);
+        let gained = |now: usize, before: usize| (now - before) as u64;
+        obs.bump(
+            keys::AUGMENTING_PATHS,
+            gained(stats.augmentations, self.before.augmentations),
+        );
+        obs.bump(keys::SEARCH_RETRIES, self.retries as u64);
+        obs.bump(
+            keys::CELLS_MOVED,
+            gained(stats.cells_moved, self.before.cells_moved),
+        );
+        obs.bump(
+            keys::FALLBACK_MOVES,
+            gained(stats.fallback_moves, self.before.fallback_moves),
+        );
+    }
 }
 
 /// Captures one heatmap per die of `value` over the bin grid, named
@@ -1053,13 +1243,28 @@ mod tests {
         (d, gp)
     }
 
+    /// Bins two cells wide: on [`m1h_fixture`] the main pass then
+    /// shuttles supply back and forth.
+    fn m1h_config(threads: usize) -> Flow3dConfig {
+        Flow3dConfig {
+            bin_width_factor: 2.0,
+            threads,
+            ..Flow3dConfig::default()
+        }
+    }
+
+    /// The main pass alone: post-optimization's passes would add their
+    /// own paths to the counts below.
     #[test]
     fn m1h_ping_pong_is_detected_and_legalizes_without_guard_exhaustion() {
         let (d, gp) = m1h_fixture();
         let mut profile = flow3d_obs::Profile::new();
-        let outcome = Flow3dLegalizer::default()
-            .legalize_observed(&d, &gp, Some(&mut profile))
-            .unwrap();
+        let outcome = Flow3dLegalizer::new(Flow3dConfig {
+            post_opt: false,
+            ..m1h_config(0)
+        })
+        .legalize_observed(&d, &gp, Some(&mut profile))
+        .unwrap();
         assert!(check_legal(&d, &outcome.placement).is_legal());
         // The oscillation pattern is present — the detector must fire …
         assert!(
@@ -1084,11 +1289,11 @@ mod tests {
         // serial apply order — the fix must not cost the thread-count
         // bit-identity contract.
         let (d, gp) = m1h_fixture();
-        let serial = Flow3dLegalizer::new(Flow3dConfig::with_threads(1))
+        let serial = Flow3dLegalizer::new(m1h_config(1))
             .legalize(&d, &gp)
             .unwrap();
         for threads in [2, 8] {
-            let parallel = Flow3dLegalizer::new(Flow3dConfig::with_threads(threads))
+            let parallel = Flow3dLegalizer::new(m1h_config(threads))
                 .legalize(&d, &gp)
                 .unwrap();
             assert_eq!(parallel.placement, serial.placement, "threads={threads}");
@@ -1096,8 +1301,8 @@ mod tests {
         }
     }
 
-    /// Post-optimization and the ECO engine run consecutive flow passes
-    /// on one search pool. Nothing a pass leaves there (kept rankings,
+    /// The resident ECO engine runs consecutive flow passes on one search
+    /// pool. Nothing a pass leaves there (kept rankings,
     /// the tabu of its last rounds) may reach the next pass: two passes
     /// on one pool give the placements, stats and profile counters of
     /// the same passes on fresh pools.

@@ -26,8 +26,9 @@
 //!    each segment with minimal quadratic movement and snaps to sites.
 //! 6. **Post-optimization** ([`cycle`], §III-E): cells with displacement
 //!    above `max(5·h_r, D_max/2)` are re-seeded at the midpoint toward
-//!    their origin and incrementally re-legalized on a finer grid,
-//!    cutting the maximum displacement.
+//!    their origin and incrementally re-legalized on a finer grid, one
+//!    source at a time in Algorithm 2's order, cutting the maximum
+//!    displacement.
 //!
 //! # Examples
 //!

@@ -57,9 +57,10 @@ impl Default for SearchParams {
     }
 }
 
-/// The ping-pong tabu of one flow round: the directed grid edges a
-/// search must not traverse. The flow-pass coordinator keeps, per CSR
-/// edge id, the first round in which the edge is free again, and tabus
+/// The ping-pong tabu of one flow round (in post-optimization's
+/// sequential drain, of one applied path): the directed grid edges a
+/// search must not traverse. The pass keeps, per CSR edge id, the first
+/// round in which the edge is free again, and tabus
 /// both directions of an edge for a bounded window after detecting A↔B
 /// ping-ponging (a path moving cells right back where the previous round
 /// moved them from). The stamps change only between rounds and derive
@@ -67,7 +68,6 @@ impl Default for SearchParams {
 /// like everything else in the search — is invariant under the worker
 /// count.
 #[derive(Debug, Clone, Copy)]
-// flow3d-tidy: allow(dead-pub) — facade API (flow3d::core) for embedders that drive the legalizer below the Legalizer trait
 pub struct EdgeTabu<'a> {
     /// Per edge id, the first round the edge may be traversed in.
     free_from: &'a [u32],

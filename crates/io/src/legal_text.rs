@@ -153,6 +153,44 @@ impl LegalText {
         }
     }
 
+    /// Keeps `text`, which must be [`write_legal`] of `base`, without
+    /// formatting a line again: the line offsets are re-derived from the
+    /// line starts of `text`. A caller that has just rendered `base` (a
+    /// committed reply, say) adopts that text instead of rendering it
+    /// twice.
+    pub fn adopt(design: &Design, base: &LegalPlacement, text: String) -> LegalText {
+        let n = design.num_cells();
+        let bytes = text.as_bytes();
+        // The start of the line after the one starting at `from`.
+        let next_line = |from: usize| {
+            bytes[from..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(bytes.len(), |i| from + i + 1)
+        };
+        let mut at = [Vec::with_capacity(n + 1), Vec::with_capacity(n + 1)];
+        let mut counts = [0; 2];
+        let mut cursor = 0;
+        for (s, (_, die)) in SECTIONS.into_iter().enumerate() {
+            cursor = next_line(cursor); // the section header
+            for i in 0..n {
+                at[s].push(cursor);
+                if base.die(CellId::new(i)) == die {
+                    cursor = next_line(cursor);
+                    counts[s] += 1;
+                }
+            }
+            at[s].push(cursor);
+        }
+        debug_assert_eq!(text, render_all(design, base, None), "adopted text");
+        LegalText {
+            text,
+            base: base.clone(),
+            at,
+            counts,
+        }
+    }
+
     /// The legal text of `placement`, byte-identical to [`write_legal`].
     /// `design` must be the design this base was built for.
     pub fn render(&self, design: &Design, placement: &LegalPlacement) -> String {
@@ -327,6 +365,14 @@ mod tests {
             let kept = LegalText::new(&design, &base);
             prop_assert_eq!(&kept.text, &reference(&design, &base));
             prop_assert_eq!(&kept.render(&design, &placement), &want);
+            // A base adopted from a render keeps the offsets `new`
+            // derives, so it renders every later placement (here the
+            // base, and the render's placement itself) as `write_legal`.
+            let adopted = LegalText::adopt(&design, &placement, want.clone());
+            prop_assert_eq!(&adopted.at, &LegalText::new(&design, &placement).at);
+            prop_assert_eq!(&adopted.counts, &LegalText::new(&design, &placement).counts);
+            prop_assert_eq!(&adopted.render(&design, &base), &reference(&design, &base));
+            prop_assert_eq!(&adopted.render(&design, &placement), &want);
             // A stale base (here: the placement's own base for another
             // placement) still renders exact bytes.
             let swapped = LegalText::new(&design, &placement);

@@ -140,11 +140,16 @@ impl Resident {
         self.text.render(self.engine.design(), placement)
     }
 
-    /// Commits `placement` as the engine's base and rebuilds the base
-    /// text from it.
-    fn commit(&mut self, placement: LegalPlacement) -> Result<CommitStats, LegalizeError> {
+    /// Commits `placement` as the engine's base, adopting `text` — its
+    /// [`render`](Self::render) — as the base text, so a commit formats
+    /// no line again.
+    fn commit(
+        &mut self,
+        placement: LegalPlacement,
+        text: &str,
+    ) -> Result<CommitStats, LegalizeError> {
         let stats = self.engine.commit(placement)?;
-        self.text = LegalText::new(self.engine.design(), self.engine.base());
+        self.text = LegalText::adopt(self.engine.design(), self.engine.base(), text.to_owned());
         Ok(stats)
     }
 }
@@ -934,7 +939,7 @@ impl Server {
         let legal_text = resident.render(&outcome.placement);
         let commit_stats = if commit {
             profile.begin("commit");
-            let cs = match resident.commit(outcome.placement) {
+            let cs = match resident.commit(outcome.placement, &legal_text) {
                 Ok(cs) => cs,
                 Err(e) => return fail(codes::LEGALIZE_FAILED, &e.to_string()),
             };
@@ -1004,7 +1009,7 @@ impl Server {
         let legal_text = resident.render(&outcome.placement);
         let commit_stats = if commit {
             profile.begin("commit");
-            let cs = match resident.commit(outcome.placement) {
+            let cs = match resident.commit(outcome.placement, &legal_text) {
                 Ok(cs) => cs,
                 Err(e) => return fail(codes::LEGALIZE_FAILED, &e.to_string()),
             };

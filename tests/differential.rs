@@ -351,21 +351,21 @@ const PINS: [(&str, &str); 11] = [
         "iccad2023_case2@0.1",
         "legal=e4316b1ae8966b1c \
          | augmenting_paths=151 branches_pruned=2186 branches_pruned_stale=518 cells_moved=913 cycle_relegalizations=1 fallback_moves=0 flow_passes=2 nodes_created=3123 nodes_expanded=2395 ping_pong_tabus=146 placerow_calls=48 search_retries=70 \
-         | legalize=1 legalize/partition=1 legalize/grid_build=1 legalize/assign=1 legalize/flow_pass=1 legalize/flow_pass/search_batch=9 legalize/flow_pass/search_batch/source_search=152 legalize/flow_pass/apply=9 legalize/placerow=1 legalize/placerow/segment=42 legalize/post_opt=1 legalize/post_opt/flow_pass=1 legalize/post_opt/flow_pass/search_batch=1 legalize/post_opt/flow_pass/search_batch/source_search=1 legalize/post_opt/flow_pass/apply=1 legalize/post_opt/placerow=1 legalize/post_opt/placerow/segment=6 \
+         | legalize=1 legalize/partition=1 legalize/grid_build=1 legalize/assign=1 legalize/flow_pass=1 legalize/flow_pass/search_batch=9 legalize/flow_pass/search_batch/source_search=152 legalize/flow_pass/apply=9 legalize/placerow=1 legalize/placerow/segment=42 legalize/post_opt=1 legalize/post_opt/flow_pass=1 legalize/post_opt/flow_pass/source_search=1 legalize/post_opt/flow_pass/apply=1 legalize/post_opt/placerow=1 legalize/post_opt/placerow/segment=6 \
          | disp.count=1390 disp.sum=69183 disp.max=162",
     ),
     (
         "million_m1h@0.005",
-        "legal=8a294b3828f99c48 \
-         | augmenting_paths=370 branches_pruned=6750 branches_pruned_stale=1957 cells_moved=1576 cycle_relegalizations=2 fallback_moves=4 flow_passes=3 nodes_created=7764 nodes_expanded=5437 ping_pong_tabus=284 placerow_calls=125 search_retries=137 \
-         | legalize=1 legalize/partition=1 legalize/grid_build=1 legalize/assign=1 legalize/flow_pass=1 legalize/flow_pass/search_batch=8 legalize/flow_pass/search_batch/source_search=357 legalize/flow_pass/apply=8 legalize/placerow=1 legalize/placerow/segment=98 legalize/post_opt=1 legalize/post_opt/flow_pass=2 legalize/post_opt/flow_pass/search_batch=4 legalize/post_opt/flow_pass/search_batch/source_search=19 legalize/post_opt/flow_pass/apply=4 legalize/post_opt/placerow=2 legalize/post_opt/placerow/segment=27 \
-         | disp.count=5000 disp.sum=570350 disp.max=556",
+        "legal=5b2bfb17bfa60370 \
+         | augmenting_paths=363 branches_pruned=6314 branches_pruned_stale=1732 cells_moved=1518 cycle_relegalizations=2 fallback_moves=4 flow_passes=3 nodes_created=7073 nodes_expanded=4979 ping_pong_tabus=246 placerow_calls=117 search_retries=137 \
+         | legalize=1 legalize/partition=1 legalize/grid_build=1 legalize/assign=1 legalize/flow_pass=1 legalize/flow_pass/search_batch=8 legalize/flow_pass/search_batch/source_search=357 legalize/flow_pass/apply=8 legalize/placerow=1 legalize/placerow/segment=98 legalize/post_opt=1 legalize/post_opt/flow_pass=2 legalize/post_opt/flow_pass/source_search=10 legalize/post_opt/flow_pass/apply=10 legalize/post_opt/placerow=2 legalize/post_opt/placerow/segment=19 \
+         | disp.count=5000 disp.sum=574636 disp.max=556",
     ),
     (
         "iccad2023_case3@0.05",
         "legal=afedae1d21209ef0 \
          | augmenting_paths=417 branches_pruned=5572 branches_pruned_stale=1142 cells_moved=1827 cycle_relegalizations=1 fallback_moves=3 flow_passes=2 nodes_created=6595 nodes_expanded=5047 ping_pong_tabus=288 placerow_calls=113 search_retries=231 \
-         | legalize=1 legalize/partition=1 legalize/grid_build=1 legalize/assign=1 legalize/flow_pass=1 legalize/flow_pass/search_batch=10 legalize/flow_pass/search_batch/source_search=422 legalize/flow_pass/apply=10 legalize/placerow=1 legalize/placerow/segment=108 legalize/post_opt=1 legalize/post_opt/flow_pass=1 legalize/post_opt/flow_pass/search_batch=1 legalize/post_opt/flow_pass/search_batch/source_search=1 legalize/post_opt/flow_pass/apply=1 legalize/post_opt/placerow=1 legalize/post_opt/placerow/segment=5 \
+         | legalize=1 legalize/partition=1 legalize/grid_build=1 legalize/assign=1 legalize/flow_pass=1 legalize/flow_pass/search_batch=10 legalize/flow_pass/search_batch/source_search=422 legalize/flow_pass/apply=10 legalize/placerow=1 legalize/placerow/segment=108 legalize/post_opt=1 legalize/post_opt/flow_pass=1 legalize/post_opt/flow_pass/source_search=1 legalize/post_opt/flow_pass/apply=1 legalize/post_opt/placerow=1 legalize/post_opt/placerow/segment=5 \
          | disp.count=6211 disp.sum=260435 disp.max=236",
     ),
     (

@@ -11,6 +11,10 @@
 //!
 //! The flow and row phases run on 2 worker threads here; the
 //! differential suite separately proves thread-count invariance.
+//!
+//! Naive re-implementations referee the search kernel and
+//! post-optimization's sequential drain exactly, and fresh-seed
+//! pipelines the resident post-optimization and ECO engines.
 
 use flow3d::db::{DesignBuilder, DieSpec, LibCellSpec, Placement3d, TechnologySpec};
 use flow3d::prelude::*;
@@ -37,6 +41,17 @@ fn arb_instance() -> impl Strategy<Value = (Vec<i64>, Vec<(f64, f64, f64)>)> {
 }
 
 fn build(widths: &[i64], anchors: &[(f64, f64, f64)]) -> (flow3d::db::Design, Placement3d) {
+    build_walled(widths, anchors, false)
+}
+
+/// [`build`], with a macro over the whole second row of the bottom die
+/// when `wall` is set: the bottom die's first row then reaches the rest
+/// of the stack only through D2D edges.
+fn build_walled(
+    widths: &[i64],
+    anchors: &[(f64, f64, f64)],
+    wall: bool,
+) -> (flow3d::db::Design, Placement3d) {
     let mut b = DesignBuilder::new("stage-prop")
         .technology(
             TechnologySpec::new("TA")
@@ -44,7 +59,8 @@ fn build(widths: &[i64], anchors: &[(f64, f64, f64)]) -> (flow3d::db::Design, Pl
                 .lib_cell(LibCellSpec::std_cell("C2", 20, 10))
                 .lib_cell(LibCellSpec::std_cell("C3", 30, 10))
                 .lib_cell(LibCellSpec::std_cell("C4", 40, 10))
-                .lib_cell(LibCellSpec::std_cell("C5", 50, 10)),
+                .lib_cell(LibCellSpec::std_cell("C5", 50, 10))
+                .lib_cell(LibCellSpec::macro_cell("WALL", 400, 10)),
         )
         .technology(
             TechnologySpec::new("TB")
@@ -52,10 +68,14 @@ fn build(widths: &[i64], anchors: &[(f64, f64, f64)]) -> (flow3d::db::Design, Pl
                 .lib_cell(LibCellSpec::std_cell("C2", 24, 8))
                 .lib_cell(LibCellSpec::std_cell("C3", 36, 8))
                 .lib_cell(LibCellSpec::std_cell("C4", 48, 8))
-                .lib_cell(LibCellSpec::std_cell("C5", 60, 8)),
+                .lib_cell(LibCellSpec::std_cell("C5", 60, 8))
+                .lib_cell(LibCellSpec::macro_cell("WALL", 400, 8)),
         )
         .die(DieSpec::new("bottom", "TA", (0, 0, 400, 40), 10, 2, 0.95))
         .die(DieSpec::new("top", "TB", (0, 0, 400, 40), 8, 2, 0.95));
+    if wall {
+        b = b.macro_inst("wall", "WALL", "bottom", 0, 10);
+    }
     for (i, &w) in widths.iter().enumerate() {
         b = b.cell(format!("u{i}"), format!("C{w}"));
     }
@@ -337,6 +357,252 @@ fn kernel_matches_naive_reference_implementation() {
     );
 }
 
+// ---------------------------------------------------------------------
+// Reference sequential drain
+//
+// Algorithm 2's order at its most naive: after every path, rescan every
+// bin for the most-loaded overflowed one (the lowest id on ties), run the
+// halving ladder through `find_path_limited` on a fresh scratch per
+// search, and realize the path at once. The ping-pong tabu lives in maps
+// keyed by directed bin pair, one round per applied path; a source whose
+// ladder finds nothing is set aside, and what is left is relocated at the
+// end. The engine's lazy heap, kept scratch and per-edge stamps must
+// reproduce it exactly.
+// ---------------------------------------------------------------------
+
+/// What the reference drain did: its applied paths in order, the sources
+/// it set aside, and the counters the engine bumps into its profile.
+struct RefDrain {
+    paths: Vec<flow3d_core::search::AugmentingPath>,
+    set_aside: usize,
+    counters: std::collections::BTreeMap<&'static str, u64>,
+}
+
+fn reference_drain(
+    state: &mut flow3d_core::FlowState<'_>,
+    params: &SearchParams,
+    stats: &mut LegalizeStats,
+) -> Result<RefDrain, flow3d_core::LegalizeError> {
+    use flow3d_core::grid::BinId;
+    use flow3d_core::search::{find_path_limited, EdgeTabu, SearchCounters, SearchScratch};
+    use flow3d_obs::keys;
+    use std::collections::BTreeMap;
+
+    const WINDOW: u32 = 1;
+    const TABU_ROUNDS: u32 = 8;
+    let grid = state.grid;
+    let bins: Vec<BinId> = (0..grid.num_bins()).map(BinId::new).collect();
+    let before = *stats;
+    let mut budget = 64 * state.overflowed_bins().len() + 4 * bins.len() + 64;
+    let mut round = 0u32;
+    let mut last_applied: BTreeMap<(BinId, BinId), u32> = BTreeMap::new();
+    let mut free_from: BTreeMap<(BinId, BinId), u32> = BTreeMap::new();
+    let mut set_aside = vec![false; bins.len()];
+    let (mut c, mut retries, mut tabus) = (SearchCounters::default(), 0u64, 0u64);
+    let mut paths = Vec::new();
+    // The most-loaded overflowed bin not set aside, the lowest id on ties.
+    let most_loaded = |state: &flow3d_core::FlowState<'_>, set_aside: &[bool]| {
+        bins.iter()
+            .copied()
+            .filter(|b| state.sup(*b) > 0 && !set_aside[b.index()])
+            .max_by_key(|b| (state.sup(*b), std::cmp::Reverse(*b)))
+    };
+    while let Some(bin) = most_loaded(state, &set_aside) {
+        // The tabu in the kernel's edge numbering: each bin's out-edges
+        // in neighbour order, bin after bin.
+        let stamps: Vec<u32> = bins
+            .iter()
+            .flat_map(|&u| grid.neighbors(u).iter().map(move |&(v, _)| (u, v)))
+            .map(|e| free_from.get(&e).copied().unwrap_or(0))
+            .collect();
+        let tabu = EdgeTabu::new(&stamps, round);
+        let mut limit = state.sup(bin);
+        let mut found = None;
+        let mut searches = 0;
+        while limit > 0 && found.is_none() {
+            searches += 1;
+            let mut scratch = SearchScratch::new(bins.len());
+            found = find_path_limited(state, bin, limit, params, Some(&tabu), &mut scratch, &mut c);
+            limit /= 2;
+        }
+        retries += searches - 1;
+        let Some(path) = found else {
+            set_aside[bin.index()] = true;
+            continue;
+        };
+        if budget == 0 {
+            break;
+        }
+        budget -= 1;
+        stats.cells_moved += flow3d_core::augment::realize(state, &path, &params.selection);
+        stats.augmentations += 1;
+        for w in path.steps.windows(2) {
+            let (e, rev) = ((w[0].bin, w[1].bin), (w[1].bin, w[0].bin));
+            if last_applied.get(&rev).is_some_and(|&r| round - r <= WINDOW) {
+                for t in [e, rev] {
+                    if free_from.get(&t).is_none_or(|&f| f <= round) {
+                        tabus += 1;
+                    }
+                    free_from.insert(t, round + 1 + TABU_ROUNDS);
+                }
+            }
+            last_applied.insert(e, round);
+        }
+        round += 1;
+        paths.push(path);
+    }
+    let mut left: Vec<BinId> = bins.iter().copied().filter(|&b| state.sup(b) > 0).collect();
+    left.sort_by_key(|&b| (std::cmp::Reverse(state.sup(b)), b));
+    let cross_die = grid.edge_counts().2 > 0;
+    for bin in left {
+        if state.sup(bin) > 0 {
+            flow3d_core::driver::teleport_fallback(state, bin, cross_die, stats)?;
+        }
+    }
+    stats.nodes_expanded += c.expanded;
+    let counters = BTreeMap::from([
+        (
+            keys::AUGMENTING_PATHS,
+            (stats.augmentations - before.augmentations) as u64,
+        ),
+        (keys::BRANCHES_PRUNED, c.pruned as u64),
+        (keys::BRANCHES_PRUNED_STALE, c.pruned_stale as u64),
+        (
+            keys::CELLS_MOVED,
+            (stats.cells_moved - before.cells_moved) as u64,
+        ),
+        (
+            keys::FALLBACK_MOVES,
+            (stats.fallback_moves - before.fallback_moves) as u64,
+        ),
+        (keys::FLOW_PASSES, 1),
+        (keys::NODES_CREATED, c.created as u64),
+        (keys::NODES_EXPANDED, c.expanded as u64),
+        (keys::PING_PONG_TABUS, tabus),
+        (keys::SEARCH_RETRIES, retries),
+    ]);
+    Ok(RefDrain {
+        set_aside: set_aside.iter().filter(|&&s| s).count(),
+        paths,
+        counters,
+    })
+}
+
+/// Everything a drain leaves in a state: each bin's fragments, supply
+/// and demand, each cell's fragments and die, each die's area headroom.
+fn state_digest(state: &flow3d_core::FlowState<'_>, design: &flow3d::db::Design) -> String {
+    use flow3d_core::grid::BinId;
+    let mut out = String::new();
+    for b in (0..state.grid.num_bins()).map(BinId::new) {
+        out += &format!(
+            "{b:?} {} {} {:?}\n",
+            state.sup(b),
+            state.dem(b),
+            state.frags_in(b)
+        );
+    }
+    for c in (0..design.num_cells()).map(CellId::new) {
+        out += &format!("{c:?} {:?} {:?}\n", state.cell_die(c), state.cell_frags(c));
+    }
+    for d in (0..design.num_dies()).map(DieId::new) {
+        out += &format!("{d:?} {}\n", state.area_headroom(d));
+    }
+    out
+}
+
+/// Cells piled into the bottom die's first row: with [`build_walled`]'s
+/// wall and no D2D edges, sources there have nowhere to drain.
+fn arb_piled_instance() -> impl Strategy<Value = (Vec<i64>, Vec<(f64, f64, f64)>)> {
+    (20usize..40).prop_flat_map(|n| {
+        (
+            proptest::collection::vec(2i64..=5, n),
+            proptest::collection::vec((-50.0f64..450.0, -5.0f64..8.0, 0.0f64..0.4), n),
+        )
+    })
+}
+
+/// The engine's sequential drain equals the naive reference on random
+/// piled-up instances, with and without D2D edges, with and without a
+/// walled-off row, on grids from one to six cells per bin: the final
+/// state, each applied path's steps and cost bits, the stats, and every
+/// counter it bumps.
+#[test]
+fn sequential_drain_matches_naive_reference() {
+    use flow3d_core::driver::drain_sequential;
+    use flow3d_core::search::SearchScratch;
+
+    let (mut paths, mut set_aside, mut drains, mut tabus) = (0usize, 0usize, 0usize, 0u64);
+    proptest!(ProptestConfig::with_cases(48), |(
+        (widths, anchors) in arb_piled_instance(),
+        bin_factor in 1.0f64..6.0,
+        d2d in 0u8..2,
+        wall in 0u8..2,
+    )| {
+        let d2d = d2d == 1;
+        let (design, gp) = build_walled(&widths, &anchors, wall == 1);
+        let cfg = Flow3dConfig {
+            bin_width_factor: bin_factor,
+            allow_d2d: d2d,
+            ..Flow3dConfig::default()
+        };
+        let layout = RowLayout::build(&design);
+        let Ok(mut dies) = assign::partition_dies(&design, &gp) else { return; };
+        let grid = BinGrid::build(&design, &layout, &bin_widths(&design, bin_factor), d2d);
+        let Ok(mut got) = assign::build_state(&design, &layout, &grid, &gp, &mut dies.clone())
+        else { return; };
+        let Ok(mut want) = assign::build_state(&design, &layout, &grid, &gp, &mut dies)
+        else { return; };
+        let params = params_for(&design, &cfg);
+
+        let mut profile = Profile::new();
+        let (mut got_stats, mut want_stats) = (LegalizeStats::default(), LegalizeStats::default());
+        let got_result = drain_sequential(
+            &mut got,
+            &params,
+            &mut got_stats,
+            Some(&mut profile),
+            &mut SearchScratch::new(grid.num_bins()),
+        );
+        let want_result = reference_drain(&mut want, &params, &mut want_stats);
+        match (&got_result, &want_result) {
+            (Ok(g), Ok(w)) => {
+                prop_assert_eq!(g.len(), w.paths.len());
+                for (k, (gp, wp)) in g.iter().zip(&w.paths).enumerate() {
+                    prop_assert_eq!(&gp.steps, &wp.steps, "path {}", k);
+                    prop_assert_eq!(gp.cost.to_bits(), wp.cost.to_bits(), "path {}", k);
+                }
+                let counters: Vec<(String, u64)> = profile
+                    .counters()
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect();
+                let want_counters: Vec<(String, u64)> =
+                    w.counters.iter().map(|(k, v)| (k.to_string(), *v)).collect();
+                prop_assert_eq!(counters, want_counters);
+                prop_assert_eq!(got.total_overflow(), 0);
+                paths += w.paths.len();
+                set_aside += w.set_aside;
+                tabus += w.counters[flow3d_obs::keys::PING_PONG_TABUS];
+                drains += 1;
+            }
+            (Err(g), Err(w)) => prop_assert_eq!(g, w),
+            _ => prop_assert!(
+                false,
+                "engine ok={} reference ok={}",
+                got_result.is_ok(),
+                want_result.is_ok()
+            ),
+        }
+        prop_assert_eq!(got_stats, want_stats);
+        prop_assert_eq!(state_digest(&got, &design), state_digest(&want, &design));
+    });
+    assert!(
+        drains >= 24 && paths >= 100 && set_aside >= 4 && tabus >= 8,
+        "drain referee too rarely exercised: {drains} drains, {paths} paths, \
+         {set_aside} sources set aside, {tabus} tabus"
+    );
+}
+
 #[test]
 fn every_pipeline_stage_upholds_the_legality_invariants() {
     // Typed rejections of infeasible random instances skip a case; the
@@ -441,8 +707,9 @@ fn every_pipeline_stage_upholds_the_legality_invariants() {
 //
 // The pipelines as they ran before the resident state: every post-opt
 // pass and every ECO request builds a new whole-design `FlowState`,
-// inserts every cell in id order at its nearest legal position, runs the
-// flow pass and then `PlaceRow` on every segment. The resident engines
+// inserts every cell in id order at its nearest legal position, drains
+// it (post-opt by the reference drain, ECO by the flow pass) and then
+// runs `PlaceRow` on every segment. The resident engines
 // keep one seeded state, re-seed only moved cells under an undo journal
 // and re-place only segments whose membership changed; they must
 // reproduce these references exactly.
@@ -473,8 +740,8 @@ fn reference_seed<'a>(
     Ok(state)
 }
 
-/// Post-optimization with a fresh seed and all-segment `PlaceRow` per
-/// pass. Returns how many passes ran a flow pass.
+/// Post-optimization with a fresh seed, the reference drain and
+/// all-segment `PlaceRow` per pass. Returns how many passes ran a drain.
 fn reference_post_optimize(
     design: &flow3d::db::Design,
     layout: &RowLayout,
@@ -521,14 +788,7 @@ fn reference_post_optimize(
         });
         let Ok(mut state) = seeded else { break };
         let mut pass_stats = LegalizeStats::default();
-        flow_pass(
-            &mut state,
-            &params,
-            threads,
-            &mut pass_stats,
-            None,
-            &mut SearchPool::new(),
-        )?;
+        reference_drain(&mut state, &params, &mut pass_stats)?;
         ran += 1;
         let candidate = placerow_all(&state, cfg.row_algo, threads, None)?;
         let new_max = max_disp(&candidate);
