@@ -169,7 +169,6 @@ fn run() -> Result<(), String> {
         "check" => (&CHECK, cmd_check),
         "stats" => (&STATS, cmd_stats),
         "viz" => (&VIZ, cmd_viz),
-        "tidy" => (&TIDY, cmd_tidy),
         "eco" => (&serve_cmd::ECO, serve_cmd::cmd_eco),
         "serve" => (&serve_cmd::SERVE, serve_cmd::cmd_serve),
         "--help" | "help" => {
@@ -211,7 +210,6 @@ fn usage() -> String {
      flow3d report show <report.json>\n  \
      flow3d viz --case case.txt --gp gp.txt --legal legal.txt [--die top|bottom] --out plot.svg\n  \
      flow3d viz --heatmaps sidecar.json [--name <heatmap>] --out grid.svg\n  \
-     flow3d tidy [--json] [--fix] [--list] [--root DIR]\n  \
      flow3d eco --case case.txt --base legal.txt --moves moves.txt --out out.txt [--threads N] [--profile out.json]\n  \
      flow3d serve [--listen HOST:PORT | --unix PATH] [--workers N] [--queue-depth N] [--threads N] [--log events.jsonl] [--log-level debug|info|warn|error] [--flight dump.json] [--trace DIR] [--window-secs S]\n  \
      flow3d request [ping|stats|metrics|shutdown] [--script reqs.jsonl] [--connect HOST:PORT | --unix PATH] [--out resp.jsonl] [--allow-errors] [--text]"
@@ -515,63 +513,6 @@ fn cmd_viz(args: &Args) -> Result<(), String> {
     write(out, &svg)?;
     outln!("wrote {out}");
     Ok(())
-}
-
-const TIDY: Opts = Opts("root", "json fix list");
-
-/// `flow3d tidy` — run the flow3d-tidy determinism & panic-safety lints
-/// over the workspace (same engine as `cargo run -p flow3d-lint`).
-fn cmd_tidy(args: &Args) -> Result<(), String> {
-    if args.flag("list") {
-        outln!("{:<4} {:<24} rationale", "id", "name");
-        for lint in flow3d_lint::ALL_LINTS {
-            outln!("{:<4} {:<24} {}", lint.id(), lint.name(), lint.rationale());
-        }
-        outln!(
-            "\nsuppression: // flow3d-tidy: allow(<name>) — <reason>   (reason required; \
-             covers the same line and the next)"
-        );
-        return Ok(());
-    }
-    let root = match args.get("root") {
-        Some(dir) => std::path::PathBuf::from(dir),
-        None => {
-            let cwd = std::env::current_dir().map_err(|e| e.to_string())?;
-            flow3d_lint::find_workspace_root(&cwd)
-                .ok_or_else(|| "no workspace root found above the current directory".to_string())?
-        }
-    };
-    let report = flow3d_lint::run(&root, args.flag("fix")).map_err(|e| format!("tidy: {e}"))?;
-    if args.flag("json") {
-        out!(
-            "{}",
-            flow3d_lint::render_json(
-                &report.violations,
-                report.files_checked,
-                &report.fixed,
-                (report.cache_hits, report.cache_total),
-            )
-        );
-    } else {
-        for fv in &report.violations {
-            eprintln!("{}", flow3d_lint::render_human(fv));
-        }
-        for fixed in &report.fixed {
-            eprintln!("fixed: {fixed}");
-        }
-        eprintln!(
-            "flow3d-tidy: {} file(s) checked ({}/{} cache hits), {} violation(s)",
-            report.files_checked,
-            report.cache_hits,
-            report.cache_total,
-            report.violations.len()
-        );
-    }
-    if report.clean() {
-        Ok(())
-    } else {
-        Err(format!("{} tidy violation(s)", report.violations.len()))
-    }
 }
 
 #[cfg(test)]

@@ -71,7 +71,6 @@ fn every_command_names_its_options() {
         "check",
         "stats",
         "viz",
-        "tidy",
         "eco",
         // An unknown option must stop `serve` before it binds anything;
         // were it accepted, binding under a missing directory would fail

@@ -405,8 +405,7 @@ impl L1Block {
 ///
 /// Panics if `site <= 0` or the span is off the site grid (as
 /// [`place_row`]).
-// flow3d-tidy: allow(dead-pub) — facade API (flow3d::core) for embedders that drive the legalizer below the Legalizer trait
-pub fn place_row_l1(
+fn place_row_l1(
     items: &[RowItem],
     span: Interval,
     origin: i64,

@@ -377,7 +377,7 @@ mod tests {
     fn fact_map(entries: &[(&str, &str)]) -> BTreeMap<String, FileFacts> {
         entries
             .iter()
-            .map(|(p, src)| (p.to_string(), file_facts(src, &FilePolicy::strict(), 0)))
+            .map(|(p, src)| (p.to_string(), file_facts(src, &FilePolicy::strict())))
             .collect()
     }
 

@@ -64,22 +64,12 @@ pub(crate) fn json_escape(s: &str) -> String {
 }
 
 /// Serializes a full run to the `--json` report consumed by CI.
-///
-/// `cache` is the symbol-graph cache outcome as `(hits, total)`; a
-/// fully warm repeat run reports `hits == total`.
-pub fn render_json(
-    violations: &[FileViolation],
-    files_checked: usize,
-    fixed: &[String],
-    cache: (usize, usize),
-) -> String {
+pub fn render_json(violations: &[FileViolation], files_checked: usize, fixed: &[String]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"tool\": \"flow3d-tidy\",\n");
-    out.push_str("  \"version\": 2,\n");
+    out.push_str("  \"version\": 3,\n");
     out.push_str(&format!("  \"files_checked\": {files_checked},\n"));
-    out.push_str(&format!("  \"cache_hits\": {},\n", cache.0));
-    out.push_str(&format!("  \"cache_total\": {},\n", cache.1));
     out.push_str(&format!(
         "  \"clean\": {},\n",
         if violations.is_empty() {
@@ -153,10 +143,8 @@ mod tests {
 
     #[test]
     fn json_report_is_parseable_shape() {
-        let json = render_json(&[sample()], 3, &["crates/x/src/lib.rs".to_string()], (2, 3));
+        let json = render_json(&[sample()], 3, &["crates/x/src/lib.rs".to_string()]);
         assert!(json.contains("\"files_checked\": 3"));
-        assert!(json.contains("\"cache_hits\": 2"));
-        assert!(json.contains("\"cache_total\": 3"));
         assert!(json.contains("\"clean\": false"));
         assert!(json.contains("\"lint\": \"D3\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -54,7 +54,7 @@ impl Token {
 }
 
 /// One parsed `// flow3d-tidy: allow(...)` comment.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Suppression {
     /// Line the comment sits on. It covers violations on this line and
     /// the next one.
@@ -68,7 +68,7 @@ pub(crate) struct Suppression {
 }
 
 /// A `flow3d-tidy:` comment the parser could not make sense of.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct MalformedSuppression {
     /// Line of the comment.
     pub line: u32,

@@ -19,11 +19,11 @@
 //! | W3 | `nondet-capture`        | shared mutable captures in `flow3d_par` closures |
 //!
 //! The D-family is per-file token analysis. The W-family runs on a
-//! **symbol graph** ([`symbols`](crate) internals): every file is
-//! distilled into defs/refs/string-literal facts (cached on disk by
-//! content hash, so repeat runs are incremental), and cross-file passes
-//! compare code against code *and* code against the operational docs
-//! (README.md, EXPERIMENTS.md, SERVING.md).
+//! **symbol graph** ([`symbols`](crate) internals): every file is lexed
+//! on every run and distilled into defs/refs/string-literal facts, and
+//! cross-file passes compare code against code *and* code against the
+//! operational docs (README.md, EXPERIMENTS.md, SERVING.md). A run
+//! without `--fix` writes nothing.
 //!
 //! Why a *static* gate: PR 2/3 made the legalizer bit-identical across
 //! thread counts, but that contract was enforced only by runtime
@@ -44,8 +44,9 @@
 //! nothing are violations themselves, so the suppression inventory
 //! cannot rot.
 //!
-//! Entry points: `cargo run -p flow3d-lint` (standalone, `--json`,
-//! `--fix`, `--list`) and `flow3d tidy` (CLI subcommand).
+//! Entry point: `cargo run -p flow3d-lint` (`--json`, `--fix`,
+//! `--list`, `--root DIR`). It exits 0 when the tree is clean, 1 on
+//! violations, and 2 on an I/O or usage error.
 //!
 //! ```
 //! use flow3d_lint::{check_file, FilePolicy, Lint};

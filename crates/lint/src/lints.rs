@@ -4,7 +4,7 @@
 //! with `#[cfg(test)]` / `#[test]` items filtered out first — the lints
 //! guard *shipping* code; tests may unwrap and compare floats freely.
 
-use crate::lexer::{lex, LexOutput, TokKind, Token};
+use crate::lexer::{lex, LexOutput, MalformedSuppression, Suppression, TokKind, Token};
 
 /// The project lints, in ISSUE order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -313,7 +313,7 @@ fn skip_item(tokens: &[Token], i: usize) -> usize {
 /// reported as violations themselves).
 pub fn check_file(src: &str, policy: &FilePolicy) -> Vec<Violation> {
     let (raw, lexed) = check_file_raw(src, policy);
-    apply_suppressions(raw, &lexed)
+    apply_suppressions(raw, &lexed.suppressions, &lexed.malformed)
 }
 
 /// [`check_file`] without the suppression pass: returns the raw per-file
@@ -509,13 +509,17 @@ pub(crate) fn fix_missing_forbid(src: &str) -> Option<String> {
 /// covers matching violations on its own line and the next line.
 /// Reason-less or malformed suppressions, unknown lint names, and allows
 /// that match nothing become violations themselves.
-pub(crate) fn apply_suppressions(raw: Vec<Violation>, lexed: &LexOutput) -> Vec<Violation> {
-    let mut used = vec![false; lexed.suppressions.len()];
+pub(crate) fn apply_suppressions(
+    raw: Vec<Violation>,
+    suppressions: &[Suppression],
+    malformed: &[MalformedSuppression],
+) -> Vec<Violation> {
+    let mut used = vec![false; suppressions.len()];
     let mut out: Vec<Violation> = Vec::new();
 
     for v in raw {
         let mut suppressed = false;
-        for (si, s) in lexed.suppressions.iter().enumerate() {
+        for (si, s) in suppressions.iter().enumerate() {
             if !(s.line == v.line || s.line + 1 == v.line) {
                 continue;
             }
@@ -533,7 +537,7 @@ pub(crate) fn apply_suppressions(raw: Vec<Violation>, lexed: &LexOutput) -> Vec<
         }
     }
 
-    for (si, s) in lexed.suppressions.iter().enumerate() {
+    for (si, s) in suppressions.iter().enumerate() {
         if !s.has_reason {
             out.push(Violation {
                 lint: Lint::BadSuppression,
@@ -575,7 +579,7 @@ pub(crate) fn apply_suppressions(raw: Vec<Violation>, lexed: &LexOutput) -> Vec<
         }
     }
 
-    for m in &lexed.malformed {
+    for m in malformed {
         out.push(Violation {
             lint: Lint::BadSuppression,
             line: m.line,

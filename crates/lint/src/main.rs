@@ -1,5 +1,7 @@
 #![forbid(unsafe_code)]
-//! `flow3d-lint` — standalone entry point for the flow3d-tidy pass.
+//! `flow3d-lint` — the entry point for the flow3d-tidy pass. It exits 0
+//! when the tree is clean, 1 on violations, and 2 on an I/O or usage
+//! error.
 //!
 //! ```text
 //! cargo run -p flow3d-lint                # human diagnostics, exit 1 on violations
@@ -75,12 +77,7 @@ fn flow3d_lint_run(args: &[String]) -> Result<bool, String> {
     if json {
         print!(
             "{}",
-            flow3d_lint::render_json(
-                &report.violations,
-                report.files_checked,
-                &report.fixed,
-                (report.cache_hits, report.cache_total),
-            )
+            flow3d_lint::render_json(&report.violations, report.files_checked, &report.fixed)
         );
     } else {
         for fv in &report.violations {
@@ -90,10 +87,8 @@ fn flow3d_lint_run(args: &[String]) -> Result<bool, String> {
             eprintln!("fixed: {fixed}");
         }
         eprintln!(
-            "flow3d-tidy: {} file(s) checked ({}/{} cache hits), {} violation(s){}",
+            "flow3d-tidy: {} file(s) checked, {} violation(s){}",
             report.files_checked,
-            report.cache_hits,
-            report.cache_total,
             report.violations.len(),
             if report.fixed.is_empty() {
                 String::new()

@@ -1,5 +1,4 @@
-//! The symbol-graph layer: per-file fact extraction and content-hash
-//! caching.
+//! The symbol-graph layer: per-file fact extraction.
 //!
 //! Every source file is distilled into a [`FileFacts`] record — its
 //! top-level item definitions (with `pub` visibility), struct fields,
@@ -10,46 +9,10 @@
 //! workspace-level lints (W1 `contract-drift` in [`crate::contracts`],
 //! W2 `dead-pub` in [`crate::deadpub`]) run entirely over these facts,
 //! never re-reading source.
-//!
-//! Facts are cached on disk keyed by an FNV-64 hash of the file's
-//! content XOR its lint-policy bits, so a repeat `flow3d tidy` run on
-//! an unchanged tree re-lexes nothing. The cache is a versioned
-//! tab-separated text file under `target/`; any parse surprise (old
-//! version, truncation, concurrent writer) discards it wholesale —
-//! correctness never depends on the cache being present.
 
 use crate::lexer::{MalformedSuppression, Suppression, TokKind, Token};
-use crate::lints::{check_file_raw, FilePolicy, Lint, Violation};
-use std::collections::{BTreeMap, BTreeSet};
-use std::fs;
-use std::io;
-use std::path::Path;
-
-/// Cache format tag; bump on any layout change to invalidate old files.
-const CACHE_HEADER: &str = "flow3d-tidy-cache v1";
-
-/// FNV-1a 64-bit hash of `bytes`.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Folds a file's lint policy into its content hash so a policy change
-/// (e.g. a crate losing its d3 exemption) invalidates cached facts.
-pub(crate) fn policy_hash(content: &str, policy: &FilePolicy) -> u64 {
-    let mask = u64::from(policy.d1)
-        | u64::from(policy.d2) << 1
-        | u64::from(policy.d3) << 2
-        | u64::from(policy.d4) << 3
-        | u64::from(policy.d5) << 4
-        | u64::from(policy.w3) << 5
-        | u64::from(policy.crate_root) << 6;
-    fnv64(content.as_bytes()) ^ (mask.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-}
+use crate::lints::{check_file_raw, FilePolicy, Violation};
+use std::collections::BTreeSet;
 
 /// The kind of a top-level item definition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,24 +48,10 @@ impl DefKind {
             DefKind::Mod => "mod",
         }
     }
-
-    fn from_str(s: &str) -> Option<DefKind> {
-        Some(match s {
-            "fn" => DefKind::Fn,
-            "struct" => DefKind::Struct,
-            "enum" => DefKind::Enum,
-            "trait" => DefKind::Trait,
-            "const" => DefKind::Const,
-            "static" => DefKind::Static,
-            "type" => DefKind::TypeAlias,
-            "mod" => DefKind::Mod,
-            _ => return None,
-        })
-    }
 }
 
 /// One top-level item definition.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Def {
     pub kind: DefKind,
     pub name: String,
@@ -111,7 +60,7 @@ pub(crate) struct Def {
 }
 
 /// One named struct field (`owner.name`).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct FieldDef {
     pub owner: String,
     pub name: String,
@@ -119,7 +68,7 @@ pub(crate) struct FieldDef {
 }
 
 /// One enum variant (`owner::name`).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct VariantDef {
     pub owner: String,
     pub name: String,
@@ -127,11 +76,10 @@ pub(crate) struct VariantDef {
 }
 
 /// One string literal with the context the contract lints key on.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct StrLit {
     pub text: String,
     pub line: u32,
-    pub col: u32,
     /// Text of the preceding token (`"=>"` marks a match-arm value).
     pub prev: String,
     /// Text of the following token (`"=>"`/`"|"` mark a match-arm key).
@@ -141,7 +89,7 @@ pub(crate) struct StrLit {
 }
 
 /// One `field: … "flag" …` entry of a `Flow3dConfig { … }` literal.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct BindDef {
     pub field: String,
     pub flag: String,
@@ -149,10 +97,8 @@ pub(crate) struct BindDef {
 }
 
 /// Everything the symbol graph knows about one source file.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub(crate) struct FileFacts {
-    /// [`policy_hash`] of the content this record was computed from.
-    pub hash: u64,
     pub defs: Vec<Def>,
     pub fields: Vec<FieldDef>,
     pub variants: Vec<VariantDef>,
@@ -168,7 +114,7 @@ pub(crate) struct FileFacts {
 }
 
 /// Extracts the full fact record for one file.
-pub(crate) fn file_facts(src: &str, policy: &FilePolicy, hash: u64) -> FileFacts {
+pub(crate) fn file_facts(src: &str, policy: &FilePolicy) -> FileFacts {
     let (raw, lexed) = check_file_raw(src, policy);
     let stripped = if crate::lints::file_gated_to_tests(&lexed.tokens) {
         Vec::new()
@@ -183,7 +129,6 @@ pub(crate) fn file_facts(src: &str, policy: &FilePolicy, hash: u64) -> FileFacts
         .collect();
     let (defs, fields, variants) = extract_items(&stripped);
     FileFacts {
-        hash,
         defs,
         fields,
         variants,
@@ -439,7 +384,6 @@ fn extract_strings(tokens: &[Token]) -> Vec<StrLit> {
             out.push(StrLit {
                 text: t.text.clone(),
                 line: t.line,
-                col: t.col,
                 prev: i
                     .checked_sub(1)
                     .map_or(String::new(), |p| tokens[p].text.clone()),
@@ -502,257 +446,12 @@ fn extract_binds(tokens: &[Token]) -> Vec<BindDef> {
     out
 }
 
-// ---------------------------------------------------------------------
-// On-disk cache: a versioned, escaped, tab-separated record stream.
-// ---------------------------------------------------------------------
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-fn unesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
-}
-
-/// Serializes the fact map to `path` (atomically, via a sibling temp
-/// file). Failures are reported but non-fatal to callers.
-pub(crate) fn save_cache(path: &Path, facts: &BTreeMap<String, FileFacts>) -> io::Result<()> {
-    let mut out = String::new();
-    out.push_str(CACHE_HEADER);
-    out.push('\n');
-    for (file, f) in facts {
-        out.push_str(&format!("F\t{}\t{:016x}\n", esc(file), f.hash));
-        for d in &f.defs {
-            out.push_str(&format!(
-                "d\t{}\t{}\t{}\t{}\n",
-                d.kind.as_str(),
-                esc(&d.name),
-                u8::from(d.is_pub),
-                d.line
-            ));
-        }
-        for fd in &f.fields {
-            out.push_str(&format!(
-                "f\t{}\t{}\t{}\n",
-                esc(&fd.owner),
-                esc(&fd.name),
-                fd.line
-            ));
-        }
-        for v in &f.variants {
-            out.push_str(&format!(
-                "v\t{}\t{}\t{}\n",
-                esc(&v.owner),
-                esc(&v.name),
-                v.line
-            ));
-        }
-        for b in &f.binds {
-            out.push_str(&format!(
-                "b\t{}\t{}\t{}\n",
-                esc(&b.field),
-                esc(&b.flag),
-                b.line
-            ));
-        }
-        if !f.refs.is_empty() {
-            let joined: Vec<&str> = f.refs.iter().map(String::as_str).collect();
-            out.push_str(&format!("r\t{}\n", joined.join(" ")));
-        }
-        for s in &f.strings {
-            out.push_str(&format!(
-                "s\t{}\t{}\t{}\t{}\t{}\t{}\n",
-                s.line,
-                s.col,
-                esc(&s.text),
-                esc(&s.prev),
-                esc(&s.next),
-                esc(&s.in_fn)
-            ));
-        }
-        for x in &f.raw {
-            out.push_str(&format!(
-                "x\t{}\t{}\t{}\t{}\t{}\t{}\n",
-                x.lint.name(),
-                x.line,
-                x.col,
-                x.len,
-                esc(&x.message),
-                esc(&x.help)
-            ));
-        }
-        for p in &f.suppressions {
-            out.push_str(&format!(
-                "p\t{}\t{}\t{}\t{}\n",
-                p.line,
-                p.col,
-                u8::from(p.has_reason),
-                p.lints.join(",")
-            ));
-        }
-        for m in &f.malformed {
-            out.push_str(&format!("m\t{}\t{}\t{}\n", m.line, m.col, esc(&m.why)));
-        }
-    }
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, out)?;
-    fs::rename(&tmp, path)
-}
-
-/// Loads the fact cache; any structural surprise yields an empty map.
-pub(crate) fn load_cache(path: &Path) -> BTreeMap<String, FileFacts> {
-    let Ok(text) = fs::read_to_string(path) else {
-        return BTreeMap::new();
-    };
-    parse_cache(&text).unwrap_or_default()
-}
-
-fn parse_cache(text: &str) -> Option<BTreeMap<String, FileFacts>> {
-    let mut lines = text.lines();
-    if lines.next() != Some(CACHE_HEADER) {
-        return None;
-    }
-    let mut map: BTreeMap<String, FileFacts> = BTreeMap::new();
-    let mut current: Option<(String, FileFacts)> = None;
-    for line in lines {
-        let cols: Vec<&str> = line.split('\t').collect();
-        match cols.first().copied() {
-            Some("F") if cols.len() == 3 => {
-                if let Some((name, facts)) = current.take() {
-                    map.insert(name, facts);
-                }
-                let hash = u64::from_str_radix(cols[2], 16).ok()?;
-                current = Some((
-                    unesc(cols[1]),
-                    FileFacts {
-                        hash,
-                        ..FileFacts::default()
-                    },
-                ));
-            }
-            Some("d") if cols.len() == 5 => {
-                let f = &mut current.as_mut()?.1;
-                f.defs.push(Def {
-                    kind: DefKind::from_str(cols[1])?,
-                    name: unesc(cols[2]),
-                    is_pub: cols[3] == "1",
-                    line: cols[4].parse().ok()?,
-                });
-            }
-            Some("f") if cols.len() == 4 => {
-                let f = &mut current.as_mut()?.1;
-                f.fields.push(FieldDef {
-                    owner: unesc(cols[1]),
-                    name: unesc(cols[2]),
-                    line: cols[3].parse().ok()?,
-                });
-            }
-            Some("v") if cols.len() == 4 => {
-                let f = &mut current.as_mut()?.1;
-                f.variants.push(VariantDef {
-                    owner: unesc(cols[1]),
-                    name: unesc(cols[2]),
-                    line: cols[3].parse().ok()?,
-                });
-            }
-            Some("b") if cols.len() == 4 => {
-                let f = &mut current.as_mut()?.1;
-                f.binds.push(BindDef {
-                    field: unesc(cols[1]),
-                    flag: unesc(cols[2]),
-                    line: cols[3].parse().ok()?,
-                });
-            }
-            Some("r") if cols.len() == 2 => {
-                let f = &mut current.as_mut()?.1;
-                f.refs = cols[1].split(' ').map(str::to_string).collect();
-            }
-            Some("s") if cols.len() == 7 => {
-                let f = &mut current.as_mut()?.1;
-                f.strings.push(StrLit {
-                    line: cols[1].parse().ok()?,
-                    col: cols[2].parse().ok()?,
-                    text: unesc(cols[3]),
-                    prev: unesc(cols[4]),
-                    next: unesc(cols[5]),
-                    in_fn: unesc(cols[6]),
-                });
-            }
-            Some("x") if cols.len() == 7 => {
-                let f = &mut current.as_mut()?.1;
-                f.raw.push(Violation {
-                    lint: Lint::from_name(cols[1])?,
-                    line: cols[2].parse().ok()?,
-                    col: cols[3].parse().ok()?,
-                    len: cols[4].parse().ok()?,
-                    message: unesc(cols[5]),
-                    help: unesc(cols[6]),
-                });
-            }
-            Some("p") if cols.len() == 5 => {
-                let f = &mut current.as_mut()?.1;
-                f.suppressions.push(Suppression {
-                    line: cols[1].parse().ok()?,
-                    col: cols[2].parse().ok()?,
-                    has_reason: cols[3] == "1",
-                    lints: if cols[4].is_empty() {
-                        Vec::new()
-                    } else {
-                        cols[4].split(',').map(str::to_string).collect()
-                    },
-                });
-            }
-            Some("m") if cols.len() == 4 => {
-                let f = &mut current.as_mut()?.1;
-                f.malformed.push(MalformedSuppression {
-                    line: cols[1].parse().ok()?,
-                    col: cols[2].parse().ok()?,
-                    why: unesc(cols[3]),
-                });
-            }
-            _ => return None,
-        }
-    }
-    if let Some((name, facts)) = current.take() {
-        map.insert(name, facts);
-    }
-    Some(map)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn facts(src: &str) -> FileFacts {
-        file_facts(src, &FilePolicy::strict(), 7)
+        file_facts(src, &FilePolicy::strict())
     }
 
     #[test]
@@ -812,37 +511,5 @@ mod tests {
             .map(|b| (b.field.as_str(), b.flag.as_str()))
             .collect();
         assert_eq!(binds, vec![("alpha", "alpha"), ("allow_d2d", "no-d2d")]);
-    }
-
-    #[test]
-    fn cache_round_trips() {
-        let f = facts(
-            "pub fn a(x: Option<u32>) -> u32 {\n    // flow3d-tidy: allow(panic-unwrap) — test scaffolding\n    x.unwrap()\n}\nconst T: &str = \"tab\\there\";\n",
-        );
-        let mut map = BTreeMap::new();
-        map.insert("crates/x/src/lib.rs".to_string(), f);
-        let dir = std::env::temp_dir().join(format!("tidy-cache-test-{}", std::process::id()));
-        let path = dir.join("cache.tsv");
-        save_cache(&path, &map).expect("save");
-        let back = load_cache(&path);
-        std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(back.len(), 1);
-        let g = &back["crates/x/src/lib.rs"];
-        let orig = &map["crates/x/src/lib.rs"];
-        assert_eq!(g.hash, orig.hash);
-        assert_eq!(g.defs.len(), orig.defs.len());
-        assert_eq!(g.raw.len(), orig.raw.len());
-        assert_eq!(g.suppressions.len(), orig.suppressions.len());
-        assert_eq!(
-            g.strings.iter().map(|s| &s.text).collect::<Vec<_>>(),
-            orig.strings.iter().map(|s| &s.text).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn stale_or_foreign_cache_is_discarded() {
-        assert!(parse_cache("some-other-tool v9\nF\tx\t0\n").is_none());
-        assert!(parse_cache("flow3d-tidy-cache v1\nZ\tgarbage\n").is_none());
-        assert!(parse_cache("flow3d-tidy-cache v1\n").is_some());
     }
 }

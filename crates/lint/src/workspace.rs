@@ -1,9 +1,7 @@
 //! Workspace discovery and the tidy run driver: which files to check,
-//! which lints apply to each crate, the symbol-graph cache, and the
-//! `--fix` rewrites.
+//! which lints apply to each crate, and the `--fix` rewrites.
 
 use crate::diag::FileViolation;
-use crate::lexer::LexOutput;
 use crate::lints::{apply_suppressions, fix_missing_forbid, FilePolicy, Lint, Violation};
 use crate::symbols::{self, FileFacts};
 use crate::{contracts, deadpub};
@@ -22,10 +20,6 @@ pub struct TidyReport {
     pub files_checked: usize,
     /// Paths rewritten by `--fix`.
     pub fixed: Vec<String>,
-    /// Files (checked + reference-only) served from the symbol cache.
-    pub cache_hits: usize,
-    /// Files that participated in the symbol cache this run.
-    pub cache_total: usize,
 }
 
 impl TidyReport {
@@ -123,52 +117,40 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
-/// Collects every file to lint under `root`, in deterministic order:
-/// the facade crate's `src/`, then each `crates/<name>/src/` sorted by
-/// name. `vendor/`, `target/`, per-crate `tests/`/`benches/`/
-/// `examples/`, and fixture directories never participate.
-fn discover(root: &Path) -> io::Result<Vec<FileTask>> {
-    let mut tasks = Vec::new();
-    // The facade crate.
-    collect_src(root, &root.join("src"), crate_policy("flow3d"), &mut tasks)?;
-    // Workspace member crates.
+/// Tags an I/O error with the path it concerns, so a failed run names
+/// what it could not read or write.
+fn at(path: &Path) -> impl FnOnce(io::Error) -> io::Error + '_ {
+    move |e| io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+}
+
+/// Names of the crate directories under `<root>/crates`, sorted.
+fn crate_names(root: &Path) -> io::Result<Vec<String>> {
     let crates_dir = root.join("crates");
     let mut names: Vec<String> = Vec::new();
-    for entry in fs::read_dir(&crates_dir)? {
-        let entry = entry?;
-        if entry.file_type()?.is_dir() {
+    for entry in fs::read_dir(&crates_dir).map_err(at(&crates_dir))? {
+        let entry = entry.map_err(at(&crates_dir))?;
+        if entry.file_type().map_err(at(&entry.path()))?.is_dir() {
             names.push(entry.file_name().to_string_lossy().into_owned());
         }
     }
     names.sort();
-    for name in names {
-        let src = crates_dir.join(&name).join("src");
-        collect_src(root, &src, crate_policy(&name), &mut tasks)?;
-    }
-    Ok(tasks)
+    Ok(names)
 }
 
-/// Recursively collects `.rs` files under one crate's `src/`, marking
-/// `src/lib.rs` as the crate root for D5.
-fn collect_src(
-    root: &Path,
-    src: &Path,
-    policy: FilePolicy,
-    tasks: &mut Vec<FileTask>,
-) -> io::Result<()> {
-    if !src.is_dir() {
-        return Ok(());
-    }
-    let mut stack = vec![src.to_path_buf()];
+/// Every `.rs` file under `dir` (none when `dir` is absent), sorted,
+/// without descending into subdirectories named in `skip`.
+fn rs_files(dir: &Path, skip: &[&str]) -> io::Result<Vec<PathBuf>> {
     let mut files: Vec<PathBuf> = Vec::new();
-    while let Some(dir) = stack.pop() {
-        for entry in fs::read_dir(&dir)? {
-            let entry = entry?;
+    if !dir.is_dir() {
+        return Ok(files);
+    }
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in fs::read_dir(&d).map_err(at(&d))? {
+            let entry = entry.map_err(at(&d))?;
             let path = entry.path();
-            if entry.file_type()?.is_dir() {
-                // `src/` should not contain test trees, but be explicit.
-                let name = entry.file_name();
-                if name != "fixtures" && name != "tests" {
+            if entry.file_type().map_err(at(&path))?.is_dir() {
+                if !skip.iter().any(|s| entry.file_name() == *s) {
                     stack.push(path);
                 }
             } else if path.extension().is_some_and(|e| e == "rs") {
@@ -177,19 +159,33 @@ fn collect_src(
         }
     }
     files.sort();
-    for path in files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy().into_owned())
-            .collect::<Vec<_>>()
-            .join("/");
-        let mut policy = policy;
-        policy.crate_root = path == src.join("lib.rs");
-        tasks.push(FileTask { path, rel, policy });
+    Ok(files)
+}
+
+/// Collects every file to lint under `root`, in deterministic order:
+/// the facade crate's `src/`, then each `crates/<name>/src/` sorted by
+/// name. `vendor/`, `target/`, per-crate `tests/`/`benches/`/
+/// `examples/`, and fixture directories never participate. Each
+/// crate's `src/lib.rs` is marked as its root for D5.
+fn discover(root: &Path) -> io::Result<Vec<FileTask>> {
+    let mut srcs = vec![(root.join("src"), crate_policy("flow3d"))];
+    for name in crate_names(root)? {
+        srcs.push((
+            root.join("crates").join(&name).join("src"),
+            crate_policy(&name),
+        ));
     }
-    Ok(())
+    let mut tasks = Vec::new();
+    for (src, policy) in srcs {
+        // `src/` should not contain test trees, but be explicit.
+        for path in rs_files(&src, &["fixtures", "tests"])? {
+            let mut policy = policy;
+            policy.crate_root = path == src.join("lib.rs");
+            let rel = rel_path(root, &path);
+            tasks.push(FileTask { path, rel, policy });
+        }
+    }
+    Ok(tasks)
 }
 
 /// Collects reference-only `.rs` files — integration tests, benches,
@@ -199,40 +195,13 @@ fn collect_src(
 /// crate would).
 fn discover_refs(root: &Path) -> io::Result<Vec<(PathBuf, String)>> {
     let mut dirs: Vec<PathBuf> = vec![root.join("tests"), root.join("benches")];
-    let crates_dir = root.join("crates");
-    if crates_dir.is_dir() {
-        let mut names: Vec<String> = Vec::new();
-        for entry in fs::read_dir(&crates_dir)? {
-            let entry = entry?;
-            if entry.file_type()?.is_dir() {
-                names.push(entry.file_name().to_string_lossy().into_owned());
-            }
-        }
-        names.sort();
-        for name in names {
-            dirs.push(crates_dir.join(&name).join("tests"));
-            dirs.push(crates_dir.join(&name).join("benches"));
-        }
+    for name in crate_names(root)? {
+        dirs.push(root.join("crates").join(&name).join("tests"));
+        dirs.push(root.join("crates").join(&name).join("benches"));
     }
     let mut files: Vec<PathBuf> = Vec::new();
     for dir in dirs {
-        if !dir.is_dir() {
-            continue;
-        }
-        let mut stack = vec![dir];
-        while let Some(d) = stack.pop() {
-            for entry in fs::read_dir(&d)? {
-                let entry = entry?;
-                let path = entry.path();
-                if entry.file_type()?.is_dir() {
-                    if entry.file_name() != "fixtures" {
-                        stack.push(path);
-                    }
-                } else if path.extension().is_some_and(|e| e == "rs") {
-                    files.push(path);
-                }
-            }
-        }
+        files.extend(rs_files(&dir, &["fixtures"])?);
     }
     files.sort();
     Ok(files
@@ -254,50 +223,30 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-/// Location of the symbol-graph cache for the workspace at `root`.
-fn cache_path(root: &Path) -> PathBuf {
-    root.join("target").join("flow3d-tidy-cache.tsv")
-}
-
 /// The doc files the W1 contract lint reads alongside the source.
 const CONTRACT_DOCS: &[&str] = &["README.md", "EXPERIMENTS.md", "SERVING.md"];
 
-/// Runs the tidy pass over the workspace at `root`. With `fix`, applies
-/// the mechanical D5 rewrite in place and re-checks the patched files so
-/// fixed violations do not appear in the report.
-///
-/// Per-file lexing and fact extraction are served from the content-hash
-/// cache under `target/` when the file (and its policy) are unchanged;
-/// the workspace-level lints (W1/W2) always re-run over the facts — they
-/// are cross-file by construction, so no single file's hash can witness
-/// their inputs.
+/// Runs the tidy pass over the workspace at `root`, lexing every file.
+/// Without `fix` it only reads. With `fix`, applies the mechanical D5
+/// rewrite in place and re-checks the patched files so fixed violations
+/// do not appear in the report.
 pub fn run(root: &Path, fix: bool) -> io::Result<TidyReport> {
     let mut report = TidyReport::default();
     let tasks = discover(root)?;
     let refs = discover_refs(root)?;
-    let cache = symbols::load_cache(&cache_path(root));
     let mut facts: BTreeMap<String, FileFacts> = BTreeMap::new();
     let mut contents: BTreeMap<String, String> = BTreeMap::new();
 
     for task in &tasks {
-        let mut src = fs::read_to_string(&task.path)?;
+        let mut src = fs::read_to_string(&task.path).map_err(at(&task.path))?;
         report.files_checked += 1;
-        report.cache_total += 1;
-        let mut hash = symbols::policy_hash(&src, &task.policy);
-        let mut f = match cache.get(&task.rel) {
-            Some(cached) if cached.hash == hash => {
-                report.cache_hits += 1;
-                cached.clone()
-            }
-            _ => symbols::file_facts(&src, &task.policy, hash),
-        };
+        let mut f = symbols::file_facts(&src, &task.policy);
         if fix && f.raw.iter().any(|v| v.lint == Lint::MissingForbidUnsafe) {
             if let Some(fixed) = fix_missing_forbid(&src) {
-                fs::write(&task.path, &fixed)?;
+                fs::write(&task.path, &fixed).map_err(at(&task.path))?;
                 report.fixed.push(task.rel.clone());
                 src = fixed;
-                hash = symbols::policy_hash(&src, &task.policy);
-                f = symbols::file_facts(&src, &task.policy, hash);
+                f = symbols::file_facts(&src, &task.policy);
             }
         }
         contents.insert(task.rel.clone(), src);
@@ -305,19 +254,12 @@ pub fn run(root: &Path, fix: bool) -> io::Result<TidyReport> {
     }
 
     // Reference-only files: facts for the symbol graph, no lint pass.
-    let ref_policy = FilePolicy::default();
     for (path, rel) in &refs {
-        let src = fs::read_to_string(path)?;
-        report.cache_total += 1;
-        let hash = symbols::policy_hash(&src, &ref_policy);
-        let f = match cache.get(rel) {
-            Some(cached) if cached.hash == hash => {
-                report.cache_hits += 1;
-                cached.clone()
-            }
-            _ => symbols::file_facts(&src, &ref_policy, hash),
-        };
-        facts.insert(rel.clone(), f);
+        let src = fs::read_to_string(path).map_err(at(path))?;
+        facts.insert(
+            rel.clone(),
+            symbols::file_facts(&src, &FilePolicy::default()),
+        );
     }
 
     let mut docs: BTreeMap<String, String> = BTreeMap::new();
@@ -344,12 +286,7 @@ pub fn run(root: &Path, fix: bool) -> io::Result<TidyReport> {
         if let Some(ws) = extra.remove(&task.rel) {
             raw.extend(ws);
         }
-        let lexed = LexOutput {
-            tokens: Vec::new(),
-            suppressions: f.suppressions.clone(),
-            malformed: f.malformed.clone(),
-        };
-        let violations = apply_suppressions(raw, &lexed);
+        let violations = apply_suppressions(raw, &f.suppressions, &f.malformed);
         if violations.is_empty() {
             continue;
         }
@@ -389,8 +326,6 @@ pub fn run(root: &Path, fix: bool) -> io::Result<TidyReport> {
         }
     }
 
-    // Cache write failures are non-fatal: the next run just re-lexes.
-    let _ = symbols::save_cache(&cache_path(root), &facts);
     Ok(report)
 }
 

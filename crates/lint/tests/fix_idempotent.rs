@@ -1,13 +1,12 @@
-//! `tidy --fix` must be idempotent: applying it twice leaves the tree
-//! byte-identical to applying it once. Checked over a synthetic corpus
-//! built from the per-file fixtures (which includes a D5 tree the first
-//! pass genuinely rewrites) and over a copy of the real workspace.
+//! `flow3d-lint --fix` must be idempotent: applying it twice leaves the
+//! tree byte-identical to applying it once. Checked over a synthetic
+//! corpus built from the per-file fixtures (which includes a D5 tree the
+//! first pass genuinely rewrites) and over a copy of the real workspace.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// Every file under `root` (except `target/`, where the run writes its
-/// symbol cache) as relative path → bytes.
+/// Every file under `root` as relative path → bytes.
 fn snapshot(root: &Path) -> BTreeMap<String, Vec<u8>> {
     let mut out = BTreeMap::new();
     let mut stack = vec![root.to_path_buf()];
@@ -16,9 +15,7 @@ fn snapshot(root: &Path) -> BTreeMap<String, Vec<u8>> {
             let entry = entry.expect("entry");
             let path = entry.path();
             if entry.file_type().expect("file_type").is_dir() {
-                if entry.file_name() != "target" {
-                    stack.push(path);
-                }
+                stack.push(path);
             } else {
                 let rel = path
                     .strip_prefix(root)

@@ -1,9 +1,8 @@
 //! Workspace-level golden tests for the W-family lints: each fixture
-//! tree under `tests/fixtures/ws/` is copied to a temp dir (a tidy run
-//! writes its symbol cache under `<root>/target/`, which must never
-//! land inside the repo), linted with the real `run` driver, and its
-//! rendered diagnostics are compared against the `.expected` file next
-//! to the tree.
+//! tree under `tests/fixtures/ws/` is copied to a temp dir, linted with
+//! the real `run` driver, and its rendered diagnostics are compared
+//! against the `.expected` file next to the tree. A run without `--fix`
+//! must leave the tree it checks byte-identical.
 //!
 //! Re-bless after an intentional diagnostic change with:
 //!
@@ -12,6 +11,7 @@
 //! ```
 
 use flow3d_lint::{render_human, Lint};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 fn ws_fixtures_dir() -> PathBuf {
@@ -102,31 +102,36 @@ fn w2_deadpub_fixture_matches_golden() {
     check_ws_golden("w2_deadpub", &[Lint::DeadPub]);
 }
 
-/// A second run over an unchanged tree must serve every file from the
-/// symbol cache — the incremental contract of the symbol-graph layer.
-#[test]
-fn second_run_is_fully_cached() {
-    let root = temp_copy("tidyws", "cache");
-    let cold = flow3d_lint::run(&root, false).expect("first run");
-    assert_eq!(cold.cache_hits, 0, "no cache exists before the first run");
-    assert!(cold.cache_total > 0);
-    let warm = flow3d_lint::run(&root, false).expect("second run");
-    assert_eq!(
-        warm.cache_hits, warm.cache_total,
-        "every file must be a cache hit on an unchanged tree"
-    );
-    assert_eq!(warm.cache_total, cold.cache_total);
-    assert!(warm.clean());
+/// Every file under `dir` as path → bytes.
+fn snapshot(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut out = BTreeMap::new();
+    for entry in std::fs::read_dir(dir).expect("read_dir") {
+        let path = entry.expect("entry").path();
+        if path.is_dir() {
+            out.extend(snapshot(&path));
+        } else {
+            let bytes = std::fs::read(&path).expect("read");
+            out.insert(path, bytes);
+        }
+    }
+    out
+}
 
-    // Touching one file invalidates exactly that file.
-    let cfg = root
-        .join("crates")
-        .join("core")
-        .join("src")
-        .join("config.rs");
-    let src = std::fs::read_to_string(&cfg).expect("read config");
-    std::fs::write(&cfg, format!("{src}\n// touched\n")).expect("write config");
-    let third = flow3d_lint::run(&root, false).expect("third run");
-    assert_eq!(third.cache_hits, third.cache_total - 1);
+/// A check run only reads: the tree is byte-identical afterwards and
+/// no `target/` appears in it.
+#[test]
+fn a_run_without_fix_writes_nothing() {
+    let root = temp_copy("tidyws", "readonly");
+    let before = snapshot(&root);
+    let report = flow3d_lint::run(&root, false).expect("tidy run");
+    assert!(report.clean());
+    let after = snapshot(&root);
+    assert!(!root.join("target").exists(), "a check run created target/");
+    assert_eq!(
+        after.keys().collect::<Vec<_>>(),
+        before.keys().collect::<Vec<_>>(),
+        "a check run changed the file set"
+    );
+    assert!(after == before, "a check run rewrote a file");
     std::fs::remove_dir_all(&root).ok();
 }

@@ -6,7 +6,7 @@
 //! This crate is intentionally dependency-free (std only). It provides
 //! three layers:
 //!
-//! * [`Profile`] / [`Span`] — nestable wall-clock phase scopes with
+//! * [`Profile`] — nestable wall-clock phase scopes with
 //!   per-phase call counts, plus a [`CounterSet`] of named monotonic
 //!   counters (see [`keys`] for the pipeline's well-known names).
 //! * [`Obs`] / [`ObsExt`] — the `Option<&mut Profile>` hook type that
@@ -67,7 +67,7 @@ pub use hist::{keys as hist_keys, HistSummary, Histogram, HistogramSet, DEFAULT_
 pub use json::{Json, JsonError};
 pub use log::{log_record, EventLog, LogLevel};
 pub use metrics::{MetricsSnapshot, RequestSample, RollingWindow};
-pub use profile::{Obs, ObsExt, PhaseStats, Profile, Span};
+pub use profile::{Obs, ObsExt, PhaseStats, Profile};
 pub use recorder::FlightRecorder;
 pub use report::{HistReport, PhaseReport, Quality, RunReport};
 pub use rss::peak_rss_bytes;

@@ -1,5 +1,5 @@
 //! Hierarchical phase timing: [`Profile`] accumulates per-phase wall
-//! time and call counts; [`Span`] is the RAII variant of a phase scope.
+//! time and call counts.
 //!
 //! Beyond timers and counters, a profile carries the rest of the
 //! telemetry state: a [`HistogramSet`], captured [`Heatmap`]s (recorded
@@ -225,18 +225,6 @@ impl Profile {
         }
     }
 
-    /// Opens a phase as an RAII guard that closes itself on drop.
-    ///
-    /// The guard dereferences to the profile, so counters can be bumped
-    /// and further spans nested while it is alive.
-    pub fn span<'a>(&'a mut self, name: &str) -> Span<'a> {
-        self.begin(name);
-        Span {
-            name: name.to_string(),
-            profile: self,
-        }
-    }
-
     /// Adds `by` to the named counter (see [`CounterSet::bump`]).
     pub fn bump(&mut self, counter: &str, by: u64) {
         self.counters.bump(counter, by);
@@ -392,33 +380,6 @@ impl Profile {
     }
 }
 
-/// An open phase scope that records its elapsed time when dropped.
-/// Created by [`Profile::span`].
-// flow3d-tidy: allow(dead-pub) — telemetry schema (flow3d::obs) consumed by downstream report tooling
-pub struct Span<'a> {
-    profile: &'a mut Profile,
-    name: String,
-}
-
-impl std::ops::Deref for Span<'_> {
-    type Target = Profile;
-    fn deref(&self) -> &Profile {
-        self.profile
-    }
-}
-
-impl std::ops::DerefMut for Span<'_> {
-    fn deref_mut(&mut self) -> &mut Profile {
-        self.profile
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        self.profile.end(&self.name);
-    }
-}
-
 /// The hook type threaded through instrumentable code: `None` disables
 /// all bookkeeping.
 pub type Obs<'a> = Option<&'a mut Profile>;
@@ -548,21 +509,6 @@ mod tests {
         p.end("a");
         assert_eq!(p.phase("a").unwrap().calls, 1);
         assert_eq!(p.phase("a/a").unwrap().calls, 1);
-    }
-
-    #[test]
-    fn span_guard_closes_on_drop_and_allows_nesting() {
-        let mut p = Profile::new();
-        {
-            let mut outer = p.span("outer");
-            outer.bump("k", 1);
-            {
-                let _inner = outer.span("inner");
-            }
-        }
-        assert!(p.phase("outer").is_some());
-        assert!(p.phase("outer/inner").is_some());
-        assert_eq!(p.counters().get("k"), 1);
     }
 
     #[test]

@@ -30,8 +30,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The environment variable consulted by [`resolve_threads`] when no
 /// explicit thread count is configured.
-// flow3d-tidy: allow(dead-pub) — worker-pool tuning surface (flow3d::par) for embedders
-pub const THREADS_ENV: &str = "FLOW3D_THREADS";
+const THREADS_ENV: &str = "FLOW3D_THREADS";
 
 /// Number of hardware threads, with a fallback of 1 when the platform
 /// cannot report it.
